@@ -1,0 +1,288 @@
+"""Golden trajectories: SHA-256 digests of the iterates, the CSV bytes and
+the summary floats (17 significant digits) of short stride-1 runs.
+
+The cases cover every algorithm under every noise family on the quadratic,
+the hybrid with and without bias correction and with pre-sign dither, the
+logistic and MLP problems, and the step-decay schedule. A change to the
+arithmetic of a step rule, or to the order of its random draws, changes a
+digest, so a refactor of the step rules must leave this table untouched.
+
+To print the table for the current code (only after a deliberate change of
+trajectories): `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from signopt.config import ExperimentConfig, OptimizerSpec, ProblemSpec, RunSpec
+from signopt.harness import emit_csv, run_single
+from signopt.problems import NOISE_FAMILIES
+
+STEPS = 60
+SEED = 0
+
+QUADRATIC_OPTIMIZERS = {
+    "sgd": {"algorithm": "sgd", "lr": 0.05},
+    "signsgd": {"algorithm": "signsgd", "delta": 0.05},
+    "signsgdm": {"algorithm": "signsgdm", "delta": 0.05},
+    "dithered-pre": {"algorithm": "dithered", "delta": 0.05, "alpha": 0.1,
+                     "dither_mode": "pre"},
+    "dithered-post": {"algorithm": "dithered", "delta": 0.05, "alpha": 0.1,
+                      "dither_mode": "post"},
+    "hybrid": {"algorithm": "hybrid", "delta": 0.05, "eta": 0.9,
+               "t_switch": 30.0},
+    "hybrid-bias-corrected": {"algorithm": "hybrid", "delta": 0.05,
+                              "eta": 0.9, "t_switch": 30.0,
+                              "lambda_bias_correction": True},
+    "hybrid-pre": {"algorithm": "hybrid", "delta": 0.05, "eta": 0.9,
+                   "t_switch": 30.0, "alpha": 0.1, "dither_mode": "pre"},
+}
+
+
+def _problem(kind, family):
+    if kind == "quadratic":
+        return ProblemSpec(kind="quadratic", dim=5,
+                           lipschitz=(0.5, 1.0, 2.0, 3.0, 4.0), x_opt=(0.0,),
+                           x0=(1.0,), noise_family=family, sigma=(0.5,))
+    if kind == "logistic":
+        return ProblemSpec(kind="logistic", dim=6, n_points=40,
+                           dataset_seed=3, x0=(0.0,), noise_family=family,
+                           sigma=(0.5,))
+    return ProblemSpec(kind="mlp", layer_widths=(2, 4, 1), n_points=40,
+                       dataset_seed=3, x0=(0.3,), noise_family=family,
+                       sigma=(0.5,))
+
+
+def _config(kind, family, optimizer, **run):
+    return ExperimentConfig(
+        problem=_problem(kind, family),
+        optimizer=OptimizerSpec(**optimizer),
+        run=RunSpec(steps=STEPS, batch_size=2, seeds=(SEED,),
+                    record_stride=1, **run))
+
+
+def _cases():
+    cases = {}
+    for family in NOISE_FAMILIES:
+        for name, optimizer in QUADRATIC_OPTIMIZERS.items():
+            cases[f"quadratic-{family}-{name}"] = _config("quadratic", family,
+                                                          optimizer)
+    cases["logistic-hybrid-pre"] = _config(
+        "logistic", "gaussian", QUADRATIC_OPTIMIZERS["hybrid-pre"])
+    cases["logistic-dithered-post"] = _config(
+        "logistic", "laplace", QUADRATIC_OPTIMIZERS["dithered-post"])
+    cases["mlp-hybrid"] = _config("mlp", "uniform",
+                                  QUADRATIC_OPTIMIZERS["hybrid"])
+    cases["mlp-dithered-pre"] = _config(
+        "mlp", "gaussian", QUADRATIC_OPTIMIZERS["dithered-pre"])
+    cases["decay-sgd"] = _config("quadratic", "gaussian",
+                                 QUADRATIC_OPTIMIZERS["sgd"],
+                                 decay_every=20, decay_factor=0.5)
+    cases["decay-hybrid-pre"] = _config("quadratic", "gaussian",
+                                        QUADRATIC_OPTIMIZERS["hybrid-pre"],
+                                        decay_every=20, decay_factor=0.5)
+    return cases
+
+
+CASES = _cases()
+
+
+def _fmt(value):
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def trajectory_digests(cfg, workdir):
+    """(iterates, CSV bytes, summary floats) SHA-256 hex digests."""
+    rec = run_single(cfg, SEED, collect_iterates=True)
+    csv_path = Path(workdir) / "run.csv"
+    emit_csv(rec, csv_path)
+    summary = "\n".join(f"{key}={_fmt(value)}"
+                        for key, value in sorted(rec.summary().items())
+                        if key != "wall_time")
+    return (hashlib.sha256(np.stack(rec.iterates).tobytes()).hexdigest(),
+            hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+            hashlib.sha256(summary.encode()).hexdigest())
+
+
+GOLDEN = {
+    'decay-hybrid-pre': (
+        '84d8d5a55bcba40a1a3dfe0bf324f29b8b69a31468b0a79d88596111504189a5',
+        '54a42a7ce4a10f5d1929cdf465629a6b8115569a0669e06cc7e2eaa2f0782436',
+        'dbdb6a7d636b894d55faceb5eec5547e7864a9cdf528b5365023a714fc7c1410'),
+    'decay-sgd': (
+        'e2e4811aeaf12dce6a126547ea01bab909fbca0f003c4ece1a0f7f7dd821d5be',
+        '4a81d33fd080b4c7da1918af3923b3b7fdae4e4c44579c5cb2bf7f29ab59948d',
+        '40c64cfa82f04b183c1c275d6a6fa0480602d57866b823b2509e64218c4d3501'),
+    'logistic-dithered-post': (
+        'be3dff97f527f7ae4ddb14cb97a9c4d19a3a3d329c2266462db2df20c904c85e',
+        '2a1d11edf8559a0d386328bf5e86b955832c0b35c578d298fcd6a5d7045ef3ea',
+        'd70b1285ba67d54664ab66f0a0302f4cf20c7fbb62df208a5eeb7be66c1a1fdc'),
+    'logistic-hybrid-pre': (
+        '4325dfbd0825fe1e8200a1bd99bcba52ea722acf2c85cce7dc2236e3fbbfaf35',
+        '3befa2a8584b097463f08946bc98cfb80633c4cbae412516add306a169458720',
+        'a5d21dc4c7fc41ff11b76a49e2396c4349257e7ce7c94387c0cde31c8efd90bd'),
+    'mlp-dithered-pre': (
+        '34068c36fcd739d8972890a6a56c3c530984934d1be3d8c78d491fea6e70e96b',
+        'cfd704979a9191d3d3ebf2aba2ba97991925bfb0f874aa8a10d8494de1b10ded',
+        '5a3a7a92c101c16f0d290aea8a4fc5930383835d2f46140143670632ca86fbd0'),
+    'mlp-hybrid': (
+        'a5f05e51e59acd0221c3161467473287ce9fa49d685abfb6614776a51f691bc1',
+        'e01186fd2c3d33a2c48a1635fb2cbdd21f0e8a9c07756e6a18bd7056f1c6cb6c',
+        '132f735c8ca031d7fd12d406474f34333ebf1564a94a058114bc93fb7592cfc8'),
+    'quadratic-asymmetric-bimodal-dithered-post': (
+        '4155f1c69ea5cdac03137f971a71038c55ca4aab58590fd0bf973bbdf94dfacd',
+        'c5495a2b5ffce5e7cbe28a826d8b1c48537977e2cd694df66379b0ab719c65cf',
+        '1afa88b9a266bb87a1bb581e668a6c8d0c704cff765c161bb5e219e1f3773c19'),
+    'quadratic-asymmetric-bimodal-dithered-pre': (
+        '2e4b0abae6c349931e254c619becd441ce07751fb01fb34e5395228a60c90c1d',
+        '7b90200126f02d302fc0bcbdb3551cf5df1a2abb834aa7ff8a153a857e38d443',
+        '4dc113e758af939aab532d4656c395d9ba6ea90bba1509079b43ec72bd18eceb'),
+    'quadratic-asymmetric-bimodal-hybrid': (
+        '8b9bb9a95bd890e4718c6aa3791c5f4046545fde1d245938cead2f5e38269ad6',
+        '660ae74c4be981a1cb7102d9e1a88d4c7a7ac8310aef588346fa19317280e100',
+        '4849c519eb324cd8099b4b3daac32329adaa7ed0e9a732c3a56cf9af66cb2c2e'),
+    'quadratic-asymmetric-bimodal-hybrid-bias-corrected': (
+        '162541e91f491fcbd8008a1c84493d1ee00b1f5976b875fdf5fa3356a17fcd47',
+        '0fe4789c37a588629bc9e1ee09be7cad79413ab17b1a5cce231d88265bfbaec9',
+        'b72f0e5f159c9befef320a48004de7c9391911944bde0236d55dffb2c0dd6107'),
+    'quadratic-asymmetric-bimodal-hybrid-pre': (
+        '943c0dd258ad4382974b87f462543e4cc7ba6776a81ee814c6ff17db70807c3d',
+        'fc51e73351733782efe3ef9436f5ee510ca4e74c7bb6d4d0ea84b4cc3eb06e7a',
+        '17f6336e216ecce650eed763a34151ed41392c867566ed830ba1e7c13f2f320f'),
+    'quadratic-asymmetric-bimodal-sgd': (
+        '72b9d32317b13f9265b46c5e2ed509cf6d9aead2e89ab674bd16cd432af4cb34',
+        '744bf5a0b779b5c964a5712650a6a0dc3ab7d3d4edd8bbd7443eb49b3223e1a2',
+        '4f47ed4474a0866573ced4a0420a15a18a7a088b71db087ac14df9b0dcac0094'),
+    'quadratic-asymmetric-bimodal-signsgd': (
+        '1a696328900fb9e6ac9d2fafc95323254504409dd2171324dd893561c5b9bda2',
+        'f1e95f6e6e67983fa06a0252500aaf824b592eaf89a38de37a1705bd6469bcd1',
+        'db90dd1741a42ced30f7aaf49edfae0329f897a6fbb5c76d4cf7fce51b9ed7dd'),
+    'quadratic-asymmetric-bimodal-signsgdm': (
+        '4462017346e2733c5e8361cfce229b85af7a4d1d5fa01e56062fa5b13d598fc4',
+        'e349756c43cbb75f3945faf199001d2335f5de611855f95929be909e89bfac17',
+        '984a2740a91b3a41c15f9865f70f440b67094516e7f5984a3890235dd51652d4'),
+    'quadratic-gaussian-dithered-post': (
+        'a7a169a4967ae1c9ec56092424688932511395a95076926c7eb13d345ddf68d0',
+        'a61101a856ee8a2918046a8d6848d913352e62722ae3f031d6d713a78fbcadb2',
+        '143af2f8c1728187cca2af769af60cc9d6907dc6766a0934b826eb4a701291ff'),
+    'quadratic-gaussian-dithered-pre': (
+        '75256d8cdbffce694edf467ee366319fbcf5ee51f1d391fa2db3de1f4adffa7a',
+        '30357568d4c08de523720916fec217810569b9c4913f0503798b441fd10fc7c8',
+        '052c5cebdf971fc5e0d915a4ce1001c8b82aadbdc72d8f3b9b6281f23168e411'),
+    'quadratic-gaussian-hybrid': (
+        'bb6452e12511874863462a6815a4586433cca9b808cd705c7e9a1bf34bb5aed1',
+        '8a98bffd9b38e9b3319c889b902dad3fd45d4ec937983f2c612519c8ea77d5a0',
+        '0c12d9e5a3397acf02d8af47998c5436ce309aae90e8e3de74972597a41a75f9'),
+    'quadratic-gaussian-hybrid-bias-corrected': (
+        'e838ea9bd80fc3d2da450c80d8ccf80bed838b12cdeabe598b71c1d2ff536391',
+        'd029e559871ead27b1cf1b67307f0010fda38434cb68831360b06ce5edb45047',
+        'b7a38a13d28931bd9d3cdaee11381ff6bef71d468e947afbbc62ad30c168f664'),
+    'quadratic-gaussian-hybrid-pre': (
+        '8f47fa81bfd38c1343998106b961d7d8e070d65817b419d73b91d0dd55aad57b',
+        '8e74558f2ed7de6f814c4ee0e34977860914785aff9a0ce3dae7ad0254c23413',
+        'a4adcf832a7a05f3ed9766a0339c40cbf8a11b92a0483aac12ce2c619cbb23da'),
+    'quadratic-gaussian-sgd': (
+        '049b430eac0686cfea45535b7a1ad263602028d3a8463b85487e0ea2b056a784',
+        '2dfef703995eb8e1a3c74e253d97ab46f17679de88736defc241f45000048e82',
+        '195e46530121a96d4012f1fc4c63d1d5ef8e7882f9920bc9bb3a25519940d249'),
+    'quadratic-gaussian-signsgd': (
+        'dc91cb3685a00570230190972f69b1cf1a29512a84cf4983329c06fb8d9ecb49',
+        'b19e72a39bde60309cb3a98715c3fc87c2b7fe26227c395bb4e53813f4f60865',
+        '32ba9c1eb151de18e6db34440cf47db9a3f705a592ef63bf18b1074e9a8e8ce1'),
+    'quadratic-gaussian-signsgdm': (
+        'e182f6c73d27ebd1a759cd0f2fccb88b7a663766e051670a146cd1d8a0de6fd5',
+        'fcc45884990dd05b458f6d691d03a23fdafeec78521cd8c021803e4d63a63ba8',
+        '4e58a3893b8ce45092e85a4d89cc8f86b892f8d17ede1db8b69fa6cb918150fa'),
+    'quadratic-laplace-dithered-post': (
+        '79bb58b5cd39143382464eac15654ff7926fdf7c0a2b85ff1d476850fa4596a4',
+        '10c367744e1c7b7265002a812f2f7a7454aa238788f93fb4192e0662757c31b5',
+        '13ce268c661a30b90df4e1e0346e6e1dd64a557df5485dc2705f460537bc9cad'),
+    'quadratic-laplace-dithered-pre': (
+        'c973c4d7b62f4a35509172e9b6f4df4f5146f0bc571bf6479b7aedecb1764178',
+        'f70b9f25ab1b929e78c1d05c9a33ce0bb735602797e1c580cc292c80ac256a3a',
+        '1b6a1938c8de73baba666f239994fdf74a895a0df0388c6dddceb5dd82c1cd13'),
+    'quadratic-laplace-hybrid': (
+        '300bae18ab089b32e09364116ce84e291e97e81d36a55965c9e87fd5811e93e7',
+        'ce663e98fe2b49bde846c9663895f875b665f7e13511a9e0e9a179d3b19226cf',
+        'a616b3119e07af1205386a14cdd679d101fb25a02fb716851ea741385a90470f'),
+    'quadratic-laplace-hybrid-bias-corrected': (
+        'cda646b80b3db9ae9c0075a9367ff5a111ad2cbc3a52cf9d106f5b7d87ffe710',
+        '1352a265206b553bfb76b7fe19a64830415ca6c114f382aac5f3bbe1f8e424e6',
+        'cfd52a05518832608541089b4ef0c12e2fa4bb54c52bdbd648f971a5d5a97744'),
+    'quadratic-laplace-hybrid-pre': (
+        'f2571fdfd4bd26e0ccb11c6bd2d74ec0209bd5d5e754cda604c1719eea2a7cc0',
+        'f26a4ae2345b18d63deb2748376da444da506121dee0c4b6a6e7266d555115fe',
+        'af32e2d8fb23edfbdef073b425197dec45132c20cf6ab9688e3c909a2ec14943'),
+    'quadratic-laplace-sgd': (
+        'fcc17021beacb9038986316f884fa58c1e4c12c3d4c0866cfb47ea4915cb0d99',
+        'f2fc5220d6e3c8877e8e083cce8bf031c71c7410386e9591a1ef695ade91374d',
+        'd69dee666e5bfc76831be11f4cbb8df5380f458de44f3493ab66262248fd7155'),
+    'quadratic-laplace-signsgd': (
+        '8f9b9ffd30cfb2a217b120a6e83c6ab068daf2d39e92b2612b72242573fd3fe3',
+        '2f61677a40019eb89064df1b41d415493a825f0fb6941402203ef0bb3d79c213',
+        '9a61aa2cd298da7e5da9aa2c2633d6c501b836451b031a90c3589524e651a63a'),
+    'quadratic-laplace-signsgdm': (
+        '2f3bd1f2fc4e2ae0cf35e6d3894c24cc2930560eb6140084095b734ac642a843',
+        'e50862668520feebc8b2bd905fc3b75b738239e8aa5f11bf52c467aa402c4914',
+        '6720d83704ccca7dba17d95d65a78aac211b14905b24acdfb6889f6a71f6f01e'),
+    'quadratic-uniform-dithered-post': (
+        '9dd654eb616c051f5210cf565d437c648c6e9ddcf0412fe455968dbee9e88e9e',
+        '50e687ad37fe37884a2431ef4c4d1945d96535316d5579496ee6bdde87d05439',
+        '031318227cfeca95d37ef0403f04c0370fd46b1929c2118e69b08d6f79a38af8'),
+    'quadratic-uniform-dithered-pre': (
+        '13288a1d8d74069d11b3baf039b3646d86ae682f58091c89858af888ab0a82cd',
+        'c1267a3d080601e0a4370acb0cd8eb2046aad3087d9e07ba67ddf20097bebebc',
+        'be2c53474b1bcedd4106c4990553f41dbca8dfdebd45c31caac3a62f7218353d'),
+    'quadratic-uniform-hybrid': (
+        '8a0d78ff1d0333ae32a36e62b588c7548d1453de2b2d032a514fc4a952b6fe19',
+        '592fa1e0fd4bdf8cfce865b145aa55ae7c10aa5c5b676f852fb2c19baf850e5b',
+        '5a25e6a99cf71145424ac6eb2dca5be5d2b60eaaab31b81485c3282ce1fea9c9'),
+    'quadratic-uniform-hybrid-bias-corrected': (
+        'b007d0c5a8defdecc1f791a0ce27d06abcbbb2eca2dfa15929ac95b14b6df06b',
+        '60dfbdc41a52b4231ea771eba91b4f962387be181a480047f292385d61045fb8',
+        '4a2a454d8aaf8faf75a98b3edb8fe71bc0c0a431142cdc164c4403c20f3dd4bd'),
+    'quadratic-uniform-hybrid-pre': (
+        'f4fcb972bb2e0255a7aa57b78039d4cce74683e9520439c798dad3e7c5440a9c',
+        '0ee503e0bc49d3ea8e53c9a3c74ebb96f97957baa045906032e27fbcda864570',
+        'e7ff5fba94807272616baa0eb2bac201f180dd36369229bd182d725aa706852d'),
+    'quadratic-uniform-sgd': (
+        'de08fc4659466f92bfecc47f936bae0428b829c40871bf023403d0d49c71d7ca',
+        '9dfc8f09ba8bd8b20a7ffd91d59405227d42c5314a4d6f15aedd1ac1c88b1e06',
+        '928906821c7a812ad580759461fd5c457c8ab0cb0c17795a10b2d50a1eef1848'),
+    'quadratic-uniform-signsgd': (
+        '20500c95f8e54311a0093d205326cc0596b165f1d3f4ec35f8d8334490f81901',
+        '3caf1a0a99677f037e1ec61473849c8f2db3e83d243c6e99c317c618e83580bd',
+        '662ce0cc0f38cb2ef688754c47e855f14a52a82b712ae5403706ad1c4527ae91'),
+    'quadratic-uniform-signsgdm': (
+        '925d41b43582264640ccdb8069ad7e241102fbb5f8be2f134a82a0ac3c965fca',
+        '6abe2152b08e57ee374a81df7053cceecf3003cb5e554094e1953c88071d0fd9',
+        '6b39826631c507553cfeff592472b42d5b3ff7647b228d5d15e9f7352f2928a5'),
+}
+
+
+def test_every_case_is_pinned():
+    assert set(GOLDEN) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectory_matches_golden_digests(name, tmp_path):
+    iterates, csv, summary = trajectory_digests(CASES[name], tmp_path)
+    expected = GOLDEN[name]
+    assert iterates == expected[0], "iterates changed"
+    assert csv == expected[1], "CSV bytes changed"
+    assert summary == expected[2], "summary floats changed"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        print("GOLDEN = {")
+        for name in sorted(CASES):
+            digests = trajectory_digests(CASES[name], workdir)
+            print(f"    {name!r}: (")
+            print("\n".join(f"        {d!r}," for d in digests[:-1]))
+            print(f"        {digests[-1]!r}),")
+        print("}")

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from signopt.core import STREAM_GRAD, RngStream
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             ProblemSpec, RunSpec, build_problem,
                             initial_point, parse_config, serialize_config)
 from signopt.harness import (CSV_HEADER, emit_csv, emit_json, load_csv,
                              run_single, run_seeds, run_summary,
                              theorem_delta)
+from signopt.problems import stochastic_grad
 from signopt.theory import SnrProfile, phi_measure
 
 
@@ -105,6 +107,53 @@ class TestRunSingle:
             assert np.array_equal(rec.iterates[k + 1], predicted)
         dist = [np.linalg.norm(x) for x in rec.iterates[51:]]
         assert all(b <= a for a, b in zip(dist, dist[1:]))
+
+
+def replay_grads(cfg, iterates, seed=0):
+    """The stochastic gradient of each step, redrawn from the run's own
+    gradient stream at the recorded iterates."""
+    problem = build_problem(cfg)
+    rng = RngStream(seed, STREAM_GRAD)
+    return [stochastic_grad(problem, x, cfg.run.batch_size, rng).grad
+            for x in iterates[:-1]]
+
+
+class TestStepDecay:
+    """run.decay_every multiplies lr and delta by decay_factor every
+    decay_every steps; the hybrid's frozen calibrated stepsize is not
+    decayed."""
+
+    def test_decay_scales_lr(self):
+        cfg = quad_cfg(optimizer={"algorithm": "sgd", "lr": 0.1},
+                       run={"steps": 50, "decay_every": 10,
+                            "decay_factor": 0.5})
+        rec = run_single(cfg, 0, collect_iterates=True)
+        lr = 0.1
+        for k, g in enumerate(replay_grads(cfg, rec.iterates)):
+            if k and k % 10 == 0:
+                lr *= 0.5
+            assert np.array_equal(rec.iterates[k + 1],
+                                  rec.iterates[k] - lr * g)
+
+    def test_decay_scales_delta_but_not_frozen_lambda(self):
+        # dyadic delta from a dyadic start keeps sign steps exact
+        cfg = quad_cfg(optimizer={"algorithm": "hybrid", "delta": 0.25,
+                                  "eta": 0.5, "t_switch": 25.0},
+                       run={"steps": 60, "decay_every": 10,
+                            "decay_factor": 0.5})
+        rec = run_single(cfg, 0, collect_iterates=True)
+        lam_bar = rec.lambda_at_switch
+        assert lam_bar > 0.0
+        delta = 0.25
+        for k, g in enumerate(replay_grads(cfg, rec.iterates)):
+            if k and k % 10 == 0:
+                delta *= 0.5
+            x, x_next = rec.iterates[k], rec.iterates[k + 1]
+            if k < 25:
+                assert np.array_equal(np.abs(x_next - x), np.full(4, delta))
+            else:
+                assert np.array_equal(x_next, x - lam_bar * g)
+        assert all(r.lambda_ema == lam_bar for r in rec.rows[25:])
 
 
 class TestAggregation:
