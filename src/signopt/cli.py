@@ -31,8 +31,27 @@ def _out_dir(flag_value) -> Path:
     return path
 
 
-def _int_list(text: str):
-    return [int(t) for t in text.split(",") if t.strip()]
+def _int_at_least(minimum: int):
+    """argparse type: one integer >= minimum."""
+    # argparse names the function in its "invalid <name> value" message
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _int_list_at_least(minimum: int):
+    """argparse type: comma-separated integers, at least one, each >= minimum."""
+    integer = _int_at_least(minimum)
+
+    def integers(text: str) -> list:
+        values = [integer(t) for t in text.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one integer")
+        return values
+    return integers
 
 
 def cmd_run(args) -> int:
@@ -54,8 +73,7 @@ def cmd_theorem_suite(args) -> int:
 
     cfg = load_config(args.config)
     seeds = list(range(args.seeds))
-    report = run_theorem_suite(cfg, seeds, _int_list(args.k_grid),
-                               _int_list(args.n_grid))
+    report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
         mark = "PASS" if cell["passed"] else "FAIL"
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
@@ -71,7 +89,7 @@ def cmd_switch_suite(args) -> int:
 
     cfg = load_config(args.config)
     seeds = list(range(args.seeds))
-    report = run_switch_suite(cfg, _int_list(args.t_grid), seeds)
+    report = run_switch_suite(cfg, args.t_grid, seeds)
     for e in report["entries"]:
         print(f"T_switch={e['t_switch']:<6} median final f "
               f"{e['median_final_f']:.6g}  median lambda-at-switch "
@@ -111,31 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("theorem-suite", help="rate-bound verification grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--k-grid", default="100,1000,10000")
-    p.add_argument("--n-grid", default="1,4,16")
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--k-grid", type=_int_list_at_least(1),
+                   default="100,1000,10000")
+    p.add_argument("--n-grid", type=_int_list_at_least(1), default="1,4,16")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_theorem_suite)
 
     p = sub.add_parser("switch-suite", help="hybrid switch-point sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--t-grid", default="500,1000,2000")
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--t-grid", type=_int_list_at_least(0),
+                   default="500,1000,2000")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_switch_suite)
 
     p = sub.add_parser("dither-verify", help="dithered-sign MC grid")
-    p.add_argument("--trials", type=int, default=10**6)
+    p.add_argument("--trials", type=_int_at_least(1), default=10**6)
     p.set_defaults(func=cmd_dither_verify)
 
     p = sub.add_parser("bound-verify", help="sign-failure bound grids")
-    p.add_argument("--trials", type=int, default=10**6)
+    p.add_argument("--trials", type=_int_at_least(1), default=10**6)
     p.set_defaults(func=cmd_bound_verify)
 
     p = sub.add_parser("selftest", help="full verification battery")

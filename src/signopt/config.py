@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .optimizers import OptimizerConfig
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic)
 
-ALGORITHMS = ("sgd", "signsgd", "signsgdm", "dithered", "hybrid")
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
 
 
@@ -37,20 +37,7 @@ class ProblemSpec:
     layer_widths: tuple = (2, 8, 1)
 
 
-@dataclass(frozen=True)
-class OptimizerSpec:
-    algorithm: str = "signsgdm"
-    delta: float = 0.01
-    beta: float = 0.9
-    alpha: float = 0.0
-    gamma: float = 0.55
-    eta: float = 0.99
-    epsilon: float = 1e-12
-    t_switch: float = math.inf
-    dither_mode: str = "none"
-    lambda_bias_correction: bool = False
-    lr: float = 0.01              # plain-SGD learning rate
-    lambda_init: float = 0.0      # pre-seeded EMA value
+OptimizerSpec = OptimizerConfig  # the `optimizer.*` section
 
 
 @dataclass(frozen=True)
@@ -140,11 +127,12 @@ def parse_config(text: str) -> ExperimentConfig:
             values[section][name] = _parse_value(val, template)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg = ExperimentConfig(
-        problem=ProblemSpec(**values["problem"]),
-        optimizer=OptimizerSpec(**values["optimizer"]),
-        run=RunSpec(**values["run"]),
-    )
+    try:
+        optimizer = OptimizerSpec(**values["optimizer"])
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
+    cfg = ExperimentConfig(problem=ProblemSpec(**values["problem"]),
+                           optimizer=optimizer, run=RunSpec(**values["run"]))
     validate_config(cfg)
     return cfg
 
@@ -160,13 +148,11 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    p, o, r = cfg.problem, cfg.optimizer, cfg.run
+    p, r = cfg.problem, cfg.run
     if p.kind not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem kind {p.kind!r}")
     if p.noise_family not in NOISE_FAMILIES:
         raise ConfigError(f"unknown noise family {p.noise_family!r}")
-    if o.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {o.algorithm!r}")
     if p.dim < 1 or r.steps < 1 or r.batch_size < 1:
         raise ConfigError("dim, steps and batch_size must be >= 1")
     if not r.seeds:

@@ -31,7 +31,8 @@ class DitherSchedule:
 
 
 def dither_sigma_sq(k: int, s: DitherSchedule) -> float:
-    """Annealed dither variance alpha * (1+k)^(-gamma) at step k."""
+    """Annealed dither variance alpha * (1+k)^(-gamma) at step k; `s` is
+    anything with `alpha` and `gamma`, such as an OptimizerConfig."""
     if k < 0:
         raise ValueError("step must be >= 0")
     return s.alpha * (1.0 + k) ** (-s.gamma)

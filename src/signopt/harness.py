@@ -13,14 +13,16 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm
 from .config import (ExperimentConfig, build_problem, initial_point,
                      serialize_config)
-from .dither import DitherSchedule, dither_sigma_sq
+from .dither import dither_sigma_sq
+# lambda_project is not called here; perfbench/tracing.py wraps it under
+# this module's name
 from .optimizers import (OptimizerConfig, OptimizerState, PHASE_SGD,
                          PHASE_SIGN, dithered_step, hybrid_step, init_state,
                          lambda_project, sgd_step, signsgd_step,
@@ -86,14 +88,6 @@ def theorem_delta(problem: Problem, steps: int) -> float:
     return 1.0 / math.sqrt(float(np.sum(problem.lipschitz)) * steps)
 
 
-def _make_opt_config(cfg: ExperimentConfig, delta: float) -> OptimizerConfig:
-    o = cfg.optimizer
-    return OptimizerConfig(delta=delta, beta=o.beta, alpha=o.alpha,
-                           gamma=o.gamma, eta=o.eta, epsilon=o.epsilon,
-                           t_switch=o.t_switch, dither_mode=o.dither_mode,
-                           lambda_bias_correction=o.lambda_bias_correction)
-
-
 def run_single(cfg: ExperimentConfig, seed: int,
                problem: Problem | None = None,
                collect_iterates: bool = False) -> RunRecord:
@@ -101,23 +95,20 @@ def run_single(cfg: ExperimentConfig, seed: int,
     t0 = time.perf_counter()
     if problem is None:
         problem = build_problem(cfg)
-    algo = cfg.optimizer.algorithm
+    opt = cfg.optimizer
     K = cfg.run.steps
     n = cfg.run.batch_size
-    delta = (theorem_delta(problem, K) if cfg.run.theorem_mode
-             else cfg.optimizer.delta)
-    opt_cfg = _make_opt_config(cfg, delta)
-    lr = cfg.optimizer.lr
+    if cfg.run.theorem_mode:
+        opt = replace(opt, delta=theorem_delta(problem, K))
 
     grad_rng = RngStream(seed, STREAM_GRAD)
     dither_rng = RngStream(seed, STREAM_DITHER)
     state = init_state(initial_point(cfg, problem),
-                       lambda_ema=cfg.optimizer.lambda_init)
+                       lambda_ema=opt.lambda_init)
     stride = cfg.run.record_stride or default_stride(K)
     coord_std = problem.noise.sigma / math.sqrt(n)
-    schedule = DitherSchedule(opt_cfg.alpha, opt_cfg.gamma)
 
-    rec = RunRecord(seed=seed, steps=K, delta_used=delta, oracle_calls=0)
+    rec = RunRecord(seed=seed, steps=K, delta_used=opt.delta, oracle_calls=0)
     sum_phi = 0.0
     sum_l1 = 0.0
     prev_phase = state.phase
@@ -139,23 +130,24 @@ def run_single(cfg: ExperimentConfig, seed: int,
         sum_l1 += l1
 
         if cfg.run.decay_every and k and k % cfg.run.decay_every == 0:
-            delta *= cfg.run.decay_factor
-            lr *= cfg.run.decay_factor
-            opt_cfg = _make_opt_config(cfg, delta)
+            # the hybrid's frozen EMA is not decayed
+            opt = replace(opt, delta=opt.delta * cfg.run.decay_factor,
+                          lr=opt.lr * cfg.run.decay_factor)
 
         gs = stochastic_grad(problem, state.x, n, grad_rng)
         rec.oracle_calls += 1
-        new_state = _apply_step(algo, state, gs, opt_cfg, lr, dither_rng)
-        lam = _step_lambda(algo, new_state, gs, opt_cfg)
+        new_state = _apply_step(state, gs, opt, dither_rng)
 
-        if new_state.phase == PHASE_SGD and prev_phase == PHASE_SIGN and algo == "hybrid":
+        if (new_state.phase == PHASE_SGD and prev_phase == PHASE_SIGN
+                and opt.algorithm == "hybrid"):
             rec.lambda_at_switch = new_state.lambda_ema
         prev_phase = new_state.phase
 
         if k % stride == 0 or k == K - 1:
-            sig2 = (dither_sigma_sq(k, schedule)
-                    if opt_cfg.dither_mode != "none" else 0.0)
-            rec.rows.append(Row(k=k, f=f_val, l1_grad=l1, phi=phi, lam=lam,
+            sig2 = (dither_sigma_sq(k, opt)
+                    if opt.dither_mode != "none" else 0.0)
+            rec.rows.append(Row(k=k, f=f_val, l1_grad=l1, phi=phi,
+                                lam=new_state.last_lambda,
                                 lambda_ema=new_state.lambda_ema,
                                 sigma_dither_sq=sig2,
                                 phase=new_state.phase))
@@ -173,33 +165,18 @@ def run_single(cfg: ExperimentConfig, seed: int,
     return rec
 
 
-def _apply_step(algo, state, gs, opt_cfg, lr, dither_rng) -> OptimizerState:
+def _apply_step(state: OptimizerState, gs, opt: OptimizerConfig,
+                dither_rng: RngStream) -> OptimizerState:
+    algo = opt.algorithm
     if algo == "sgd":
-        return sgd_step(state, gs, lr)
+        return sgd_step(state, gs, opt.lr)
     if algo == "signsgd":
-        return signsgd_step(state, gs, opt_cfg)
+        return signsgd_step(state, gs, opt)
     if algo == "signsgdm":
-        return signsgdm_step(state, gs, opt_cfg)
+        return signsgdm_step(state, gs, opt)
     if algo == "dithered":
-        return dithered_step(state, gs, opt_cfg, dither_rng)
-    if algo == "hybrid":
-        return hybrid_step(state, gs, opt_cfg, dither_rng)
-    raise ValueError(f"unknown algorithm: {algo!r}")
-
-
-def _step_lambda(algo, new_state, gs, opt_cfg) -> float:
-    """Calibration scalar recorded for this step.
-
-    The hybrid tracks it internally; for the other momentum methods it is
-    recomputed from the just-updated momentum (identical arithmetic), and
-    momentum-free methods record 0.
-    """
-    if algo == "hybrid":
-        return new_state.last_lambda
-    if algo in ("signsgdm", "dithered"):
-        return lambda_project(new_state.m, gs.grad, opt_cfg.delta,
-                              opt_cfg.epsilon)
-    return 0.0
+        return dithered_step(state, gs, opt, dither_rng)
+    return hybrid_step(state, gs, opt, dither_rng)
 
 
 def run_seeds(cfg: ExperimentConfig, seeds=None,
@@ -217,7 +194,6 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
 def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict:
     """Average the per-step diagnostics over seeds for each (K, n) cell and
     compare against the closed-form rate bounds."""
-    from dataclasses import replace as _replace
     from .theory import TheoremInputs, theorem_rhs_l1, theorem_rhs_phi
 
     problem = build_problem(cfg_base)
@@ -230,10 +206,10 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     all_pass = True
     for K in k_grid:
         for n in n_grid:
-            cfg = _replace(cfg_base,
-                           run=_replace(cfg_base.run, steps=K, batch_size=n,
-                                        theorem_mode=True,
-                                        record_stride=max(1, K // 10)))
+            cfg = replace(cfg_base,
+                          run=replace(cfg_base.run, steps=K, batch_size=n,
+                                      theorem_mode=True,
+                                      record_stride=max(1, K // 10)))
             recs = run_seeds(cfg, seeds, problem)
             avg_phi = statistics.fmean(r.avg_phi for r in recs)
             avg_l1 = statistics.fmean(r.avg_l1 for r in recs)
@@ -253,8 +229,6 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
 def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
     baselines with matched step budgets."""
-    from dataclasses import replace as _replace
-
     problem = build_problem(cfg_base)
 
     def median_final(cfg):
@@ -263,10 +237,10 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
 
     entries = []
     for t in t_switch_grid:
-        cfg = _replace(cfg_base,
-                       optimizer=_replace(cfg_base.optimizer,
-                                          algorithm="hybrid",
-                                          t_switch=float(t)))
+        cfg = replace(cfg_base,
+                      optimizer=replace(cfg_base.optimizer,
+                                        algorithm="hybrid",
+                                        t_switch=float(t)))
         med, recs = median_final(cfg)
         lam_switch = statistics.median(
             r.lambda_at_switch for r in recs
@@ -274,12 +248,11 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
         entries.append({"t_switch": t, "median_final_f": med,
                         "median_lambda_at_switch": lam_switch})
 
-    signm_cfg = _replace(cfg_base,
-                         optimizer=_replace(cfg_base.optimizer,
-                                            algorithm="signsgdm"))
-    sgd_cfg = _replace(cfg_base,
-                       optimizer=_replace(cfg_base.optimizer,
-                                          algorithm="sgd"))
+    signm_cfg = replace(cfg_base,
+                        optimizer=replace(cfg_base.optimizer,
+                                          algorithm="signsgdm"))
+    sgd_cfg = replace(cfg_base,
+                      optimizer=replace(cfg_base.optimizer, algorithm="sgd"))
     med_sign, _ = median_final(signm_cfg)
     med_sgd, _ = median_final(sgd_cfg)
     best = min(entries, key=lambda e: e["median_final_f"])

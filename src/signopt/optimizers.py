@@ -8,22 +8,28 @@ sign-to-SGD switcher that freezes the calibrated stepsize at the switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RngStream, inner, l2_norm_sq, sample_gaussian, sign_vec
-from .dither import DEFAULT_GAMMA, DitherSchedule, dither_sigma_sq
+from .dither import DEFAULT_GAMMA, dither_sigma_sq
 from .problems import GradSample
 
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
 
+ALGORITHMS = ("sgd", "signsgd", "signsgdm", "dithered", "hybrid")
 DITHER_MODES = ("none", "pre", "post")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The optimizer's parameters (the `optimizer.*` config section),
+    validated on construction. Comparisons are written so that NaN fails
+    them."""
+
+    algorithm: str = "signsgdm"
     delta: float = 0.01          # sign-phase learning rate
     beta: float = 0.9            # momentum decay
     alpha: float = 0.0           # dither scale (0 disables dithering)
@@ -33,24 +39,35 @@ class OptimizerConfig:
     t_switch: float = math.inf   # step index at which the hybrid switches
     dither_mode: str = "none"
     lambda_bias_correction: bool = False  # divide the frozen EMA by 1-eta^k
+    lr: float = 0.01              # plain-SGD learning rate
+    lambda_init: float = 0.0      # pre-seeded EMA value
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not self.delta > 0:
             raise ValueError("delta must be > 0")
-        if not (0.0 < self.beta < 1.0):
+        if not self.lr >= 0:
+            raise ValueError("lr must be >= 0")
+        if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
-        if not (0.0 < self.eta < 1.0):
+        if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.t_switch < 0:
+        if not self.t_switch >= 0:
             raise ValueError("t_switch must be >= 0")
+        if not self.lambda_init >= 0:
+            raise ValueError("lambda_init must be >= 0")
         if self.dither_mode not in DITHER_MODES:
             raise ValueError(f"unknown dither mode: {self.dither_mode!r}")
+        if self.algorithm == "dithered" and self.dither_mode == "none":
+            raise ValueError("algorithm 'dithered' needs dither_mode "
+                             "'pre' or 'post'")
 
 
 @dataclass(frozen=True)
@@ -60,7 +77,7 @@ class OptimizerState:
     k: int = 0
     lambda_ema: float = 0.0
     phase: str = PHASE_SIGN
-    last_lambda: float = 0.0
+    last_lambda: float = 0.0  # this step's calibration scalar; 0 if none
 
 
 def init_state(x0: np.ndarray, lambda_ema: float = 0.0) -> OptimizerState:
@@ -72,52 +89,57 @@ def init_state(x0: np.ndarray, lambda_ema: float = 0.0) -> OptimizerState:
 def sgd_step(state: OptimizerState, grad: GradSample, lr: float) -> OptimizerState:
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    return replace(state, x=state.x - lr * grad.grad, k=state.k + 1,
-                   phase=PHASE_SGD, last_lambda=0.0)
+    return OptimizerState(x=state.x - lr * grad.grad, m=state.m,
+                          k=state.k + 1, lambda_ema=state.lambda_ema,
+                          phase=PHASE_SGD)
 
 
 def signsgd_step(state: OptimizerState, grad: GradSample,
                  cfg: OptimizerConfig) -> OptimizerState:
-    return replace(state, x=state.x - cfg.delta * sign_vec(grad.grad),
-                   k=state.k + 1, phase=PHASE_SIGN, last_lambda=0.0)
+    return OptimizerState(x=state.x - cfg.delta * sign_vec(grad.grad),
+                          m=state.m, k=state.k + 1,
+                          lambda_ema=state.lambda_ema, phase=PHASE_SIGN)
 
 
-def _momentum(state: OptimizerState, grad: GradSample,
-              cfg: OptimizerConfig) -> np.ndarray:
-    return cfg.beta * state.m + (1.0 - cfg.beta) * grad.grad
+def _sign_momentum_step(state: OptimizerState, grad: GradSample,
+                        cfg: OptimizerConfig, rng: RngStream | None = None,
+                        track_ema: bool = False) -> OptimizerState:
+    """Momentum sign step, dithered under the configured mode when a dither
+    stream is given.
+
+    The calibration scalar is computed from the un-dithered momentum and
+    kept as `last_lambda`; only the hybrid (`track_ema`) folds it into the
+    EMA. sigma_k = 0 draws nothing, so the alpha = 0 trajectory is bitwise
+    equal to the clean one on the same streams.
+    """
+    m_next = cfg.beta * state.m + (1.0 - cfg.beta) * grad.grad
+    lam = lambda_project(m_next, grad.grad, cfg.delta, cfg.epsilon)
+    lam_ema = state.lambda_ema
+    if track_ema:
+        lam_ema = cfg.eta * lam_ema + (1.0 - cfg.eta) * lam
+    s2 = (0.0 if rng is None or cfg.dither_mode == "none"
+          else dither_sigma_sq(state.k, cfg))
+    if s2 == 0.0:
+        direction = sign_vec(m_next)
+    else:
+        xi = sample_gaussian(m_next.size, 0.0, math.sqrt(s2), rng)
+        direction = (sign_vec(m_next + xi) if cfg.dither_mode == "pre"
+                     else sign_vec(m_next) + xi)
+    return OptimizerState(x=state.x - cfg.delta * direction, m=m_next,
+                          k=state.k + 1, lambda_ema=lam_ema,
+                          phase=PHASE_SIGN, last_lambda=lam)
 
 
 def signsgdm_step(state: OptimizerState, grad: GradSample,
                   cfg: OptimizerConfig) -> OptimizerState:
-    m_next = _momentum(state, grad, cfg)
-    return replace(state, x=state.x - cfg.delta * sign_vec(m_next),
-                   m=m_next, k=state.k + 1, phase=PHASE_SIGN)
-
-
-def _dithered_direction(m_next: np.ndarray, k: int, cfg: OptimizerConfig,
-                        rng: RngStream) -> np.ndarray:
-    """Update direction of the sign step under the configured dither mode.
-
-    sigma_k = 0 draws nothing, so the alpha = 0 trajectory is bitwise equal
-    to the clean one on the same streams.
-    """
-    s2 = dither_sigma_sq(k, DitherSchedule(cfg.alpha, cfg.gamma))
-    if s2 == 0.0 or cfg.dither_mode == "none":
-        return sign_vec(m_next)
-    xi = sample_gaussian(m_next.size, 0.0, math.sqrt(s2), rng)
-    if cfg.dither_mode == "pre":
-        return sign_vec(m_next + xi)
-    return sign_vec(m_next) + xi  # post
+    return _sign_momentum_step(state, grad, cfg)
 
 
 def dithered_step(state: OptimizerState, grad: GradSample,
                   cfg: OptimizerConfig, rng: RngStream) -> OptimizerState:
     if cfg.dither_mode not in ("pre", "post"):
         raise ValueError("dithered_step requires dither_mode 'pre' or 'post'")
-    m_next = _momentum(state, grad, cfg)
-    direction = _dithered_direction(m_next, state.k, cfg, rng)
-    return replace(state, x=state.x - cfg.delta * direction,
-                   m=m_next, k=state.k + 1, phase=PHASE_SIGN)
+    return _sign_momentum_step(state, grad, cfg, rng)
 
 
 def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta: float,
@@ -136,18 +158,11 @@ def hybrid_step(state: OptimizerState, grad: GradSample,
     dithered, with the calibrated-stepsize EMA tracked from the un-dithered
     momentum); afterwards plain SGD with the EMA frozen at the switch."""
     if state.k < cfg.t_switch:
-        m_next = _momentum(state, grad, cfg)
-        lam = lambda_project(m_next, grad.grad, cfg.delta, cfg.epsilon)
-        lam_ema = cfg.eta * state.lambda_ema + (1.0 - cfg.eta) * lam
-        direction = _dithered_direction(m_next, state.k, cfg, rng)
-        return OptimizerState(x=state.x - cfg.delta * direction, m=m_next,
-                              k=state.k + 1, lambda_ema=lam_ema,
-                              phase=PHASE_SIGN, last_lambda=lam)
+        return _sign_momentum_step(state, grad, cfg, rng, track_ema=True)
     lam_bar = state.lambda_ema
     n_updates = min(state.k, cfg.t_switch)
     if cfg.lambda_bias_correction and n_updates > 0:
         # the EMA starts at zero, so early values are biased low by the
         # factor 1 - eta^n; the toggle removes it at the point of use
         lam_bar /= 1.0 - cfg.eta ** n_updates
-    return replace(state, x=state.x - lam_bar * grad.grad,
-                   k=state.k + 1, phase=PHASE_SGD, last_lambda=0.0)
+    return sgd_step(state, grad, lam_bar)

@@ -1,3 +1,5 @@
+import pytest
+
 from signopt.cli import main
 from signopt.config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                             RunSpec, save_config)
@@ -72,3 +74,35 @@ def test_switch_suite_command(tmp_path):
     code = main(["switch-suite", "--config", str(cfg_path),
                  "--seeds", "4", "--t-grid", "50,100"])
     assert code in (0, 1)  # benefit is not guaranteed at this tiny budget
+
+
+@pytest.mark.parametrize("text", [
+    "optimizer.beta = 1.5\n",
+    "optimizer.algorithm = dithered\noptimizer.dither_mode = none\n",
+    "optimizer.lr = -1\n",
+])
+def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-suite", "--seeds", "0"],
+    ["theorem-suite", "--k-grid", "0"],
+    ["theorem-suite", "--n-grid", "1,0"],
+    ["switch-suite", "--seeds", "0"],
+    ["dither-verify", "--trials", "0"],
+    ["bound-verify", "--trials", "0"],
+    ["run", "--seed", "-1"],
+])
+def test_out_of_range_argument_exits_2(tmp_path, argv):
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")
+    if argv[0] not in ("dither-verify", "bound-verify"):
+        argv = argv + ["--config", str(cfg_path)]
+    assert main(argv) == 2

@@ -1,6 +1,7 @@
 import math
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +228,19 @@ class TestConfigParsing:
         text = serialize_config(cfg)
         assert "optimizer.t_switch = inf" in text
         assert parse_config(text).optimizer.t_switch == math.inf
+
+    def test_optimizer_values_rejected_at_parse_time(self):
+        # theorem mode overrides delta at run time, but the configured
+        # value must still be valid
+        for text in ("optimizer.delta = 0\nrun.theorem_mode = true\n",
+                     "optimizer.lr = -1\nrun.theorem_mode = true\n",
+                     "optimizer.beta = 1.5\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert cfg.optimizer.algorithm == "hybrid"
+        assert len(build_problem(cfg).lipschitz) == cfg.problem.dim

@@ -85,6 +85,21 @@ class TestSignSgdmStep:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.m, b.m)
 
+    @pytest.mark.parametrize("mode", ["pre", "post"])
+    def test_step_reports_lambda_without_tracking_ema(self, mode):
+        # signsgdm and dithered compute the calibration scalar from the
+        # just-updated momentum but never fold it into the EMA
+        cfg = OptimizerConfig(delta=0.1, beta=0.8, alpha=0.1,
+                              dither_mode=mode)
+        state = init_state(np.ones(3), lambda_ema=0.3)
+        g = gs([2.0, -1.0, 0.5])
+        for new in (signsgdm_step(state, g, cfg),
+                    dithered_step(state, g, cfg, RngStream(4, 0))):
+            assert new.last_lambda == lambda_project(new.m, g.grad, 0.1,
+                                                     cfg.epsilon)
+            assert new.last_lambda > 0.0
+            assert new.lambda_ema == 0.3
+
 
 class TestDitheredStep:
     def test_mode_validation(self):
@@ -222,6 +237,16 @@ class TestHybridStep:
         assert np.allclose(fixed_step, raw_step / (1.0 - 0.5))
         assert fixed.lambda_ema == raw.lambda_ema  # stored EMA stays raw
 
+    def test_undithered_sign_phase_skips_dither_schedule(self, monkeypatch):
+        def no_schedule(*args):
+            raise AssertionError("dither schedule evaluated")
+
+        monkeypatch.setattr("signopt.optimizers.dither_sigma_sq", no_schedule)
+        cfg = self.cfg(t_switch=math.inf, alpha=0.5, dither_mode="none")
+        new = hybrid_step(init_state(np.ones(2)), gs([1.0, -2.0]), cfg,
+                          RngStream(12, 0))
+        assert np.array_equal(new.x, [0.9, 1.1])
+
     def test_phase_flag_tracks_switch(self):
         cfg = self.cfg(t_switch=3.0)
         state = init_state(np.ones(1))
@@ -237,7 +262,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"delta": 0.0}, {"beta": 0.0}, {"beta": 1.0}, {"alpha": -0.1},
         {"gamma": 0.0}, {"eta": 1.0}, {"epsilon": 0.0}, {"t_switch": -1.0},
-        {"dither_mode": "both"},
+        {"dither_mode": "both"}, {"algorithm": "adamw"}, {"lr": -1.0},
+        {"algorithm": "dithered", "dither_mode": "none"},
+        {"lambda_init": -0.1}, {"delta": math.nan}, {"t_switch": math.nan},
+        {"lr": math.nan},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
