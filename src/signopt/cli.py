@@ -25,9 +25,11 @@ OUT_ROOT_ENV = "SIGNOPT_OUT_ROOT"
 
 
 def _out_dir(flag_value) -> Path:
-    root = flag_value or os.environ.get(OUT_ROOT_ENV, ".")
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(flag_value or os.environ.get(OUT_ROOT_ENV, "."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return path
 
 
@@ -72,6 +74,7 @@ def cmd_theorem_suite(args) -> int:
     from .harness import run_theorem_suite
 
     cfg = load_config(args.config)
+    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
@@ -79,8 +82,8 @@ def cmd_theorem_suite(args) -> int:
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
               f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}")
-    if args.out:
-        emit_json(report, _out_dir(args.out) / "theorem_suite.json")
+    if out:
+        emit_json(report, out / "theorem_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -88,6 +91,7 @@ def cmd_switch_suite(args) -> int:
     from .harness import run_switch_suite
 
     cfg = load_config(args.config)
+    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_switch_suite(cfg, args.t_grid, seeds)
     for e in report["entries"]:
@@ -96,8 +100,8 @@ def cmd_switch_suite(args) -> int:
               f"{e['median_lambda_at_switch']:.6g}")
     print(f"pure signsgdm median final f {report['signsgdm_median_final_f']:.6g}")
     print(f"pure sgd      median final f {report['sgd_median_final_f']:.6g}")
-    if args.out:
-        emit_json(report, _out_dir(args.out) / "switch_suite.json")
+    if out:
+        emit_json(report, out / "switch_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -175,7 +179,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ bit-exactly and configs diff cleanly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,16 +19,25 @@ from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
 
+_SEED_LIMIT = 2**64  # seeds are 64-bit unsigned Philox keys
+
+# natural logs of the normal float range; a decayed stepsize must stay in it
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max / 2)
+
 
 class ConfigError(ValueError):
     """Malformed configuration text or inconsistent field values."""
 
 
+# Each section validates itself on construction, and ExperimentConfig checks
+# the rules that span sections. Comparisons are written so that NaN fails.
+
 @dataclass(frozen=True)
 class ProblemSpec:
     kind: str = "quadratic"
     dim: int = 10
-    lipschitz: tuple = (1.0,)     # broadcast to dim if a single value
+    lipschitz: tuple = (1.0,)     # broadcast to n_params if a single value
     x_opt: tuple = (0.0,)
     x0: tuple = (1.0,)
     noise_family: str = "gaussian"
@@ -35,6 +45,42 @@ class ProblemSpec:
     dataset_seed: int = 0
     n_points: int = 100           # logistic/mlp dataset size
     layer_widths: tuple = (2, 8, 1)
+
+    def __post_init__(self):
+        if self.kind not in PROBLEM_KINDS:
+            raise ValueError(f"unknown problem.kind {self.kind!r}")
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ValueError(
+                f"unknown problem.noise_family {self.noise_family!r}")
+        if not (self.dim >= 1 and self.n_points >= 1):
+            raise ValueError("problem.dim and problem.n_points must be >= 1")
+        if not 0 <= self.dataset_seed < _SEED_LIMIT:
+            raise ValueError("problem.dataset_seed must be in [0, 2^64)")
+        widths = self.layer_widths
+        if self.kind == "mlp" and not (len(widths) >= 3 and widths[-1] == 1
+                                       and all(w >= 1 for w in widths)):
+            raise ValueError("problem.layer_widths needs >= 3 entries, "
+                             "each >= 1, ending in 1")
+        n = self.n_params
+        for name in ("lipschitz", "x_opt", "x0", "sigma"):
+            vec = getattr(self, name)
+            if len(vec) not in (1, n):
+                raise ValueError(f"problem.{name} needs 1 or {n} entries, "
+                                 f"got {len(vec)}")
+            if not all(math.isfinite(v) for v in vec):
+                raise ValueError(f"problem.{name} must be finite")
+            if name in ("lipschitz", "sigma") and not all(v >= 0 for v in vec):
+                raise ValueError(f"problem.{name} must be >= 0")
+
+    @property
+    def n_params(self) -> int:
+        """Length of the parameter vector: `dim`, or for an MLP the count
+        of its weights and biases."""
+        if self.kind != "mlp":
+            return self.dim
+        w = self.layer_widths
+        return sum(fan_out * fan_in + fan_out
+                   for fan_in, fan_out in zip(w[:-1], w[1:]))
 
 
 OptimizerSpec = OptimizerConfig  # the `optimizer.*` section
@@ -50,12 +96,43 @@ class RunSpec:
     decay_every: int = 0          # optional step-decay schedule, 0 = off
     decay_factor: float = 1.0
 
+    def __post_init__(self):
+        if not (self.steps >= 1 and self.batch_size >= 1):
+            raise ValueError("run.steps and run.batch_size must be >= 1")
+        if not (self.seeds and all(0 <= s < _SEED_LIMIT for s in self.seeds)):
+            raise ValueError("run.seeds needs at least one seed, "
+                             "each in [0, 2^64)")
+        if not (self.record_stride >= 0 and self.decay_every >= 0):
+            raise ValueError("run.record_stride and run.decay_every "
+                             "must be >= 0")
+        if not 0 < self.decay_factor < math.inf:
+            raise ValueError("run.decay_factor must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     run: RunSpec = field(default_factory=RunSpec)
+
+    def __post_init__(self):
+        opt, run = self.optimizer, self.run
+        if not run.decay_every:
+            return
+        if run.theorem_mode:
+            raise ValueError("run.theorem_mode fixes the stepsize at "
+                             "1/sqrt(L1*K); run.decay_every must be 0")
+        # The last step decays lr and delta n times. The check works in log
+        # space so the power cannot overflow, and the normal-range margin
+        # covers rounding against the run loop's repeated multiplication.
+        n = (run.steps - 1) // run.decay_every
+        scale = n * math.log(run.decay_factor)
+        if math.log(opt.delta) + scale < _LOG_MIN:
+            raise ValueError(f"run.decay_factor ** {n} takes optimizer.delta "
+                             f"below the smallest normal float")
+        if math.log(max(opt.delta, opt.lr)) + scale > _LOG_MAX:
+            raise ValueError(f"run.decay_factor ** {n} takes optimizer.delta "
+                             f"or optimizer.lr near float overflow")
 
 
 def _fmt(value) -> str:
@@ -82,18 +159,25 @@ def _parse_scalar(text: str, kind: type):
     return text
 
 
-def _parse_value(text: str, template):
-    if isinstance(template, bool):
-        return _parse_scalar(text, bool)
-    if isinstance(template, tuple):
-        elem = type(template[0]) if template else float
-        if text == "":
-            return ()
-        return tuple(_parse_scalar(t.strip(), elem) for t in text.split(","))
-    return _parse_scalar(text, type(template))
+def _parse_value(text: str, template, where: str):
+    try:
+        if isinstance(template, bool):
+            return _parse_scalar(text, bool)
+        if isinstance(template, tuple):
+            elem = type(template[0]) if template else float
+            if text == "":
+                return ()
+            return tuple(_parse_scalar(t.strip(), elem)
+                         for t in text.split(","))
+        return _parse_scalar(text, type(template))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 _SECTIONS = {"problem": ProblemSpec, "optimizer": OptimizerSpec, "run": RunSpec}
+# each section's keys with their default values, which fix the value types
+_TEMPLATES = {name: {f.name: f.default for f in fields(cls)}
+              for name, cls in _SECTIONS.items()}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -106,8 +190,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text into a validated ExperimentConfig; any malformed
+    line, repeated key or invalid value raises ConfigError."""
     values = {name: {} for name in _SECTIONS}
-    defaults = {name: cls() for name, cls in _SECTIONS.items()}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,26 +206,32 @@ def parse_config(text: str) -> ExperimentConfig:
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        template = getattr(defaults[section], name, None)
-        if not hasattr(defaults[section], name):
+        if name not in _TEMPLATES[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[section][name] = _parse_value(val, template)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        values[section][name] = _parse_value(
+            val, _TEMPLATES[section][name],
+            f"line {lineno}: bad value for {key}")
     try:
-        optimizer = OptimizerSpec(**values["optimizer"])
+        return ExperimentConfig(**{name: cls(**values[name])
+                                   for name, cls in _SECTIONS.items()})
     except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-    cfg = ExperimentConfig(problem=ProblemSpec(**values["problem"]),
-                           optimizer=optimizer, run=RunSpec(**values["run"]))
-    validate_config(cfg)
-    return cfg
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start})") from exc
+    return parse_config(text)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -147,46 +239,24 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         fh.write(serialize_config(cfg))
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    p, r = cfg.problem, cfg.run
-    if p.kind not in PROBLEM_KINDS:
-        raise ConfigError(f"unknown problem kind {p.kind!r}")
-    if p.noise_family not in NOISE_FAMILIES:
-        raise ConfigError(f"unknown noise family {p.noise_family!r}")
-    if p.dim < 1 or r.steps < 1 or r.batch_size < 1:
-        raise ConfigError("dim, steps and batch_size must be >= 1")
-    if not r.seeds:
-        raise ConfigError("at least one seed is required")
-    for name in ("lipschitz", "x_opt", "x0", "sigma"):
-        vec = getattr(p, name)
-        if len(vec) not in (1, p.dim) and p.kind == "quadratic":
-            raise ConfigError(f"problem.{name} must have 1 or dim entries")
-
-
 def _broadcast(values: tuple, dim: int) -> np.ndarray:
+    """A validated 1-or-dim-entry field as a dim-vector."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 1:
         return np.full(dim, arr[0])
-    if arr.size != dim:
-        raise ConfigError(f"expected 1 or {dim} entries, got {arr.size}")
     return arr
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
     p = cfg.problem
+    noise = NoiseSpec(p.noise_family, _broadcast(p.sigma, p.n_params))
     if p.kind == "quadratic":
-        noise = NoiseSpec(p.noise_family, _broadcast(p.sigma, p.dim))
         return make_quadratic(_broadcast(p.lipschitz, p.dim),
                               _broadcast(p.x_opt, p.dim), noise)
     if p.kind == "logistic":
-        noise = NoiseSpec(p.noise_family, _broadcast(p.sigma, p.dim))
         return make_logistic(p.dataset_seed, p.dim, p.n_points, noise)
-    # mlp: the parameter count derives from the layer widths
-    from .problems import _layer_shapes
-    widths = tuple(int(w) for w in p.layer_widths)
-    dim = sum(int(np.prod(s)) for s in _layer_shapes(list(widths)))
-    noise = NoiseSpec(p.noise_family, _broadcast(p.sigma, dim))
-    return make_mlp(p.dataset_seed, widths, noise, n_points=p.n_points)
+    return make_mlp(p.dataset_seed, p.layer_widths, noise,
+                    n_points=p.n_points)
 
 
 def initial_point(cfg: ExperimentConfig, problem: Problem) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm
-from .config import (ExperimentConfig, build_problem, initial_point,
-                     serialize_config)
+from .config import (ConfigError, ExperimentConfig, build_problem,
+                     initial_point, serialize_config)
 from .dither import dither_sigma_sq
 # lambda_project is not called here; perfbench/tracing.py wraps it under
 # this module's name
@@ -85,7 +85,10 @@ def default_stride(steps: int) -> int:
 
 def theorem_delta(problem: Problem, steps: int) -> float:
     """Constant stepsize 1/sqrt(L1 * K) prescribed by the rate theorem."""
-    return 1.0 / math.sqrt(float(np.sum(problem.lipschitz)) * steps)
+    l1_k = float(np.sum(problem.lipschitz)) * steps
+    if not 0 < l1_k < math.inf:
+        raise ConfigError(f"theorem mode needs 0 < L1 * K < inf, got {l1_k}")
+    return 1.0 / math.sqrt(l1_k)
 
 
 def run_single(cfg: ExperimentConfig, seed: int,
@@ -196,6 +199,9 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     compare against the closed-form rate bounds."""
     from .theory import TheoremInputs, theorem_rhs_l1, theorem_rhs_phi
 
+    if cfg_base.run.decay_every:
+        raise ConfigError("the theorem suite runs at the constant theorem "
+                          "stepsize; run.decay_every must be 0")
     problem = build_problem(cfg_base)
     x0 = initial_point(cfg_base, problem)
     f0 = problem.eval_f(x0)
@@ -242,9 +248,11 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
                                         algorithm="hybrid",
                                         t_switch=float(t)))
         med, recs = median_final(cfg)
-        lam_switch = statistics.median(
-            r.lambda_at_switch for r in recs
-            if math.isfinite(r.lambda_at_switch)) if t < cfg.run.steps else math.nan
+        # NaN when no run reached the switch (t_switch >= steps, or every
+        # run diverged before it)
+        lam_finite = [r.lambda_at_switch for r in recs
+                      if math.isfinite(r.lambda_at_switch)]
+        lam_switch = statistics.median(lam_finite) if lam_finite else math.nan
         entries.append({"t_switch": t, "median_final_f": med,
                         "median_lambda_at_switch": lam_switch})
 

@@ -26,8 +26,9 @@ DITHER_MODES = ("none", "pre", "post")
 @dataclass(frozen=True)
 class OptimizerConfig:
     """The optimizer's parameters (the `optimizer.*` config section),
-    validated on construction. Comparisons are written so that NaN fails
-    them."""
+    validated on construction. Every float must be finite except
+    `t_switch`, where inf means never switch; comparisons are written so
+    that NaN fails them."""
 
     algorithm: str = "signsgdm"
     delta: float = 0.01          # sign-phase learning rate
@@ -44,30 +45,34 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
-        if not self.lr >= 0:
-            raise ValueError("lr must be >= 0")
+            raise ValueError(f"unknown optimizer.algorithm {self.algorithm!r}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("optimizer.delta must be finite and > 0")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("optimizer.lr must be finite and >= 0")
         if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+            raise ValueError("optimizer.beta must be in (0, 1)")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("optimizer.alpha must be finite and >= 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("optimizer.gamma must be finite and > 0")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must be in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        if not self.t_switch >= 0:
-            raise ValueError("t_switch must be >= 0")
-        if not self.lambda_init >= 0:
-            raise ValueError("lambda_init must be >= 0")
+            raise ValueError("optimizer.eta must be in (0, 1)")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("optimizer.epsilon must be finite and > 0")
+        if not self.t_switch >= 0:  # inf: never switch
+            raise ValueError("optimizer.t_switch must be >= 0")
+        if not 0 <= self.lambda_init < math.inf:
+            raise ValueError("optimizer.lambda_init must be finite and >= 0")
         if self.dither_mode not in DITHER_MODES:
-            raise ValueError(f"unknown dither mode: {self.dither_mode!r}")
+            raise ValueError(f"unknown optimizer.dither_mode {self.dither_mode!r}")
         if self.algorithm == "dithered" and self.dither_mode == "none":
-            raise ValueError("algorithm 'dithered' needs dither_mode "
-                             "'pre' or 'post'")
+            raise ValueError("optimizer.algorithm 'dithered' needs "
+                             "optimizer.dither_mode 'pre' or 'post'")
+        if self.lambda_bias_correction and self.lambda_init != 0:
+            # 1 - eta^n is the bias of an EMA that starts at zero
+            raise ValueError("optimizer.lambda_bias_correction needs "
+                             "optimizer.lambda_init = 0")
 
 
 @dataclass(frozen=True)

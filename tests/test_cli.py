@@ -1,4 +1,11 @@
+import contextlib
+import io
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signopt.cli import main
 from signopt.config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
@@ -76,14 +83,57 @@ def test_switch_suite_command(tmp_path):
     assert code in (0, 1)  # benefit is not guaranteed at this tiny budget
 
 
+# file cases: the config path is a directory, or --out names a file
+CONFIG_IS_DIRECTORY = object()
+OUT_IS_FILE = object()
+
+
 @pytest.mark.parametrize("text", [
     "optimizer.beta = 1.5\n",
     "optimizer.algorithm = dithered\noptimizer.dither_mode = none\n",
     "optimizer.lr = -1\n",
+    pytest.param("problem.sigma = -1\n", id="sigma-negative"),
+    pytest.param("problem.kind = mlp\nproblem.layer_widths = 2,1\n",
+                 id="mlp-two-widths"),
+    pytest.param("problem.kind = mlp\nproblem.layer_widths = 2,0,1\n",
+                 id="mlp-zero-width"),
+    pytest.param("problem.lipschitz = -1\n", id="lipschitz-negative"),
+    pytest.param("problem.lipschitz = nan\n", id="lipschitz-nan"),
+    pytest.param("problem.x0 = inf\n", id="x0-inf"),
+    pytest.param("problem.kind = logistic\nproblem.n_points = 0\n",
+                 id="logistic-no-points"),
+    pytest.param("problem.kind = logistic\nproblem.dataset_seed = -1\n",
+                 id="dataset-seed-negative"),
+    pytest.param("run.decay_every = 10\nrun.decay_factor = 0\n",
+                 id="decay-factor-zero"),
+    pytest.param("run.decay_every = 1\nrun.decay_factor = 0.5\n"
+                 "run.steps = 1200\n", id="decay-underflow"),
+    pytest.param("run.decay_every = 1\nrun.decay_factor = 2\n"
+                 "run.steps = 1100\n", id="decay-overflow"),
+    pytest.param("optimizer.lambda_init = inf\n", id="lambda-init-inf"),
+    pytest.param("run.record_stride = -1\n", id="record-stride-negative"),
+    pytest.param("run.seeds = -1\n", id="seed-negative"),
+    pytest.param("run.steps = 10\nrun.steps = 20\n", id="duplicate-key"),
+    pytest.param("run.theorem_mode = true\nrun.decay_every = 10\n"
+                 "run.decay_factor = 0.5\n", id="theorem-mode-with-decay"),
+    pytest.param("optimizer.lambda_bias_correction = true\n"
+                 "optimizer.lambda_init = 0.02\n",
+                 id="bias-correction-nonzero-init"),
+    pytest.param(b"run.steps = 10 # \xff\n", id="config-not-utf8"),
+    pytest.param(CONFIG_IS_DIRECTORY, id="config-is-directory"),
+    pytest.param(OUT_IS_FILE, id="out-is-file"),
 ])
 def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
-    path.write_text(text)
+    if text is CONFIG_IS_DIRECTORY:
+        path.mkdir()
+    elif text is OUT_IS_FILE:
+        path.write_text("")
+        (tmp_path / "out").write_text("")
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -106,3 +156,85 @@ def test_out_of_range_argument_exits_2(tmp_path, argv):
     if argv[0] not in ("dither-verify", "bound-verify"):
         argv = argv + ["--config", str(cfg_path)]
     assert main(argv) == 2
+
+
+# Exit-code contract under random input: every config text and argument
+# vector gives 0, 1, 2 or 3, and none raises or prints a traceback. Runs are
+# kept short (run.steps <= 50, tiny grids and trial counts); `selftest` takes
+# no config and is left out for its run time.
+FLOATS = ["0", "0.5", "2", "1e-3", "1e300", "-1", "nan", "inf", "-inf"]
+SIZES = ["-1", "0", "1", "2", "3", "10", "50"]
+SEEDS = SIZES + [str(2**64 - 1), str(2**64)]
+WORDS = ["quadratic", "logistic", "mlp", "gaussian", "laplace",
+         "asymmetric-bimodal", "sgd", "signsgd", "signsgdm", "dithered",
+         "hybrid", "pre", "post", "none", "bogus"]
+
+
+def _values_for(name, default):
+    """Mostly well-typed values for a config key, some out of range."""
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false", "1"])
+    if isinstance(default, str):
+        return st.sampled_from(WORDS)
+    pool = (FLOATS if isinstance(default, float)
+            or (isinstance(default, tuple) and isinstance(default[0], float))
+            else SEEDS if "seed" in name else SIZES)
+    if isinstance(default, tuple):
+        return st.lists(st.sampled_from(pool), max_size=4).map(",".join)
+    return st.sampled_from(pool + ["abc"])
+
+
+FUZZ_KEYS = [(f"{section}.{f.name}", f.default)
+             for section, cls in (("problem", ProblemSpec),
+                                  ("optimizer", OptimizerSpec),
+                                  ("run", RunSpec))
+             for f in fields(cls) if f.name != "steps"]
+config_lines = st.one_of(
+    st.sampled_from(FUZZ_KEYS).flatmap(
+        lambda kv: _values_for(*kv).map(lambda v: f"{kv[0]} = {v}")),
+    st.sampled_from(["garbage", "= 1", "run.steps", "# comment",
+                     "problem.n_params = 3", "problem.__class__ = 1",
+                     "mystery.key = 1"]))
+config_texts = st.builds(
+    lambda lines, steps, at: "\n".join(
+        lines[:at] + [f"run.steps = {steps}"] + lines[at:]) + "\n",
+    st.lists(config_lines, max_size=6), st.integers(-1, 50),
+    st.integers(0, 6))
+COMMANDS = {
+    "run": [],
+    "theorem-suite": ["--seeds", "2", "--k-grid", "10", "--n-grid", "1"],
+    "switch-suite": ["--seeds", "2", "--t-grid", "5"],
+    "dither-verify": ["--trials", "100"],
+    "bound-verify": ["--trials", "100"],
+}
+extra_flags = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--seeds", "--seed", "--trials"]),
+              st.sampled_from(["-1", "0", "1", "3", "x", ""])),
+    st.tuples(st.sampled_from(["--k-grid", "--n-grid", "--t-grid"]),
+              st.sampled_from(["0", "1", "5,20", "-1", "", ",", "50"])),
+    st.tuples(st.sampled_from(["--config", "--out"]),
+              st.sampled_from(["CONFIG", "DIR", "FILE", "MISSING"])),
+    st.tuples(st.sampled_from(["--fast", "--bogus", "extra"]))), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_texts, command=st.sampled_from(sorted(COMMANDS)),
+       flags=extra_flags)
+def test_exit_code_contract_holds_for_random_input(text, command, flags):
+    with tempfile.TemporaryDirectory() as td:
+        root = Path(td)
+        paths = {"CONFIG": root / "exp.cfg", "DIR": root / "out",
+                 "FILE": root / "file", "MISSING": root / "missing.cfg"}
+        paths["CONFIG"].write_text(text)
+        paths["FILE"].write_text("")
+        argv = [command] + COMMANDS[command]
+        if command in ("run", "theorem-suite", "switch-suite"):
+            argv += ["--config", str(paths["CONFIG"]), "--out", str(root)]
+        for flag in flags:
+            argv += [str(paths.get(token, token)) for token in flag]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, text)
+    assert "Traceback" not in err.getvalue(), (argv, text)

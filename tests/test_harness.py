@@ -12,6 +12,7 @@ from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             initial_point, parse_config, serialize_config)
 from signopt.harness import (CSV_HEADER, emit_csv, emit_json, load_csv,
                              run_single, run_seeds, run_summary,
+                             run_switch_suite, run_theorem_suite,
                              theorem_delta)
 from signopt.problems import stochastic_grad
 from signopt.theory import SnrProfile, phi_measure
@@ -167,6 +168,28 @@ class TestAggregation:
             statistics.fmean(r.avg_phi for r in rev)
 
 
+class TestSuites:
+    def test_switch_suite_reports_nan_when_no_run_switches(self):
+        # every hybrid run diverges before its switch
+        cfg = quad_cfg(optimizer={"algorithm": "hybrid", "delta": 1e200},
+                       run={"steps": 20})
+        report = run_switch_suite(cfg, (5, 10), (0, 1))
+        assert all(math.isnan(e["median_lambda_at_switch"])
+                   for e in report["entries"])
+
+    def test_theorem_suite_rejects_step_decay(self):
+        cfg = quad_cfg(run={"steps": 30, "decay_every": 10,
+                            "decay_factor": 0.5})
+        with pytest.raises(ConfigError):
+            run_theorem_suite(cfg, (0,), (10,), (1,))
+
+    def test_theorem_mode_rejects_zero_lipschitz_sum(self):
+        cfg = replace(quad_cfg(run={"theorem_mode": True}),
+                      problem=ProblemSpec(lipschitz=(0.0,)))
+        with pytest.raises(ConfigError):
+            run_single(cfg, 0)
+
+
 class TestSerialization:
     def test_csv_header_is_exact(self):
         assert CSV_HEADER == "k,f,l1_grad,phi,lambda,lambda_ema,sigma_dither_sq,phase"
@@ -237,6 +260,15 @@ class TestConfigParsing:
                      "optimizer.beta = 1.5\n"):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+    def test_n_params_counts_mlp_weights_and_biases(self):
+        spec = ProblemSpec(kind="mlp", layer_widths=(2, 8, 1))
+        assert spec.n_params == 2 * 8 + 8 + 8 * 1 + 1
+        assert ProblemSpec(dim=7).n_params == 7
+        cfg = ExperimentConfig(problem=replace(spec, sigma=(0.5,) * 33))
+        assert build_problem(cfg).dim == 33
+        with pytest.raises(ValueError):
+            replace(spec, x0=(0.0,) * 10)  # 1 or 33 entries, for every kind
 
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
