@@ -7,19 +7,28 @@ logistic and MLP problems, and the step-decay schedule. A change to the
 arithmetic of a step rule, or to the order of its random draws, changes a
 digest, so a refactor of the step rules must leave this table untouched.
 
+`MULTI_SEED_GOLDEN` pins the same three digests for `run_seeds` over three
+seeds, one of which diverges in the middle of the run, and
+`SUITE_GOLDEN` pins the reports of a small theorem suite and switch suite,
+so that a change to how seeds are run together is checked bitwise too.
+
 To print the table for the current code (only after a deliberate change of
 trajectories): `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
+import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from signopt.checks import _theorem_base_config
 from signopt.config import ExperimentConfig, OptimizerSpec, ProblemSpec, RunSpec
-from signopt.harness import emit_csv, run_single
+from signopt.harness import (emit_csv, run_seeds, run_single,
+                             run_switch_suite, run_theorem_suite)
 from signopt.problems import NOISE_FAMILIES
 
 STEPS = 60
@@ -277,12 +286,315 @@ def test_trajectory_matches_golden_digests(name, tmp_path):
     assert summary == expected[2], "summary floats changed"
 
 
+# -- several seeds at once ----------------------------------------------------
+
+# Each multi-seed run starts just below the overflow of f, with oracle noise
+# that swamps the gradient, so that a seed's random walk may overflow f in
+# the middle of the run. The quadratic's curvature is scaled down so that
+# ||g||^2 stays finite and the calibrated lambda of the hybrid is not 0. The
+# noise scale and the seeds of each case are chosen so that exactly one of
+# its three seeds diverges.
+BIG_X0 = {"quadratic": 4e158, "logistic": 5e153, "mlp": 1e307}
+QUADRATIC_CURVATURE_SCALE = 1e-10
+DELTA_FRACTION = {"quadratic": 0.01, "logistic": 0.01, "mlp": 0.03}
+
+MULTI_SEED_CASES = {
+    "quadratic-gaussian-sgd": (1e151, (0, 2, 5)),
+    "quadratic-gaussian-signsgd": (1e151, (0, 1, 2)),
+    "quadratic-gaussian-signsgdm": (1e151, (0, 2, 3)),
+    "quadratic-gaussian-dithered-pre": (1e151, (0, 2, 3)),
+    "quadratic-gaussian-dithered-post": (1e151, (0, 2, 3)),
+    "quadratic-gaussian-hybrid": (1e151, (0, 2, 3)),
+    "quadratic-gaussian-hybrid-bias-corrected": (1e151, (0, 2, 3)),
+    "quadratic-gaussian-hybrid-pre": (1e151, (0, 2, 3)),
+    "quadratic-uniform-sgd": (1e151, (0, 1, 3)),
+    "quadratic-uniform-signsgd": (1e151, (0, 1, 3)),
+    "quadratic-uniform-signsgdm": (1e151, (0, 1, 3)),
+    "quadratic-uniform-dithered-pre": (1e151, (0, 1, 3)),
+    "quadratic-uniform-dithered-post": (1e151, (0, 1, 3)),
+    "quadratic-uniform-hybrid": (1e151, (0, 1, 5)),
+    "quadratic-uniform-hybrid-bias-corrected": (1e151, (0, 1, 5)),
+    "quadratic-uniform-hybrid-pre": (1e151, (0, 1, 5)),
+    "quadratic-laplace-sgd": (1e151, (0, 1, 9)),
+    "quadratic-laplace-signsgd": (1e151, (0, 1, 3)),
+    "quadratic-laplace-signsgdm": (1e151, (0, 1, 2)),
+    "quadratic-laplace-dithered-pre": (1e151, (0, 1, 2)),
+    "quadratic-laplace-dithered-post": (1e151, (0, 1, 2)),
+    "quadratic-laplace-hybrid": (1e151, (0, 5, 8)),
+    "quadratic-laplace-hybrid-bias-corrected": (1e151, (0, 5, 8)),
+    "quadratic-laplace-hybrid-pre": (1e151, (0, 5, 8)),
+    "quadratic-asymmetric-bimodal-sgd": (1e151, (0, 1, 2)),
+    "quadratic-asymmetric-bimodal-signsgd": (3.4e149, (0, 2, 3)),
+    "quadratic-asymmetric-bimodal-signsgdm": (1e151, (0, 9, 10)),
+    "quadratic-asymmetric-bimodal-dithered-pre": (1e151, (0, 9, 10)),
+    "quadratic-asymmetric-bimodal-dithered-post": (1e151, (0, 9, 10)),
+    "quadratic-asymmetric-bimodal-hybrid": (1e150, (0, 1, 2)),
+    "quadratic-asymmetric-bimodal-hybrid-bias-corrected": (1e150, (0, 1, 2)),
+    "quadratic-asymmetric-bimodal-hybrid-pre": (1e150, (0, 1, 2)),
+    "logistic-hybrid-pre": (1e153, (0, 1, 8)),
+    "logistic-dithered-post": (3e153, (0, 1, 25)),
+    "mlp-hybrid": (1.0, (0, 1, 11)),
+    "mlp-dithered-pre": (1.0, (0, 1, 15)),
+}
+
+
+def _multi_seed_config(name):
+    """The stride-1 config of a multi-seed case: CASES[name] started at the
+    edge of overflow, with its sign step a fixed fraction of the start and
+    SGD's noise step matched to it."""
+    sigma, seeds = MULTI_SEED_CASES[name]
+    cfg = CASES[name]
+    kind = cfg.problem.kind
+    delta = DELTA_FRACTION[kind] * BIG_X0[kind]
+    optimizer = replace(cfg.optimizer, delta=delta)
+    if optimizer.algorithm == "sgd":
+        optimizer = replace(optimizer, lr=delta / sigma)
+    problem = replace(cfg.problem, x0=(BIG_X0[kind],), sigma=(sigma,))
+    if kind == "quadratic":
+        problem = replace(problem, lipschitz=tuple(
+            QUADRATIC_CURVATURE_SCALE * v for v in problem.lipschitz))
+    return replace(cfg, optimizer=optimizer, problem=problem,
+                   run=replace(cfg.run, seeds=seeds))
+
+
+def multi_seed_digests(cfg, workdir):
+    """(iterates, CSV bytes, summary floats) SHA-256 hex digests over every
+    seed of `run_seeds(cfg)`, in seed order."""
+    recs = run_seeds(cfg)
+    assert [r.diverged for r in recs].count(True) == 1
+    iterates, csv, summary = (hashlib.sha256() for _ in range(3))
+    csv_path = Path(workdir) / "run.csv"
+    for rec in recs:
+        its = run_single(cfg, rec.seed, collect_iterates=True).iterates
+        iterates.update(f"{rec.seed}:{len(its)}:".encode())
+        iterates.update(np.stack(its).tobytes())
+        emit_csv(rec, csv_path)
+        csv.update(csv_path.read_bytes())
+        summary.update("\n".join(f"{key}={_fmt(value)}"
+                                 for key, value in sorted(rec.summary().items())
+                                 if key != "wall_time").encode() + b"\n")
+    return iterates.hexdigest(), csv.hexdigest(), summary.hexdigest()
+
+
+def _switch_config():
+    """The switching-benefit config at a tenth of its steps."""
+    return ExperimentConfig(
+        problem=ProblemSpec(kind="quadratic", dim=10,
+                            lipschitz=tuple(np.linspace(0.5, 4.0, 10)),
+                            x_opt=(0.0,), x0=(1.0,),
+                            noise_family="gaussian", sigma=(1.0,)),
+        optimizer=OptimizerSpec(algorithm="hybrid", delta=0.05, beta=0.9,
+                                eta=0.99, lr=0.01),
+        run=RunSpec(steps=400, batch_size=1, seeds=(0, 1, 2),
+                    record_stride=40))
+
+
+SUITES = {
+    "theorem-suite": lambda: run_theorem_suite(
+        _theorem_base_config(1.0), (0, 1, 2), (50, 200), (1, 4)),
+    "switch-suite": lambda: run_switch_suite(_switch_config(),
+                                             (50, 100, 200), (0, 1, 2)),
+}
+
+
+def suite_digest(name):
+    """SHA-256 hex digest of the suite's report as JSON; floats are written
+    by `repr`, which round-trips every bit."""
+    report = json.dumps(SUITES[name](), sort_keys=True)
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+MULTI_SEED_GOLDEN = {
+    'logistic-dithered-post': (
+        '3bc94f350053d1a6deab44432e2fdcb514d990addb63f707d4c9d84c4bb7d0d8',
+        'f0796ba3394a5eae711aca64fafde8fcc33a895225995d92690cc06c298b6dc7',
+        'b201fcf16050603437fb4bb98a2e801a1c1618aefbcfe070951e535f50a6afbc'),
+    'logistic-hybrid-pre': (
+        'fe6c68d1c729f5b0642cf1f085bb8811ed9756d876999d280c4b404a07480022',
+        'bd9b003daebc873576c5c65ec75bb299aac95b3c43bca141b5b05b9a3061661a',
+        '2a7694e6293492efc91c97868d5b64879b6bc741e06b58563896f6c4c030ae47'),
+    'mlp-dithered-pre': (
+        'a4dbba0137e259b7333e8078f7c1e7ef04b08937b4848806840341390a0e8b53',
+        'a22b58bc93bc73f51777df42033291bb82a122069476232856f21978f4cbb039',
+        '04af5226c6eb4313bb1fa260a6feabf85d4f96653af35b4e65cc88b1ccc69d41'),
+    'mlp-hybrid': (
+        '6c39422a3a6c7f507ec49d6fa46e493260f62a7b84e1fcd176fbe1fb53f29010',
+        '2b844009ccdcd66fd360ed7e2438bc1514f9f4cb79a7f96ba16e1c37d7918bed',
+        'ff65177efabf0eb250fae3a78db56ccfb288f67fe022fe651947f9dc4075a23a'),
+    'quadratic-asymmetric-bimodal-dithered-post': (
+        '380ac1ac20c8395949d154136ae4c3596bd97466cfe8aaffef780dbb6c7cdcf7',
+        '991f94eb9bbe5c1d6424af8fd18dd81b3adef6392f8080da0c623f0ec7e91672',
+        '0b6067fdc3f59bf03ac9a0d8b7d2f0f1950907da79bfa272979b81d6cc0a46f3'),
+    'quadratic-asymmetric-bimodal-dithered-pre': (
+        'f67663dbad354e318cb066ab0b056a41f5bd41c6cf52726013767704b5a8cbc3',
+        '51f78fd146b8f991cf162450a6fba6ad996e51486ae2ba2065ee1a0217e68d70',
+        '3545fbc1a6016af7b0c9fb58cb899e5a19b263b6915df58b293149b1a784582e'),
+    'quadratic-asymmetric-bimodal-hybrid': (
+        'baea180c61f29cc78f511c1aa9acf5eaff61261099c6d466e3f7cdaf0f620bb0',
+        '60419eab2e5a5aa6c9df1f26c0ad32a90217c036c1f098f3309190cd554ae17e',
+        'a68bc7c46136f761b01a1737a4b8c9b443cf5ccb6c497c4346b400d6f91d9c5c'),
+    'quadratic-asymmetric-bimodal-hybrid-bias-corrected': (
+        '2769655af61059a13cb45258e5c02dfc6dc89e1b86aab0438cf9cc83155f5f75',
+        '2211218a5fc03a7d46c38d456deb508a5e58d0ae320688a029d247ec8403b3d6',
+        'b377a4f164f23b6fea4514673911037480ef39dfe2cae71cf340793eccbadfb9'),
+    'quadratic-asymmetric-bimodal-hybrid-pre': (
+        'baea180c61f29cc78f511c1aa9acf5eaff61261099c6d466e3f7cdaf0f620bb0',
+        '926f7093b39fd75e00177c05eb412e006fce011a217569e7b56a2be2c8afc753',
+        'a68bc7c46136f761b01a1737a4b8c9b443cf5ccb6c497c4346b400d6f91d9c5c'),
+    'quadratic-asymmetric-bimodal-sgd': (
+        '4c7906424f1408bb5a478c4d9d0bda837df23d9f354c9d4918c1107047a1670a',
+        '26712072fffc9082b53062d92a2787244403d55ecadadd575879ce24fc2606bd',
+        'f75fbc3702659f48d3401b34c5c4bbf981d4c226dcf3181037ed5ed11d8c5003'),
+    'quadratic-asymmetric-bimodal-signsgd': (
+        '6b3af08ec499471a70de87aa291b94b92eb15afb4a3b19b28f70b815de88b533',
+        '641dc1bef5bd258e2f7605406377ddccf5e61f665fe49f9e7503ef3a81fe0076',
+        'abc289c6199acf0adf61e9132b39b79dc165c0b20c3feee462d6aab62a212643'),
+    'quadratic-asymmetric-bimodal-signsgdm': (
+        'f67663dbad354e318cb066ab0b056a41f5bd41c6cf52726013767704b5a8cbc3',
+        '769a57e42aa7e04ea962869a53665ed4c4610d17d8b6084f31e55db184f9a293',
+        '3545fbc1a6016af7b0c9fb58cb899e5a19b263b6915df58b293149b1a784582e'),
+    'quadratic-gaussian-dithered-post': (
+        '466a97b906d20d1c1b91acf451172564733d842a70d1db214ae75e97f2290b32',
+        'ee0ad5d26c78dc36b8fb6b0e46a7c60390b44eeea8f4400df4c6f27e648e5489',
+        '5b9b04e2795d0773a6d4fbb10d313c8234618d560bb9812a8997257990d0e95b'),
+    'quadratic-gaussian-dithered-pre': (
+        '2c5328cf53f12bee56ed23557cb6631e8e651216c9b67cb103f1bd74c73fad45',
+        '9282f6e130481c9f81042b127ac41c80206d4c512d531d63022d241ca767d587',
+        'de0de104b16b4aed78c968135f16c6c3993062991cfa0cc80f9656f64ee93b66'),
+    'quadratic-gaussian-hybrid': (
+        '93319f7fcbe2ce85bc268c2130268fbb6b84ff860defcd37cebab11811359855',
+        '0188ef64307c321f15aa6bc9a9801792e3290b7e0d3bd482687d3fab8c163642',
+        '3346ec56590a64ac835c80093128b9c3347c180f4a22802a54b72ba85805346d'),
+    'quadratic-gaussian-hybrid-bias-corrected': (
+        'e549c9742e56b7d186516a7c5d87eb6b58fb80efb09bb0049a9306154d80661d',
+        'c9a0b22749b471d1a04930af883d6f77d88262dfa85e622b31a094ba123c12e3',
+        'e0a128e9d079474f310d89275212b0515b618b23700c84c15504c5ac3c7ce97b'),
+    'quadratic-gaussian-hybrid-pre': (
+        '93319f7fcbe2ce85bc268c2130268fbb6b84ff860defcd37cebab11811359855',
+        'ba5af42ec5ff50ec545cf5e219e366de1c0f8d8023124cedc8ddf205d45e00fa',
+        '3346ec56590a64ac835c80093128b9c3347c180f4a22802a54b72ba85805346d'),
+    'quadratic-gaussian-sgd': (
+        '38e125bb318e45749469b1bdf57197a17572d3a34fa3b725048ece89fad466d2',
+        '162cddfde5be2e9d11c6d7ba30380ac3801a934b787a81e4ab90822beccd89e9',
+        '4b253cfa4f04ce254472d37c654b9e0f21985fb2c6202754e2156e3a4612bd80'),
+    'quadratic-gaussian-signsgd': (
+        'e79385e1feb4ba757043603f88786880920d67f697f099263327efad5b911dd7',
+        '8b5496d97cf5c4296d88ae43a8b413160f212fd07c993093094b75cd7f33089c',
+        '2eca39725f9b489996699c2bd25015473ba6374ac0b3ab9799887f6933021579'),
+    'quadratic-gaussian-signsgdm': (
+        '2c5328cf53f12bee56ed23557cb6631e8e651216c9b67cb103f1bd74c73fad45',
+        '4f9701acb4b2727fceb3897fc03cc39ea769c03072399d13bb0c8d0ab342dd5c',
+        'de0de104b16b4aed78c968135f16c6c3993062991cfa0cc80f9656f64ee93b66'),
+    'quadratic-laplace-dithered-post': (
+        '8b8def59287580a308dfd1ae637d0f605ffeb4f97bd074208e9cdbdd55c697d4',
+        '9983997904ad2ba2c70f271af0269d4f517ee17c9dfeb7ac9c9a09b8e897232e',
+        '06b4d1753f52bd9be1629e4ab8dd1ebf60180b1dc4acbbf9448ed3e85c8c58f1'),
+    'quadratic-laplace-dithered-pre': (
+        'd36e3ff2f98ff7f0ffa71b30d059642c585e5ad95c538e0f8eea3ef6f33d4030',
+        'd64f741595ecb4ba25cb33b28892c005597cf24ef68358d8cc5cc1615cf849d1',
+        '10fa84d2ef2abcde8b658cafd92dda3f5c52611f9aa9d2ea1197d3f40aa68f24'),
+    'quadratic-laplace-hybrid': (
+        'f03acf1ec1e6814698d3a75f3ff1ee0577188b57a9287c5fe106bcd58b6bfb70',
+        'cce78e465ee701bdd8b220fd23bda1321c257511585031531547331a20065cf1',
+        '072d28ba6137ba3a38e668c15afdd5617ce733bdf09062a61d4dae9713bc9987'),
+    'quadratic-laplace-hybrid-bias-corrected': (
+        '3d55f948301e4b0e3cfe7655fad4330fb2125bc26a5d335165819aded970c84a',
+        '4720814121430d433758a377eea8ebde92e0d100287dfcffb134dd41c6439077',
+        '16837a93049c366eb42bcfde8e82ad9605146c56cd21ebafae745bff6a98d363'),
+    'quadratic-laplace-hybrid-pre': (
+        'f03acf1ec1e6814698d3a75f3ff1ee0577188b57a9287c5fe106bcd58b6bfb70',
+        'f0bc85bc3602357c4e6001f9e138011f4039f024f988e1023ec23814ccde58f3',
+        '072d28ba6137ba3a38e668c15afdd5617ce733bdf09062a61d4dae9713bc9987'),
+    'quadratic-laplace-sgd': (
+        'b3c144caac6fdc8b8c6aa1814f5a0fbd82a4d1f10f3636b06a54dcdd53c24207',
+        '526c83c7fc437d5c563a6a50c2f13df326cd5ea1f818441dc0d68ab69c7cb7c4',
+        'a4acd6a7b802fac9f423da2898c554c1a3ec042097ebb0942df32135edec6fbe'),
+    'quadratic-laplace-signsgd': (
+        '825afc7dd860bc10cefdb3351f8bc8c9e171a7e5aa68f896dbd32a1c748db94e',
+        'c7f4e068d00ba03c3c52e56b58b271086937da17d2ac42a60110c397b69f23bf',
+        '35abbe99c51642a97bd91c1b076cce75b4552f8c62e98cdcef3db5d1d8f0e6e9'),
+    'quadratic-laplace-signsgdm': (
+        'd36e3ff2f98ff7f0ffa71b30d059642c585e5ad95c538e0f8eea3ef6f33d4030',
+        '411bb0fd92760966cb63c56b1bd5c003f0eb8889fba87d3032d29ca7cdf6b33c',
+        '10fa84d2ef2abcde8b658cafd92dda3f5c52611f9aa9d2ea1197d3f40aa68f24'),
+    'quadratic-uniform-dithered-post': (
+        '8a4576fca40df162b89483b656ac479fe488a23dba6eee2791a30c51c00521d3',
+        '73657ba9210a3d4d5440a62c69f3948112058b1803aeb90c1ff3a823d18b8fd3',
+        'e94b3744fdadeeaf7fc7689070e1ca14c11407654ded7d7bb16f6704020c2fe6'),
+    'quadratic-uniform-dithered-pre': (
+        '7cc9dfa158bb38dbc18b529e7652f91e0ed9f39809595305112c6d5085370c61',
+        '4ed94b83040d510b5445fbd1d6b159d876d00fada6698d65ab97d5ca1e8ba0a2',
+        'b08509eff64570e8dba1f2f3ef584058e1e9ba74c0ffffab8b806ef2114b836a'),
+    'quadratic-uniform-hybrid': (
+        'c722f2e2166089f4599bc0624e3da24bddccf977868c54db9d7d495617b67813',
+        '7a5f3f5590755940e5ba15a93d2555d3253f8e7a13f8825d4fa145d0289effa8',
+        '770c8b131992aaa96ae5d58ee541fb55bdb1d38d07262f168f869c77c1feea31'),
+    'quadratic-uniform-hybrid-bias-corrected': (
+        '3d7782684420a209433843ab1781658803807602c4371c52cc7af682836056cc',
+        '8a4f19ce2587ed4458e694aed529f2c7165d01540a0242c930079a464a97524c',
+        'b9922b04353c8a8fa289de9fbc2ecd9e5c4b0ebd36fdc7655de56026321ae4a4'),
+    'quadratic-uniform-hybrid-pre': (
+        'c722f2e2166089f4599bc0624e3da24bddccf977868c54db9d7d495617b67813',
+        '44e6aa3d6bfe593b9cd417b134c89a233dc2a42d42f685ddd4edea8b000683b2',
+        '770c8b131992aaa96ae5d58ee541fb55bdb1d38d07262f168f869c77c1feea31'),
+    'quadratic-uniform-sgd': (
+        '533329cb13d22af36069580746519f4b6bd4ed55c3509c659b2fadfd159e3e5c',
+        'd34c2af2487e2b5ed5104b9f9b1a4f0b68974041321b7ec666c8dcc2cbc757c9',
+        '5ae6a5c261b754402b7fa9c0b22db316bf7e184f826bfb9aeaff4cca45de0aa2'),
+    'quadratic-uniform-signsgd': (
+        '825afc7dd860bc10cefdb3351f8bc8c9e171a7e5aa68f896dbd32a1c748db94e',
+        'c7f4e068d00ba03c3c52e56b58b271086937da17d2ac42a60110c397b69f23bf',
+        '35abbe99c51642a97bd91c1b076cce75b4552f8c62e98cdcef3db5d1d8f0e6e9'),
+    'quadratic-uniform-signsgdm': (
+        '7cc9dfa158bb38dbc18b529e7652f91e0ed9f39809595305112c6d5085370c61',
+        'efe9d73094ccb6d3374a4cc9c4eb522f00aec33d2c21749c00a7a73d4ca831ad',
+        'b08509eff64570e8dba1f2f3ef584058e1e9ba74c0ffffab8b806ef2114b836a'),
+}
+
+SUITE_GOLDEN = {
+    'switch-suite': '8a97b7fa35bac799aaefb7dc2892b5fc40a9fbd8a039f3a0826bcc3a96b473ff',
+    'theorem-suite': '7872679882975587b753ebfbce27a5af6d86e6e09cdcf3b04eb77e87504646ad',
+}
+
+
+def test_every_multi_seed_case_is_pinned():
+    assert set(MULTI_SEED_GOLDEN) == set(MULTI_SEED_CASES)
+    assert set(SUITE_GOLDEN) == set(SUITES)
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SEED_CASES))
+def test_multi_seed_run_matches_golden_digests(name, tmp_path):
+    iterates, csv, summary = multi_seed_digests(_multi_seed_config(name),
+                                                tmp_path)
+    expected = MULTI_SEED_GOLDEN[name]
+    assert iterates == expected[0], "iterates changed"
+    assert csv == expected[1], "CSV bytes changed"
+    assert summary == expected[2], "summary floats changed"
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_matches_golden_digest(name):
+    assert suite_digest(name) == SUITE_GOLDEN[name]
+
+
+def _print_table(title, names, digests):
+    print(f"{title} = {{")
+    for name in names:
+        values = digests(name)
+        print(f"    {name!r}: (")
+        print("\n".join(f"        {d!r}," for d in values[:-1]))
+        print(f"        {values[-1]!r}),")
+    print("}")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
-        print("GOLDEN = {")
-        for name in sorted(CASES):
-            digests = trajectory_digests(CASES[name], workdir)
-            print(f"    {name!r}: (")
-            print("\n".join(f"        {d!r}," for d in digests[:-1]))
-            print(f"        {digests[-1]!r}),")
-        print("}")
+        _print_table("GOLDEN", sorted(CASES),
+                     lambda name: trajectory_digests(CASES[name], workdir))
+        _print_table("MULTI_SEED_GOLDEN", sorted(MULTI_SEED_CASES),
+                     lambda name: multi_seed_digests(
+                         _multi_seed_config(name), workdir))
+    print("SUITE_GOLDEN = {")
+    for name in sorted(SUITES):
+        print(f"    {name!r}: {suite_digest(name)!r},")
+    print("}")
