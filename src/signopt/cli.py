@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,13 +34,21 @@ def _out_dir(flag_value) -> Path:
     return path
 
 
-def _int_at_least(minimum: int):
-    """argparse type: one integer >= minimum."""
+def _int_at_least(minimum: int, below: float = math.inf):
+    """argparse type: one integer >= minimum and < below that converts to
+    a float (grid values become stepsizes and switch points)."""
     # argparse names the function in its "invalid <name> value" message
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}")
+        try:
+            float(value)
+        except OverflowError:
+            raise argparse.ArgumentTypeError(
+                "too large to convert to a float") from None
         return value
     return integer
 
@@ -133,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0, below=2**64), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 

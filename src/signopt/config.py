@@ -15,11 +15,13 @@ import numpy as np
 
 from .optimizers import OptimizerConfig
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
-                       make_mlp, make_quadratic)
+                       make_mlp, make_quadratic, mlp_depth_factor)
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
 
 _SEED_LIMIT = 2**64  # seeds are 64-bit unsigned Philox keys
+# numpy's largest array, in float64 entries
+_MAX_VECTOR = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # natural logs of the normal float range; a decayed stepsize must stay in it
 _LOG_MIN = math.log(sys.float_info.min)
@@ -61,7 +63,17 @@ class ProblemSpec:
                                        and all(w >= 1 for w in widths)):
             raise ValueError("problem.layer_widths needs >= 3 entries, "
                              "each >= 1, ending in 1")
+        if self.kind == "mlp":
+            try:
+                mlp_depth_factor(len(widths) - 1)
+            except OverflowError:
+                raise ValueError(f"problem.layer_widths: {len(widths) - 1} "
+                                 f"layers overflow the MLP's curvature "
+                                 f"estimate") from None
         n = self.n_params
+        if n > _MAX_VECTOR:
+            raise ValueError(f"problem has {n} parameters; numpy's largest "
+                             f"float64 array holds {_MAX_VECTOR}")
         for name in ("lipschitz", "x_opt", "x0", "sigma"):
             vec = getattr(self, name)
             if len(vec) not in (1, n):

@@ -1,7 +1,9 @@
 """Vector kernels and seeded random streams used by every other module.
 
-Parameter vectors are plain 1-D float64 numpy arrays. All kernels are pure
-functions; RngStream instances are single-owner.
+Parameter vectors are plain 1-D float64 numpy arrays. The reductions also
+take an (S, d) array of S vectors and return one value per row, each
+bitwise the value of its row alone. All kernels are pure functions;
+RngStream instances are single-owner.
 """
 
 from __future__ import annotations
@@ -68,23 +70,35 @@ def sign_vec(v: np.ndarray) -> np.ndarray:
     return np.sign(v)
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
+def per_row(v):
+    """A reduction's result: a float for one vector, an array for rows."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    # a stacked matmul runs the BLAS dot of `a @ b` on each row; einsum and
+    # (a * b).sum() sum in another order
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def inner(a: np.ndarray, b: np.ndarray):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
+    return per_row(_dot(a, b))
 
 
-def l1_norm(v: np.ndarray) -> float:
-    return float(np.sum(np.abs(v)))
+def l1_norm(v: np.ndarray):
+    return per_row(np.sum(np.abs(v), axis=-1))
 
 
-def l2_norm_sq(v: np.ndarray) -> float:
-    return float(v @ v)
+def l2_norm_sq(v: np.ndarray):
+    return per_row(_dot(v, v))
 
 
-def sample_gaussian(dim: int, mean: float, std: float, rng: RngStream) -> np.ndarray:
-    """I.i.d. normal vector; std = 0 returns the constant mean vector
-    without consuming any random state."""
+def sample_gaussian(dim, mean: float, std: float, rng) -> np.ndarray:
+    """I.i.d. normal array of shape `dim` (an int or a shape); std = 0
+    returns the constant mean without consuming any random state. `rng`
+    is anything with RngStream's `normal`."""
     if std < 0:
         raise ValueError(f"negative std: {std}")
     if std == 0.0:

@@ -1,5 +1,5 @@
-"""Experiment runner: single trajectories, multi-seed suites, CSV/JSON
-output.
+"""Experiment runner: seeded trajectories, run for many seeds at once,
+multi-seed suites, CSV/JSON output.
 
 Per-step diagnostics (the l1 gradient norm and the SNR-weighted measure)
 are always computed from the TRUE gradient at the current iterate and the
@@ -27,12 +27,18 @@ from .optimizers import (OptimizerConfig, OptimizerState, PHASE_SGD,
                          PHASE_SIGN, dithered_step, hybrid_step, init_state,
                          lambda_project, sgd_step, signsgd_step,
                          signsgdm_step)
-from .problems import Problem, stochastic_grad
+# stochastic_grad is not called here either; perfbench/tracing.py wraps it
+from .problems import GradSample, Problem, batch_noise, stochastic_grad
 from .theory import SnrProfile, phi_measure
 
 CSV_HEADER = "k,f,l1_grad,phi,lambda,lambda_ema,sigma_dither_sq,phase"
 
 AUTO_STRIDE_LIMIT = 10_000
+
+# `run_seeds` draws random numbers a block of steps ahead. A block holds at
+# most this many bytes of one seed's noise draws (n * d a step) and of the
+# draws of all S seeds (S * d a step), so memory does not grow with steps.
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,89 @@ def run_single(cfg: ExperimentConfig, seed: int,
                problem: Problem | None = None,
                collect_iterates: bool = False) -> RunRecord:
     """Execute one seeded trajectory of the configured optimizer."""
+    return run_seeds(cfg, (seed,), problem, collect_iterates)[0]
+
+
+class _RowStreams:
+    """One random stream per row of a batched state, read one (S, d) draw
+    per call and drawn up to `block` calls ahead in one call per stream.
+    Each stream yields exactly the values it yields when drawn one step at
+    a time, so a row's results do not depend on the batch it is in."""
+
+    def __init__(self, streams: list, draw, block: int, limit: int):
+        self.streams = streams
+        self.draw = draw        # (stream, count) -> (count, d) array
+        self.block = block
+        self.left = limit       # the most draws still to be read
+        self.buf = np.empty((0,))
+        self.pos = 0
+
+    def next(self) -> np.ndarray:
+        if self.pos == len(self.buf):
+            count = min(self.block, self.left)
+            self.buf = np.stack([self.draw(r, count) for r in self.streams],
+                                axis=1)
+            self.pos = 0
+        self.pos += 1
+        self.left -= 1
+        return self.buf[self.pos - 1]
+
+    def normal(self, size=None) -> np.ndarray:
+        """The next standard-normal draw of every row: the step rules'
+        dither stream."""
+        return self.next()
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.streams = [r for r, k in zip(self.streams, rows) if k]
+        if self.pos < len(self.buf):
+            self.buf = self.buf[:, rows]
+
+
+def _on_rows(fn, X: np.ndarray, rowwise: bool) -> np.ndarray:
+    """`fn` of every row of X: one call if `fn` takes rows, else one per
+    row."""
+    return fn(X) if rowwise else np.array([fn(x) for x in X])
+
+
+def _row_values(v, rows: int) -> list:
+    """A per-row state value (a float or an (S,) array) as S floats."""
+    return v.tolist() if np.ndim(v) else [v] * rows
+
+
+def _keep_rows(state: OptimizerState, rows: np.ndarray) -> OptimizerState:
+    def take(v):
+        return v[rows] if np.ndim(v) else v
+    return replace(state, x=state.x[rows], m=state.m[rows],
+                   lambda_ema=take(state.lambda_ema),
+                   last_lambda=take(state.last_lambda))
+
+
+def _finish(rec: RunRecord, steps: int, sum_phi: float, sum_l1: float,
+            f: float) -> None:
+    rec.oracle_calls = steps
+    rec.final_f = f
+    rec.diverged = not math.isfinite(f)
+    rec.avg_phi = sum_phi / max(steps, 1)
+    rec.avg_l1 = sum_l1 / max(steps, 1)
+
+
+def run_seeds(cfg: ExperimentConfig, seeds=None,
+              problem: Problem | None = None,
+              collect_iterates: bool = False) -> list:
+    """Execute the configured optimizer for every seed in one loop.
+
+    The iterates and momenta of the live seeds are (S, d) arrays that each
+    step advances with one numpy call per operation (the logistic and MLP
+    oracles are called once per row). Each seed draws from its own Philox
+    gradient and dither streams, a block of steps at a time, so every
+    record is bitwise the one the seed gives alone. A seed whose f
+    overflows stops at that step and leaves the batch. Each record's
+    `wall_time` is the elapsed time of the whole batch.
+    """
     t0 = time.perf_counter()
+    seeds = tuple(cfg.run.seeds if seeds is None else seeds)
+    if not seeds:
+        return []
     if problem is None:
         problem = build_problem(cfg)
     opt = cfg.optimizer
@@ -103,30 +191,48 @@ def run_single(cfg: ExperimentConfig, seed: int,
     n = cfg.run.batch_size
     if cfg.run.theorem_mode:
         opt = replace(opt, delta=theorem_delta(problem, K))
-
-    grad_rng = RngStream(seed, STREAM_GRAD)
-    dither_rng = RngStream(seed, STREAM_DITHER)
-    state = init_state(initial_point(cfg, problem),
-                       lambda_ema=opt.lambda_init)
     stride = cfg.run.record_stride or default_stride(K)
     coord_std = problem.noise.sigma / math.sqrt(n)
+    S, d = len(seeds), problem.dim
 
-    rec = RunRecord(seed=seed, steps=K, delta_used=opt.delta, oracle_calls=0)
-    sum_phi = 0.0
-    sum_l1 = 0.0
-    prev_phase = state.phase
+    recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta) for s in seeds]
+    live = np.arange(S)  # the record of each row
+    x0 = initial_point(cfg, problem)
+    state = init_state(np.tile(x0, (S, 1)), lambda_ema=opt.lambda_init)
     if collect_iterates:
-        rec.iterates.append(state.x.copy())
+        for rec in recs:
+            rec.iterates.append(x0.copy())
+    block = max(1, BLOCK_BYTES // (8 * d * max(n, S)))
+    noise = dither = None
+    if np.any(problem.noise.sigma > 0):
+        noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in seeds],
+                            lambda r, c: batch_noise(problem.noise, n, c, r),
+                            block, K)
+    if opt.algorithm in ("dithered", "hybrid") and opt.dither_mode != "none":
+        dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in seeds],
+                             lambda r, c: r.normal((c, d)), block, K)
+    sum_phi = np.zeros(S)
+    sum_l1 = np.zeros(S)
+    switching = opt.algorithm == "hybrid"
 
     for k in range(K):
         # overflow here is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            g_true = problem.eval_grad(state.x)
-            f_val = problem.eval_f(state.x)
-        if not math.isfinite(f_val):
-            rec.diverged = True
-            rec.final_f = f_val
-            break
+            g_true = _on_rows(problem.eval_grad, state.x, problem.rowwise)
+            f = _on_rows(problem.eval_f, state.x, problem.rowwise)
+        finite = np.isfinite(f)
+        if not finite.all():
+            for j in np.flatnonzero(~finite):
+                _finish(recs[live[j]], k, float(sum_phi[j]),
+                        float(sum_l1[j]), float(f[j]))
+            live, state = live[finite], _keep_rows(state, finite)
+            g_true, f = g_true[finite], f[finite]
+            sum_phi, sum_l1 = sum_phi[finite], sum_l1[finite]
+            for streams in (noise, dither):
+                if streams is not None:
+                    streams.keep(finite)
+            if not live.size:
+                break
         l1 = l1_norm(g_true)
         phi = phi_measure(SnrProfile(g_true, coord_std))
         sum_phi += phi
@@ -137,39 +243,45 @@ def run_single(cfg: ExperimentConfig, seed: int,
             opt = replace(opt, delta=opt.delta * cfg.run.decay_factor,
                           lr=opt.lr * cfg.run.decay_factor)
 
-        gs = stochastic_grad(problem, state.x, n, grad_rng)
-        rec.oracle_calls += 1
-        new_state = _apply_step(state, gs, opt, dither_rng)
+        g = g_true if noise is None else g_true + noise.next()
+        new_state = _apply_step(state, GradSample(g, n, coord_std), opt,
+                                dither)
 
-        if (new_state.phase == PHASE_SGD and prev_phase == PHASE_SIGN
-                and opt.algorithm == "hybrid"):
-            rec.lambda_at_switch = new_state.lambda_ema
-        prev_phase = new_state.phase
-
+        rows = live.size
+        if (switching and new_state.phase == PHASE_SGD
+                and state.phase == PHASE_SIGN):
+            for i, lam in zip(live, _row_values(new_state.lambda_ema, rows)):
+                recs[i].lambda_at_switch = lam
         if k % stride == 0 or k == K - 1:
             sig2 = (dither_sigma_sq(k, opt)
                     if opt.dither_mode != "none" else 0.0)
-            rec.rows.append(Row(k=k, f=f_val, l1_grad=l1, phi=phi,
-                                lam=new_state.last_lambda,
-                                lambda_ema=new_state.lambda_ema,
-                                sigma_dither_sq=sig2,
-                                phase=new_state.phase))
+            for i, f_i, l1_i, phi_i, lam, ema in zip(
+                    live, f.tolist(), l1.tolist(), phi.tolist(),
+                    _row_values(new_state.last_lambda, rows),
+                    _row_values(new_state.lambda_ema, rows)):
+                recs[i].rows.append(Row(k=k, f=f_i, l1_grad=l1_i, phi=phi_i,
+                                        lam=lam, lambda_ema=ema,
+                                        sigma_dither_sq=sig2,
+                                        phase=new_state.phase))
         state = new_state
         if collect_iterates:
-            rec.iterates.append(state.x.copy())
+            for i, x in zip(live, state.x):
+                recs[i].iterates.append(x.copy())
 
-    if not rec.diverged:
-        rec.final_f = problem.eval_f(state.x)
-        if not math.isfinite(rec.final_f):
-            rec.diverged = True
-    rec.avg_phi = sum_phi / max(rec.oracle_calls, 1)
-    rec.avg_l1 = sum_l1 / max(rec.oracle_calls, 1)
-    rec.wall_time = time.perf_counter() - t0
-    return rec
+    if live.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _on_rows(problem.eval_f, state.x, problem.rowwise)
+        for j, i in enumerate(live):
+            _finish(recs[i], K, float(sum_phi[j]), float(sum_l1[j]),
+                    float(f[j]))
+    wall_time = time.perf_counter() - t0
+    for rec in recs:
+        rec.wall_time = wall_time
+    return recs
 
 
-def _apply_step(state: OptimizerState, gs, opt: OptimizerConfig,
-                dither_rng: RngStream) -> OptimizerState:
+def _apply_step(state: OptimizerState, gs: GradSample, opt: OptimizerConfig,
+                dither) -> OptimizerState:
     algo = opt.algorithm
     if algo == "sgd":
         return sgd_step(state, gs, opt.lr)
@@ -178,17 +290,8 @@ def _apply_step(state: OptimizerState, gs, opt: OptimizerConfig,
     if algo == "signsgdm":
         return signsgdm_step(state, gs, opt)
     if algo == "dithered":
-        return dithered_step(state, gs, opt, dither_rng)
-    return hybrid_step(state, gs, opt, dither_rng)
-
-
-def run_seeds(cfg: ExperimentConfig, seeds=None,
-              problem: Problem | None = None) -> list:
-    if problem is None:
-        problem = build_problem(cfg)
-    if seeds is None:
-        seeds = cfg.run.seeds
-    return [run_single(cfg, s, problem) for s in seeds]
+        return dithered_step(state, gs, opt, dither)
+    return hybrid_step(state, gs, opt, dither)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@
 Covers plain SGD, SignSGD, SignSGD with momentum, pre-/post-sign dithered
 variants, the projection-based learning-rate calibration, and the hybrid
 sign-to-SGD switcher that freezes the calibrated stepsize at the switch.
+
+Every rule works row by row: a state whose `x` and `m` are (S, d) arrays
+advances S independent trajectories at once, with one lambda per row, and
+each row is bitwise the trajectory of that row alone. The step counter,
+the phase and the configuration are shared by the rows. A dither stream is
+anything with RngStream's `normal(shape)`; for rows it returns one draw per
+row, each from that row's own stream.
 """
 
 from __future__ import annotations
@@ -77,10 +84,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    x: np.ndarray
+    x: np.ndarray             # (d,) or (S, d)
     m: np.ndarray
     k: int = 0
-    lambda_ema: float = 0.0
+    lambda_ema: float = 0.0   # a float, or one value per row
     phase: str = PHASE_SIGN
     last_lambda: float = 0.0  # this step's calibration scalar; 0 if none
 
@@ -91,10 +98,16 @@ def init_state(x0: np.ndarray, lambda_ema: float = 0.0) -> OptimizerState:
                           lambda_ema=lambda_ema)
 
 
-def sgd_step(state: OptimizerState, grad: GradSample, lr: float) -> OptimizerState:
-    if lr < 0:
+def _column(v):
+    """A per-row scalar array as a column that broadcasts across (S, d)."""
+    return v[:, None] if np.ndim(v) == 1 else v
+
+
+def sgd_step(state: OptimizerState, grad: GradSample, lr) -> OptimizerState:
+    """x - lr * g, where lr is a float or one stepsize per row."""
+    if np.min(lr) < 0:
         raise ValueError("lr must be >= 0")
-    return OptimizerState(x=state.x - lr * grad.grad, m=state.m,
+    return OptimizerState(x=state.x - _column(lr) * grad.grad, m=state.m,
                           k=state.k + 1, lambda_ema=state.lambda_ema,
                           phase=PHASE_SGD)
 
@@ -127,7 +140,7 @@ def _sign_momentum_step(state: OptimizerState, grad: GradSample,
     if s2 == 0.0:
         direction = sign_vec(m_next)
     else:
-        xi = sample_gaussian(m_next.size, 0.0, math.sqrt(s2), rng)
+        xi = sample_gaussian(m_next.shape, 0.0, math.sqrt(s2), rng)
         direction = (sign_vec(m_next + xi) if cfg.dither_mode == "pre"
                      else sign_vec(m_next) + xi)
     return OptimizerState(x=state.x - cfg.delta * direction, m=m_next,
@@ -148,10 +161,11 @@ def dithered_step(state: OptimizerState, grad: GradSample,
 
 
 def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta: float,
-                   epsilon: float) -> float:
+                   epsilon: float):
     """Nonnegative scalar making an SGD step match the projection of the
     sign step onto the current stochastic gradient:
-    delta * |<sign(m), g>| / (||g||^2 + epsilon)."""
+    delta * |<sign(m), g>| / (||g||^2 + epsilon); one per row of (S, d)
+    arrays."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     return delta * abs(inner(sign_vec(m_next), grad)) / (l2_norm_sq(grad) + epsilon)
@@ -169,5 +183,5 @@ def hybrid_step(state: OptimizerState, grad: GradSample,
     if cfg.lambda_bias_correction and n_updates > 0:
         # the EMA starts at zero, so early values are biased low by the
         # factor 1 - eta^n; the toggle removes it at the point of use
-        lam_bar /= 1.0 - cfg.eta ** n_updates
+        lam_bar = lam_bar / (1.0 - cfg.eta ** n_updates)
     return sgd_step(state, grad, lam_bar)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import RngStream, STREAM_DATA, as_vector
+from .core import RngStream, STREAM_DATA, as_vector, per_row
 
 NOISE_FAMILIES = ("gaussian", "uniform", "laplace", "asymmetric-bimodal")
 
@@ -45,6 +45,9 @@ class Problem:
     f_star: float
     noise: NoiseSpec
     name: str = "problem"
+    # eval_f and eval_grad also take an (S, d) array of S points and return
+    # one value or gradient per row, each bitwise that of its row alone
+    rowwise: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,12 @@ def sample_unit_noise(family: str, size, rng: RngStream) -> np.ndarray:
     raise ValueError(f"unknown noise family: {family!r}")
 
 
-def sample_noise(spec: NoiseSpec, n: int, rng: RngStream) -> np.ndarray:
-    """n independent oracle-noise vectors, shape (n, dim)."""
-    unit = sample_unit_noise(spec.family, (n, spec.sigma.size), rng)
-    return unit * spec.sigma
+def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream) -> np.ndarray:
+    """The noise of `steps` successive batch-n gradients, shape (steps, dim),
+    in one draw: row i is bitwise the noise the i-th of `steps` calls of
+    `stochastic_grad` on the same stream adds."""
+    unit = sample_unit_noise(spec.family, (steps, n, spec.sigma.size), rng)
+    return (unit * spec.sigma).mean(axis=1)  # scaled before the mean
 
 
 def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSample:
@@ -84,7 +89,7 @@ def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSa
         raise ValueError("batch size must be >= 1")
     g = p.eval_grad(x)
     if np.any(p.noise.sigma > 0):
-        g = g + sample_noise(p.noise, n, rng).mean(axis=0)
+        g = g + batch_noise(p.noise, n, 1, rng)[0]
     return GradSample(grad=g, batch_size=n, coord_std=p.noise.sigma / math.sqrt(n))
 
 
@@ -103,13 +108,14 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
 
     def eval_f(x):
         d = x - x_opt
-        return float(0.5 * np.sum(L * d * d))
+        return per_row(0.5 * np.sum(L * d * d, axis=-1))
 
     def eval_grad(x):
         return L * (x - x_opt)
 
     return Problem(dim=L.size, eval_f=eval_f, eval_grad=eval_grad,
-                   lipschitz=L, f_star=0.0, noise=noise, name="quadratic")
+                   lipschitz=L, f_star=0.0, noise=noise, name="quadratic",
+                   rowwise=True)
 
 
 def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
@@ -162,6 +168,15 @@ def _unpack(x: np.ndarray, shapes):
         out.append(x[pos:pos + size].reshape(s))
         pos += size
     return out
+
+
+MLP_WEIGHT_BOUND = 4.0  # B, the assumed bound on the MLP's weights
+
+
+def mlp_depth_factor(n_layers: int) -> float:
+    """B^(2 (n_layers - 1)), the growth of the MLP's curvature estimate
+    with depth; OverflowError past about 256 layers."""
+    return MLP_WEIGHT_BOUND ** (2 * (n_layers - 1))
 
 
 def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
@@ -226,9 +241,8 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
 
     # Coarse curvature bound: logistic head curvature 1/4, activations
     # bounded by max(|X|, 1) through tanh, weights assumed within +-B.
-    B = 4.0
     act_bound = max(1.0, float(np.max(np.abs(X))))
-    L_scalar = 0.25 * (act_bound ** 2) * (B ** (2 * (n_layers - 1)))
+    L_scalar = 0.25 * (act_bound ** 2) * mlp_depth_factor(n_layers)
     L = np.full(dim, L_scalar)
 
     return Problem(dim=dim, eval_f=eval_f, eval_grad=eval_grad,

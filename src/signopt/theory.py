@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector
+from .core import RngStream, as_vector, per_row
 from .problems import NOISE_FAMILIES, sample_unit_noise
 
 # Split point between the tail and central branches of the unimodal
@@ -24,13 +24,13 @@ GAUSS_SPLIT = math.sqrt(2.0 / 3.0)
 
 @dataclass(frozen=True)
 class SnrProfile:
-    g: np.ndarray  # true gradient
+    g: np.ndarray  # true gradient, or an (S, d) array of S gradients
     s: np.ndarray  # per-coordinate noise std of the batch gradient
 
     def __post_init__(self):
-        object.__setattr__(self, "g", as_vector(self.g))
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
         object.__setattr__(self, "s", as_vector(self.s))
-        if self.g.shape != self.s.shape:
+        if self.g.ndim not in (1, 2) or self.g.shape[-1:] != self.s.shape:
             raise ValueError("gradient / noise dimension mismatch")
         if np.any(self.s < 0):
             raise ValueError("noise scales must be >= 0")
@@ -54,12 +54,12 @@ class TheoremInputs:
             raise ValueError("f0 must be >= f_star")
 
 
-def phi_measure(p: SnrProfile) -> float:
+def phi_measure(p: SnrProfile):
     """sum_i min(|g_i|, g_i^2/s_i); s_i = 0 coordinates contribute |g_i|
-    (the infinite-SNR limit)."""
+    (the infinite-SNR limit). One value per row of an (S, d) gradient."""
     ag = np.abs(p.g)
     quad = np.divide(ag * ag, p.s, out=np.full_like(ag, np.inf), where=p.s > 0)
-    return float(np.sum(np.minimum(ag, quad)))
+    return per_row(np.sum(np.minimum(ag, quad), axis=-1))
 
 
 def gauss_bound(S: float) -> float:

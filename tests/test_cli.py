@@ -122,6 +122,10 @@ OUT_IS_FILE = object()
     pytest.param(b"run.steps = 10 # \xff\n", id="config-not-utf8"),
     pytest.param(CONFIG_IS_DIRECTORY, id="config-is-directory"),
     pytest.param(OUT_IS_FILE, id="out-is-file"),
+    # valid but unbuildable sizes, rejected before anything is allocated
+    pytest.param("problem.dim = 9223372036854775807\n", id="dim-too-big"),
+    pytest.param("problem.kind = mlp\nproblem.layer_widths = "
+                 + ",".join(["1"] * 600) + "\n", id="mlp-too-deep"),
 ])
 def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
@@ -150,12 +154,19 @@ def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     ["dither-verify", "--trials", "0"],
     ["bound-verify", "--trials", "0"],
     ["run", "--seed", "-1"],
+    ["switch-suite", "--t-grid", "1" + "0" * 400],
+    ["theorem-suite", "--k-grid", "1" + "0" * 400],
+    ["theorem-suite", "--n-grid", "4,1" + "0" * 400],
+    ["run", "--seed", str(2**64)],
 ])
-def test_out_of_range_argument_exits_2(tmp_path, argv):
+def test_out_of_range_argument_exits_2(tmp_path, capsys, argv):
     cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")
     if argv[0] not in ("dither-verify", "bound-verify"):
         argv = argv + ["--config", str(cfg_path)]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"signopt {argv[0]}: error: ")
 
 
 # Exit-code contract under random input: every config text and argument

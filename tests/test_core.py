@@ -25,6 +25,19 @@ def test_sign_vec_is_odd_and_idempotent(v):
     assert np.array_equal(sign_vec(s), s)
 
 
+def test_reductions_on_rows_match_each_row():
+    # the batched run engine relies on this: a row's value is bitwise the
+    # 1-D value (a @ b is a BLAS dot, np.sum a pairwise sum)
+    rng = RngStream(3, 0).generator
+    for d in range(1, 40):
+        a = rng.standard_normal((6, d)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+        b = rng.standard_normal((6, d))
+        assert inner(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
+        assert l2_norm_sq(a).tolist() == [float(x @ x) for x in a]
+        assert l1_norm(a).tolist() == [float(np.sum(np.abs(x))) for x in a]
+        assert type(inner(a[0], b[0])) is float
+
+
 def test_inner_examples():
     assert inner(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
     v = np.array([1.5, -2.5, 3.0])

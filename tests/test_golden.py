@@ -360,14 +360,13 @@ def _multi_seed_config(name):
 def multi_seed_digests(cfg, workdir):
     """(iterates, CSV bytes, summary floats) SHA-256 hex digests over every
     seed of `run_seeds(cfg)`, in seed order."""
-    recs = run_seeds(cfg)
+    recs = run_seeds(cfg, collect_iterates=True)
     assert [r.diverged for r in recs].count(True) == 1
     iterates, csv, summary = (hashlib.sha256() for _ in range(3))
     csv_path = Path(workdir) / "run.csv"
     for rec in recs:
-        its = run_single(cfg, rec.seed, collect_iterates=True).iterates
-        iterates.update(f"{rec.seed}:{len(its)}:".encode())
-        iterates.update(np.stack(its).tobytes())
+        iterates.update(f"{rec.seed}:{len(rec.iterates)}:".encode())
+        iterates.update(np.stack(rec.iterates).tobytes())
         emit_csv(rec, csv_path)
         csv.update(csv_path.read_bytes())
         summary.update("\n".join(f"{key}={_fmt(value)}"

@@ -1,11 +1,17 @@
+import functools
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from signopt import harness
+from signopt.checks import _theorem_base_config
 from signopt.core import STREAM_GRAD, RngStream
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             ProblemSpec, RunSpec, build_problem,
@@ -166,6 +172,136 @@ class TestAggregation:
         rev = run_seeds(cfg, seeds=(3, 2, 1, 0))
         assert statistics.fmean(r.avg_phi for r in fwd) == \
             statistics.fmean(r.avg_phi for r in rev)
+
+
+# Starts at the edge of overflow with noise that swamps the gradient: seed 0
+# diverges at step 14 and seed 7 at step 24, the others run to the end.
+X0_EDGE = 4.5e158
+
+
+def edge_cfg():
+    cfg = quad_cfg(sigma=(1e151,),
+                   optimizer={"algorithm": "hybrid", "delta": 0.01 * X0_EDGE,
+                              "t_switch": 30.0, "eta": 0.9, "alpha": 0.1,
+                              "dither_mode": "pre"},
+                   run={"steps": 60, "batch_size": 2})
+    return replace(cfg, problem=replace(
+        cfg.problem, x0=(X0_EDGE,),
+        lipschitz=tuple(1e-10 * v for v in cfg.problem.lipschitz)))
+
+
+BATCH_CONFIGS = {
+    "sgd": quad_cfg(optimizer={"algorithm": "sgd", "lr": 0.1},
+                    run={"steps": 60, "batch_size": 3}),
+    "signsgd-uniform": replace(
+        quad_cfg(optimizer={"algorithm": "signsgd"}, run={"steps": 60}),
+        problem=ProblemSpec(kind="quadratic", dim=4, noise_family="uniform",
+                            lipschitz=(0.5, 1.0, 2.0, 4.0))),
+    "dithered-post-decay": quad_cfg(
+        optimizer={"algorithm": "dithered", "alpha": 0.2,
+                   "dither_mode": "post"},
+        run={"steps": 60, "decay_every": 7, "decay_factor": 0.5}),
+    "hybrid-bias-corrected": quad_cfg(
+        optimizer={"algorithm": "hybrid", "t_switch": 25.0, "eta": 0.9,
+                   "lambda_bias_correction": True},
+        run={"steps": 60, "record_stride": 7}),
+    "logistic-hybrid-pre": ExperimentConfig(
+        problem=ProblemSpec(kind="logistic", dim=5, n_points=30,
+                            x0=(0.0,), noise_family="laplace",
+                            sigma=(0.5,)),
+        optimizer=OptimizerSpec(algorithm="hybrid", t_switch=20.0,
+                                alpha=0.1, dither_mode="pre"),
+        run=RunSpec(steps=40, batch_size=2)),
+    "mlp-dithered-pre": ExperimentConfig(
+        problem=ProblemSpec(kind="mlp", layer_widths=(2, 3, 1),
+                            n_points=20, x0=(0.3,),
+                            noise_family="asymmetric-bimodal",
+                            sigma=(0.5,)),
+        optimizer=OptimizerSpec(algorithm="dithered", alpha=0.1,
+                                dither_mode="pre"),
+        run=RunSpec(steps=40, batch_size=2)),
+    "diverging-edge": edge_cfg(),
+}
+SEED_POOL = (0, 1, 2, 3, 7)
+
+
+def record_key(rec):
+    """Everything a record holds but its wall time, comparable bitwise
+    (repr writes every bit of a float and writes NaN as nan)."""
+    return (repr(rec.rows), [x.tobytes() for x in rec.iterates],
+            rec.oracle_calls, rec.diverged, repr(rec.final_f),
+            repr(rec.avg_phi), repr(rec.avg_l1), repr(rec.delta_used),
+            repr(rec.lambda_at_switch))
+
+
+@functools.cache
+def alone(name, seed):
+    rec, = run_seeds(BATCH_CONFIGS[name], (seed,), collect_iterates=True)
+    return record_key(rec)
+
+
+class TestSeedBatching:
+    """A seed's record does not depend on the seeds it runs with, nor on
+    the block size of the random draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(BATCH_CONFIGS)),
+           seeds=st.lists(st.sampled_from(SEED_POOL), min_size=1,
+                          max_size=len(SEED_POOL), unique=True),
+           block_bytes=st.sampled_from((1, 200, 1000, harness.BLOCK_BYTES)))
+    def test_each_seed_matches_its_run_alone(self, name, seeds, block_bytes):
+        with mock.patch.object(harness, "BLOCK_BYTES", block_bytes):
+            recs = run_seeds(BATCH_CONFIGS[name], seeds,
+                             collect_iterates=True)
+        assert [r.seed for r in recs] == seeds
+        for rec in recs:
+            assert record_key(rec) == alone(name, rec.seed)
+
+    def test_divergence_in_the_middle_of_a_noise_block(self):
+        cfg = edge_cfg()
+        # 3 seeds, batch size 2, dim 4: 8 * 4 * 3 bytes a step, 4-step blocks
+        with mock.patch.object(harness, "BLOCK_BYTES", 4 * 8 * 4 * 3):
+            recs = run_seeds(cfg, (1, 0, 2), collect_iterates=True)
+        assert [r.diverged for r in recs] == [False, True, False]
+        assert recs[1].oracle_calls == 14  # in the block of steps 12-15
+        assert len(recs[1].iterates) == 15
+        assert math.isfinite(recs[0].lambda_at_switch)
+        for rec in recs:
+            rec_alone, = run_seeds(cfg, (rec.seed,), collect_iterates=True)
+            assert record_key(rec) == record_key(rec_alone)
+
+    def test_run_single_is_one_seed_of_run_seeds(self):
+        cfg = BATCH_CONFIGS["hybrid-bias-corrected"]
+        a = run_single(cfg, 3, collect_iterates=True)
+        b, = run_seeds(cfg, (3,), collect_iterates=True)
+        assert record_key(a) == record_key(b)
+
+    def test_draw_buffer_does_not_grow_with_steps(self):
+        """The theorem cell at n = 16 with 20 seeds: the random numbers are
+        drawn in blocks of bounded size, so the peak traced memory of a run
+        does not depend on its length (rows kept at 11 per seed)."""
+        base = _theorem_base_config(1.0)
+        problem = build_problem(base)
+        # the first run in a process pays one-time allocations
+        run_seeds(replace(base, run=replace(base.run, steps=20)),
+                  problem=problem)
+
+        def peak(steps):
+            cfg = replace(base, run=replace(base.run, steps=steps,
+                                            batch_size=16,
+                                            record_stride=steps // 10))
+            tracemalloc.start()
+            try:
+                recs = run_seeds(cfg, problem=problem)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(recs) == 20 and all(len(r.rows) == 11 for r in recs)
+            return top
+
+        short, long = peak(2000), peak(8000)
+        assert long <= 1.1 * short
+        assert max(short, long) < 2 * 2**20
 
 
 class TestSuites:

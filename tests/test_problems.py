@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from signopt.core import RngStream
-from signopt.problems import (NoiseSpec, make_logistic, make_mlp,
-                              make_quadratic, sample_unit_noise,
-                              stochastic_grad)
+from signopt.problems import (NOISE_FAMILIES, NoiseSpec, batch_noise,
+                              make_logistic, make_mlp, make_quadratic,
+                              sample_unit_noise, stochastic_grad)
 
 
 def fd_gradient(f, x, h):
@@ -145,6 +145,17 @@ class TestNoise:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec("cauchy", np.ones(2))
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_block_draw_matches_step_draws(self, family):
+        # each row of a block is the noise one batch-4 step draws, scaled
+        # by sigma before its mean, on the same stream
+        spec = NoiseSpec(family, np.linspace(0.1, 3.0, 5))
+        block = batch_noise(spec, 4, 37, RngStream(24, 6))
+        rng = RngStream(24, 6)
+        for row in block:
+            unit = sample_unit_noise(family, (4, 5), rng)
+            assert np.array_equal(row, (unit * spec.sigma).mean(axis=0))
 
 
 class TestStochasticGrad:
