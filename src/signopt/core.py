@@ -88,7 +88,7 @@ def inner(a: np.ndarray, b: np.ndarray):
 
 
 def l1_norm(v: np.ndarray):
-    return per_row(np.sum(np.abs(v), axis=-1))
+    return per_row(np.abs(v).sum(axis=-1))
 
 
 def l2_norm_sq(v: np.ndarray):

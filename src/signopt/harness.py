@@ -145,6 +145,15 @@ def _on_rows(fn, X: np.ndarray, rowwise: bool) -> np.ndarray:
     return fn(X) if rowwise else np.array([fn(x) for x in X])
 
 
+def _fg_rows(problem: Problem, X: np.ndarray) -> tuple:
+    """f and the gradient at every row of X, from one `eval_fg` call if the
+    problem takes rows, else one per row."""
+    if problem.rowwise:
+        return problem.eval_fg(X)
+    fs, grads = zip(*map(problem.eval_fg, X))
+    return np.array(fs), np.array(grads)
+
+
 def _row_values(v, rows: int) -> list:
     """A per-row state value (a float or an (S,) array) as S floats."""
     return v.tolist() if np.ndim(v) else [v] * rows
@@ -173,10 +182,11 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     """Execute the configured optimizer for every seed in one loop.
 
     The iterates and momenta of the live seeds are (S, d) arrays that each
-    step advances with one numpy call per operation (the logistic and MLP
-    oracles are called once per row). Each seed draws from its own Philox
-    gradient and dither streams, a block of steps at a time, so every
-    record is bitwise the one the seed gives alone. A seed whose f
+    step advances with one numpy call per operation. Each step makes one
+    `eval_fg` call (one per row for the logistic and MLP problems), and
+    the run one `eval_f` call for the final f. Each seed draws from its
+    own Philox gradient and dither streams, a block of steps at a time, so
+    every record is bitwise the one the seed gives alone. A seed whose f
     overflows stops at that step and leaves the batch. Each record's
     `wall_time` is the elapsed time of the whole batch.
     """
@@ -194,6 +204,9 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     stride = cfg.run.record_stride or default_stride(K)
     coord_std = problem.noise.sigma / math.sqrt(n)
     S, d = len(seeds), problem.dim
+    # the noise scale is fixed for the run: validate it and find its
+    # noise-free coordinates once, then measure each step's gradient
+    snr = SnrProfile(np.zeros(d), coord_std)
 
     recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta) for s in seeds]
     live = np.arange(S)  # the record of each row
@@ -218,8 +231,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     for k in range(K):
         # overflow here is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            g_true = _on_rows(problem.eval_grad, state.x, problem.rowwise)
-            f = _on_rows(problem.eval_f, state.x, problem.rowwise)
+            f, g_true = _fg_rows(problem, state.x)
         finite = np.isfinite(f)
         if not finite.all():
             for j in np.flatnonzero(~finite):
@@ -234,7 +246,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
             if not live.size:
                 break
         l1 = l1_norm(g_true)
-        phi = phi_measure(SnrProfile(g_true, coord_std))
+        phi = phi_measure(snr, g_true)
         sum_phi += phi
         sum_l1 += l1
 
@@ -375,19 +387,13 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_csv(record: RunRecord, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in record.rows:
-            fh.write(",".join([
-                str(r.k), _fmt17(r.f), _fmt17(r.l1_grad), _fmt17(r.phi),
-                _fmt17(r.lam), _fmt17(r.lambda_ema),
-                _fmt17(r.sigma_dither_sq), r.phase,
-            ]) + "\n")
+            fh.write(f"{r.k},{r.f:.17g},{r.l1_grad:.17g},{r.phi:.17g},"
+                     f"{r.lam:.17g},{r.lambda_ema:.17g},"
+                     f"{r.sigma_dither_sq:.17g},{r.phase}\n")
 
 
 def load_csv(path) -> list:

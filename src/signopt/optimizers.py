@@ -168,7 +168,27 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta: float,
     arrays."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    return delta * abs(inner(sign_vec(m_next), grad)) / (l2_norm_sq(grad) + epsilon)
+    sign_m = sign_vec(m_next)
+    denom = l2_norm_sq(grad) + epsilon
+    lam = delta * abs(inner(sign_m, grad)) / denom
+    if isinstance(denom, float):  # one vector
+        if denom == math.inf:
+            return float(_rescaled_lambda(sign_m[None], grad[None], delta)[0])
+        return lam
+    overflowed = np.isinf(denom)
+    if overflowed.any():
+        lam[overflowed] = _rescaled_lambda(sign_m[overflowed],
+                                           grad[overflowed], delta)
+    return lam
+
+
+def _rescaled_lambda(sign_m: np.ndarray, grad: np.ndarray, delta: float):
+    """lambda_project's ratio on (rows, d) gradients whose ||g||^2
+    overflowed, though the ratio may not: taken on g / max|g|, where
+    epsilon is below the rounding of ||g||^2, and scaled back."""
+    scale = np.abs(grad).max(axis=-1)
+    unit = grad / scale[:, None]
+    return delta * np.abs(inner(sign_m, unit)) / l2_norm_sq(unit) / scale
 
 
 def hybrid_step(state: OptimizerState, grad: GradSample,

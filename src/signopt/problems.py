@@ -38,16 +38,28 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Problem:
+    """An objective and its oracles. `eval_fg(x)` returns `(f, grad)` from
+    one forward pass, bitwise `(eval_f(x), eval_grad(x))`; the run loop
+    calls it alone, and `eval_f`/`eval_grad` serve callers that need one
+    of the two."""
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
+    eval_fg: Callable[[np.ndarray], tuple]
     lipschitz: np.ndarray  # per-coordinate L_i
     f_star: float
     noise: NoiseSpec
     name: str = "problem"
-    # eval_f and eval_grad also take an (S, d) array of S points and return
-    # one value or gradient per row, each bitwise that of its row alone
+    # the oracles also take an (S, d) array of S points and return one
+    # value or gradient per row, each bitwise that of its row alone
     rowwise: bool = False
+
+
+def _problem(eval_fg, **fields) -> Problem:
+    """A Problem whose eval_f and eval_grad are the halves of eval_fg."""
+    return Problem(eval_f=lambda x: eval_fg(x)[0],
+                   eval_grad=lambda x: eval_fg(x)[1], eval_fg=eval_fg,
+                   **fields)
 
 
 @dataclass(frozen=True)
@@ -106,16 +118,13 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     if L.shape != x_opt.shape:
         raise ValueError("lipschitz and x_opt dimension mismatch")
 
-    def eval_f(x):
+    def eval_fg(x):
         d = x - x_opt
-        return per_row(0.5 * np.sum(L * d * d, axis=-1))
+        grad = L * d
+        return per_row(0.5 * (grad * d).sum(axis=-1)), grad
 
-    def eval_grad(x):
-        return L * (x - x_opt)
-
-    return Problem(dim=L.size, eval_f=eval_f, eval_grad=eval_grad,
-                   lipschitz=L, f_star=0.0, noise=noise, name="quadratic",
-                   rowwise=True)
+    return _problem(eval_fg, dim=L.size, lipschitz=L, f_star=0.0,
+                    noise=noise, name="quadratic", rowwise=True)
 
 
 def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
@@ -138,19 +147,16 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
 
     L = 0.25 * np.mean(A * A, axis=0) + reg
 
-    def eval_f(x):
+    def eval_fg(x):
         z = -y * (A @ x)
         # log(1 + e^z) computed stably
         loss = np.mean(np.logaddexp(0.0, z))
-        return float(loss + 0.5 * reg * (x @ x))
-
-    def eval_grad(x):
-        z = -y * (A @ x)
         s = 1.0 / (1.0 + np.exp(-z))  # sigmoid(z)
-        return A.T @ (-y * s) / n_points + reg * x
+        return (float(loss + 0.5 * reg * (x @ x)),
+                A.T @ (-y * s) / n_points + reg * x)
 
-    return Problem(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
-                   lipschitz=L, f_star=0.0, noise=noise, name="logistic")
+    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise,
+                    name="logistic")
 
 
 def _layer_shapes(layer_widths: Sequence[int]):
@@ -161,11 +167,12 @@ def _layer_shapes(layer_widths: Sequence[int]):
     return shapes
 
 
-def _unpack(x: np.ndarray, shapes):
+def _layout(shapes):
+    """(slice, shape) of each parameter block in the flat vector."""
     out, pos = [], 0
     for s in shapes:
-        size = int(np.prod(s))
-        out.append(x[pos:pos + size].reshape(s))
+        size = math.prod(s)
+        out.append((slice(pos, pos + size), s))
         pos += size
     return out
 
@@ -206,27 +213,19 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     ])
     y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
 
-    shapes = _layer_shapes(widths)
-    dim = sum(int(np.prod(s)) for s in shapes)
+    layout = _layout(_layer_shapes(widths))
+    dim = layout[-1][0].stop
     n_layers = len(widths) - 1
 
-    def forward(x):
-        params = _unpack(x, shapes)
+    def eval_fg(x):
+        params = [x[sl].reshape(shape) for sl, shape in layout]
         acts = [X.T]  # (width, n_points) column-per-sample
         for l in range(n_layers):
             W, b = params[2 * l], params[2 * l + 1]
             pre = W @ acts[-1] + b[:, None]
             acts.append(pre if l == n_layers - 1 else np.tanh(pre))
-        return params, acts
-
-    def eval_f(x):
-        _, acts = forward(x)
-        z = -y * acts[-1][0]
-        return float(np.mean(np.logaddexp(0.0, z)))
-
-    def eval_grad(x):
-        params, acts = forward(x)
         logits = acts[-1][0]
+        f = float(np.mean(np.logaddexp(0.0, -y * logits)))
         # d loss / d logit = -y * sigmoid(-y z), averaged over samples
         dlogit = (-y / (1.0 + np.exp(y * logits))) / n_points
         delta = dlogit[None, :]
@@ -237,7 +236,7 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
             grads[2 * l + 1] = delta.sum(axis=1)
             if l > 0:
                 delta = (W.T @ delta) * (1.0 - acts[l] * acts[l])
-        return np.concatenate([g.ravel() for g in grads])
+        return f, np.concatenate([g.ravel() for g in grads])
 
     # Coarse curvature bound: logistic head curvature 1/4, activations
     # bounded by max(|X|, 1) through tanh, weights assumed within +-B.
@@ -245,5 +244,5 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     L_scalar = 0.25 * (act_bound ** 2) * mlp_depth_factor(n_layers)
     L = np.full(dim, L_scalar)
 
-    return Problem(dim=dim, eval_f=eval_f, eval_grad=eval_grad,
-                   lipschitz=L, f_star=0.0, noise=noise, name="mlp")
+    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise,
+                    name="mlp")

@@ -2,6 +2,7 @@ import functools
 import math
 import statistics
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -302,6 +303,64 @@ class TestSeedBatching:
         short, long = peak(2000), peak(8000)
         assert long <= 1.1 * short
         assert max(short, long) < 2 * 2**20
+
+
+def count_rows(fn, counts, name):
+    """`fn`, counting under `name` the points it is called on."""
+    def counted(x):
+        counts[name] += 1 if x.ndim == 1 else len(x)
+        return fn(x)
+    return counted
+
+
+class TestOraclePasses:
+    """Each step evaluates the objective once per live row, through
+    eval_fg, and a run builds its noise profile once."""
+
+    @pytest.mark.parametrize("name", ["sgd", "logistic-hybrid-pre",
+                                      "mlp-dithered-pre", "diverging-edge"])
+    def test_one_fused_call_per_row_and_step(self, name):
+        cfg = BATCH_CONFIGS[name]
+        problem = build_problem(cfg)
+        counts = Counter()
+        counted = replace(problem, **{
+            attr: count_rows(getattr(problem, attr), counts, attr)
+            for attr in ("eval_f", "eval_grad", "eval_fg")})
+        recs = run_seeds(cfg, (1, 0, 2), counted)
+        # a diverging seed is evaluated at the step whose f overflowed and
+        # needs no final f
+        assert counts["eval_fg"] == sum(
+            r.oracle_calls + 1 if r.diverged else r.steps for r in recs)
+        assert counts["eval_f"] == sum(not r.diverged for r in recs)
+        assert counts["eval_grad"] == 0
+        assert any(r.diverged for r in recs) == (name == "diverging-edge")
+
+    @pytest.mark.parametrize("name", ["sgd", "logistic-hybrid-pre"])
+    def test_noise_profile_built_once_per_run(self, name, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return SnrProfile(*args)
+
+        monkeypatch.setattr(harness, "SnrProfile", counting)
+        run_seeds(BATCH_CONFIGS[name], (0, 1, 2))
+        assert len(built) == 1
+
+    def test_phi_with_noise_free_coordinates(self):
+        cfg = quad_cfg(sigma=(0.0, 1.0, 0.0, 2.0),
+                       optimizer={"algorithm": "signsgdm"},
+                       run={"steps": 100, "batch_size": 4})
+        recs = run_seeds(cfg, (0, 1), collect_iterates=True)
+        problem = build_problem(cfg)
+        s = problem.noise.sigma / math.sqrt(4)
+        assert s[0] == s[2] == 0.0 < min(s[1], s[3])
+        for rec in recs:
+            for row in rec.rows:
+                g = problem.eval_grad(rec.iterates[row.k])
+                assert row.phi == phi_measure(SnrProfile(g, s))
+        # the noisy coordinates' g_i^2 / s_i is taken somewhere
+        assert any(row.phi < row.l1_grad for rec in recs for row in rec.rows)
 
 
 class TestSuites:

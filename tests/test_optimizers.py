@@ -178,6 +178,28 @@ class TestLambdaProject:
         with pytest.raises(ValueError):
             lambda_project(np.ones(1), np.ones(1), 0.1, 0.0)
 
+    def test_overflowing_norm_keeps_the_ratio(self):
+        # ||g||^2 overflows to inf near 1e156, yet
+        # delta |<sign(m), g>| / ||g||^2 = 0.1 * 7e156 / 13e312 is a normal
+        # float; it is taken on g / max|g|
+        g = np.full(10, 1e156)
+        g[3] = -2e156
+        m = np.ones(10)
+        small = np.arange(1.0, 11.0)
+        with np.errstate(over="ignore"):
+            lam = lambda_project(m, g, 0.1, 1e-12)
+            rows = lambda_project(np.ones((3, 10)),
+                                  np.stack([g, small, -3 * g]), 0.1, 1e-12)
+        assert isinstance(lam, float)
+        assert 0.0 < lam < math.inf
+        assert lam == pytest.approx(0.1 * 7.0 / 13.0 * 1e-156, rel=1e-14)
+        assert np.all((rows > 0) & np.isfinite(rows))
+        # each row is its 1-D value; a row with a finite ||g||^2 keeps the
+        # plain formula's bits
+        assert rows[0] == lam
+        assert rows[1] == 0.1 * abs(m @ small) / (small @ small + 1e-12)
+        assert rows[2] == pytest.approx(lam / 3.0, rel=1e-14)
+
 
 class TestHybridStep:
     def cfg(self, **kw):

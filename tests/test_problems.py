@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signopt.core import RngStream
 from signopt.problems import (NOISE_FAMILIES, NoiseSpec, batch_noise,
@@ -116,6 +118,62 @@ class TestMlp:
         x_perm = np.concatenate([W1[perm].ravel(), b1[perm],
                                  W2[:, perm].ravel(), x[16:]])
         assert p.eval_f(x_perm) == pytest.approx(p.eval_f(x), rel=1e-12)
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def finite_points(dim, rows=None):
+    shape = dim if rows is None else (rows, dim)
+    return hnp.arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False))
+
+
+FUSED_PROBLEMS = {
+    "quadratic": make_quadratic([0.5, 1.0, 2.0, 4.0], [1.0, 0.0, -1.0, 2.5],
+                                noiseless(4)),
+    "logistic": make_logistic(3, 6, 40, noiseless(6)),
+    "mlp-2-8-1": make_mlp(4, (2, 8, 1), noiseless(1)),
+    "mlp-3-hidden": make_mlp(5, (3, 5, 4, 3, 1), noiseless(1)),
+}
+
+
+class TestFusedOracle:
+    """eval_fg(x) is bitwise (eval_f(x), eval_grad(x)) at any finite x, and
+    the quadratic's rows are bitwise its single points."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_PROBLEMS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_separate_oracles(self, name, data):
+        p = FUSED_PROBLEMS[name]
+        x = data.draw(finite_points(p.dim))
+        with np.errstate(all="ignore"):
+            f, g = p.eval_fg(x)
+            assert bits(f) == bits(p.eval_f(x))
+            assert bits(g) == bits(p.eval_grad(x))
+        assert isinstance(f, float) and g.shape == (p.dim,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=st.integers(1, 5).flatmap(lambda rows: finite_points(4, rows)))
+    def test_quadratic_rows(self, X):
+        p = FUSED_PROBLEMS["quadratic"]
+        L = np.array([0.5, 1.0, 2.0, 4.0])
+        x_opt = np.array([1.0, 0.0, -1.0, 2.5])
+        with np.errstate(all="ignore"):
+            f, g = p.eval_fg(X)
+            assert bits(f) == bits(p.eval_f(X))
+            assert bits(g) == bits(p.eval_grad(X))
+            for i, x in enumerate(X):
+                d = x - x_opt
+                assert bits(f[i]) == bits(0.5 * np.sum(L * d * d))
+                assert bits(g[i]) == bits(L * (x - x_opt))
+
+    def test_mlp_layout(self):
+        # W1 (5, 3), b1, W2 (4, 5), b2, W3 (3, 4), b3, W4 (1, 3), b4
+        dim = 15 + 5 + 20 + 4 + 12 + 3 + 3 + 1
+        assert FUSED_PROBLEMS["mlp-3-hidden"].dim == dim
 
 
 class TestNoise:

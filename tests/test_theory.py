@@ -46,6 +46,29 @@ class TestPhiMeasure:
             assert np.sum(np.abs(g)) <= phi_measure(SnrProfile(g, s)) + np.sum(s) + 1e-12
 
 
+    @given(rows=st.integers(1, 4), d=st.integers(1, 6),
+           zeros=st.sampled_from(("none", "some", "all")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_profile_reused_across_gradients(self, rows, d, zeros, seed):
+        # a profile built once measures any gradient bitwise as a profile
+        # built with it, and as the reference formula
+        gen = RngStream(seed, 0).generator
+        s = np.abs(gen.standard_normal(d)) + 0.1
+        if zeros == "all":
+            s[:] = 0.0
+        elif zeros == "some":
+            s[gen.random(d) < 0.5] = 0.0
+        profile = SnrProfile(np.zeros(d), s)
+        for g in (gen.standard_normal(d) * 3, gen.standard_normal((rows, d))):
+            ag = np.abs(g)
+            quad = np.divide(ag * ag, s, out=np.full_like(ag, np.inf),
+                             where=s > 0)
+            reference = np.sum(np.minimum(ag, quad), axis=-1)
+            phi = phi_measure(profile, g)
+            assert np.array_equal(phi, reference)
+            assert np.array_equal(phi, phi_measure(SnrProfile(g, s)))
+
+
 class TestGaussBound:
     def test_examples(self):
         assert gauss_bound(0.0) == 0.5
