@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from signopt import harness
 from signopt.checks import _theorem_base_config
 from signopt.core import STREAM_GRAD, RngStream
+from signopt.dither import dither_sigma_sq
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             ProblemSpec, RunSpec, build_problem,
                             initial_point, parse_config, serialize_config)
@@ -117,6 +118,36 @@ class TestRunSingle:
         dist = [np.linalg.norm(x) for x in rec.iterates[51:]]
         assert all(b <= a for a, b in zip(dist, dist[1:]))
 
+
+
+class TestDitherColumn:
+    """The CSV's `sigma_dither_sq` column records the schedule's
+    dither_sigma_sq(k, cfg) on every step of a run whose dither_mode is not
+    `none`, also on the steps whose rule applies no dither."""
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "signsgd", "signsgdm"])
+    def test_undithered_rules_ignore_the_mode(self, algorithm):
+        cfg = quad_cfg(optimizer={"algorithm": algorithm, "alpha": 0.3,
+                                  "dither_mode": "pre"},
+                       run={"steps": 50, "seeds": (0, 1)})
+        plain = replace(cfg, optimizer=replace(cfg.optimizer,
+                                               dither_mode="none"))
+        for a, b in zip(run_seeds(cfg, collect_iterates=True),
+                        run_seeds(plain, collect_iterates=True)):
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(a.iterates, b.iterates))
+            assert [replace(r, sigma_dither_sq=0.0) for r in a.rows] == b.rows
+            assert [r.sigma_dither_sq for r in a.rows] == [
+                dither_sigma_sq(r.k, cfg.optimizer) for r in a.rows]
+
+    def test_hybrid_sgd_phase_records_the_schedule(self):
+        cfg = quad_cfg(optimizer={"algorithm": "hybrid", "alpha": 0.3,
+                                  "dither_mode": "pre", "t_switch": 20.0},
+                       run={"steps": 50})
+        sgd_rows = [r for r in run_single(cfg, 0).rows if r.phase == "sgd"]
+        assert [r.k for r in sgd_rows] == list(range(20, 50))
+        assert all(r.sigma_dither_sq == dither_sigma_sq(r.k, cfg.optimizer)
+                   > 0.0 for r in sgd_rows)
 
 def replay_grads(cfg, iterates, seed=0):
     """The stochastic gradient of each step, redrawn from the run's own
