@@ -4,7 +4,7 @@ verification of the associated convergence bounds."""
 
 from .core import (RngStream, inner, l1_norm, l2_norm_sq, sample_gaussian,
                    sign_vec)
-from .dither import (DitherSchedule, correct_sign_prob, dither_sigma_sq,
+from .dither import (correct_sign_prob, dither_sigma_sq,
                      expected_dithered_sign, mc_dithered_sign)
 from .optimizers import (OptimizerConfig, OptimizerState, dithered_step,
                          hybrid_step, init_state, lambda_project, sgd_step,

@@ -9,33 +9,24 @@ proportional to the magnitude the hard sign discards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import RngStream
 
+if TYPE_CHECKING:
+    from .optimizers import OptimizerConfig
+
 DEFAULT_GAMMA = 0.55
 
 
-@dataclass(frozen=True)
-class DitherSchedule:
-    alpha: float
-    gamma: float = DEFAULT_GAMMA
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-
-
-def dither_sigma_sq(k: int, s: DitherSchedule) -> float:
-    """Annealed dither variance alpha * (1+k)^(-gamma) at step k; `s` is
-    anything with `alpha` and `gamma`, such as an OptimizerConfig."""
+def dither_sigma_sq(k: int, cfg: OptimizerConfig) -> float:
+    """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
+    alpha and gamma from the (validated) optimizer config."""
     if k < 0:
         raise ValueError("step must be >= 0")
-    return s.alpha * (1.0 + k) ** (-s.gamma)
+    return cfg.alpha * (1.0 + k) ** (-cfg.gamma)
 
 
 def normal_cdf(x: float) -> float:

@@ -28,7 +28,7 @@ from .optimizers import (OptimizerConfig, OptimizerState, PHASE_SGD,
                          lambda_project, sgd_step, signsgd_step,
                          signsgdm_step)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
-from .problems import GradSample, Problem, batch_noise, stochastic_grad
+from .problems import Problem, batch_noise, stochastic_grad
 from .theory import SnrProfile, phi_measure
 
 CSV_HEADER = "k,f,l1_grad,phi,lambda,lambda_ema,sigma_dither_sq,phase"
@@ -202,11 +202,10 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     if cfg.run.theorem_mode:
         opt = replace(opt, delta=theorem_delta(problem, K))
     stride = cfg.run.record_stride or default_stride(K)
-    coord_std = problem.noise.sigma / math.sqrt(n)
     S, d = len(seeds), problem.dim
     # the noise scale is fixed for the run: validate it and find its
     # noise-free coordinates once, then measure each step's gradient
-    snr = SnrProfile(np.zeros(d), coord_std)
+    snr = SnrProfile(np.zeros(d), problem.noise.sigma / math.sqrt(n))
 
     recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta) for s in seeds]
     live = np.arange(S)  # the record of each row
@@ -221,7 +220,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
         noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in seeds],
                             lambda r, c: batch_noise(problem.noise, n, c, r),
                             block, K)
-    if opt.algorithm in ("dithered", "hybrid") and opt.dither_mode != "none":
+    if opt.dither_mode != "none":  # read only by the dithering rules
         dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in seeds],
                              lambda r, c: r.normal((c, d)), block, K)
     sum_phi = np.zeros(S)
@@ -256,8 +255,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
                           lr=opt.lr * cfg.run.decay_factor)
 
         g = g_true if noise is None else g_true + noise.next()
-        new_state = _apply_step(state, GradSample(g, n, coord_std), opt,
-                                dither)
+        new_state = _apply_step(state, g, opt, dither)
 
         rows = live.size
         if (switching and new_state.phase == PHASE_SGD
@@ -292,18 +290,18 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     return recs
 
 
-def _apply_step(state: OptimizerState, gs: GradSample, opt: OptimizerConfig,
+def _apply_step(state: OptimizerState, g: np.ndarray, opt: OptimizerConfig,
                 dither) -> OptimizerState:
     algo = opt.algorithm
     if algo == "sgd":
-        return sgd_step(state, gs, opt.lr)
+        return sgd_step(state, g, opt.lr)
     if algo == "signsgd":
-        return signsgd_step(state, gs, opt)
+        return signsgd_step(state, g, opt)
     if algo == "signsgdm":
-        return signsgdm_step(state, gs, opt)
+        return signsgdm_step(state, g, opt)
     if algo == "dithered":
-        return dithered_step(state, gs, opt, dither)
-    return hybrid_step(state, gs, opt, dither)
+        return dithered_step(state, g, opt, dither)
+    return hybrid_step(state, g, opt, dither)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import RngStream, inner, l2_norm_sq, sample_gaussian, sign_vec
 from .dither import DEFAULT_GAMMA, dither_sigma_sq
-from .problems import GradSample
 
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
@@ -103,23 +102,22 @@ def _column(v):
     return v[:, None] if np.ndim(v) == 1 else v
 
 
-def sgd_step(state: OptimizerState, grad: GradSample, lr) -> OptimizerState:
-    """x - lr * g, where lr is a float or one stepsize per row."""
-    if np.min(lr) < 0:
-        raise ValueError("lr must be >= 0")
-    return OptimizerState(x=state.x - _column(lr) * grad.grad, m=state.m,
+def sgd_step(state: OptimizerState, g: np.ndarray, lr) -> OptimizerState:
+    """x - lr * g, where lr is a float or one stepsize per row: a validated
+    `OptimizerConfig.lr`, or the hybrid's nonnegative EMA."""
+    return OptimizerState(x=state.x - _column(lr) * g, m=state.m,
                           k=state.k + 1, lambda_ema=state.lambda_ema,
                           phase=PHASE_SGD)
 
 
-def signsgd_step(state: OptimizerState, grad: GradSample,
+def signsgd_step(state: OptimizerState, g: np.ndarray,
                  cfg: OptimizerConfig) -> OptimizerState:
-    return OptimizerState(x=state.x - cfg.delta * sign_vec(grad.grad),
+    return OptimizerState(x=state.x - cfg.delta * sign_vec(g),
                           m=state.m, k=state.k + 1,
                           lambda_ema=state.lambda_ema, phase=PHASE_SIGN)
 
 
-def _sign_momentum_step(state: OptimizerState, grad: GradSample,
+def _sign_momentum_step(state: OptimizerState, g: np.ndarray,
                         cfg: OptimizerConfig, rng: RngStream | None = None,
                         track_ema: bool = False) -> OptimizerState:
     """Momentum sign step, dithered under the configured mode when a dither
@@ -130,8 +128,8 @@ def _sign_momentum_step(state: OptimizerState, grad: GradSample,
     EMA. sigma_k = 0 draws nothing, so the alpha = 0 trajectory is bitwise
     equal to the clean one on the same streams.
     """
-    m_next = cfg.beta * state.m + (1.0 - cfg.beta) * grad.grad
-    lam = lambda_project(m_next, grad.grad, cfg.delta, cfg.epsilon)
+    m_next = cfg.beta * state.m + (1.0 - cfg.beta) * g
+    lam = lambda_project(m_next, g, cfg.delta, cfg.epsilon)
     lam_ema = state.lambda_ema
     if track_ema:
         lam_ema = cfg.eta * lam_ema + (1.0 - cfg.eta) * lam
@@ -148,16 +146,16 @@ def _sign_momentum_step(state: OptimizerState, grad: GradSample,
                           phase=PHASE_SIGN, last_lambda=lam)
 
 
-def signsgdm_step(state: OptimizerState, grad: GradSample,
+def signsgdm_step(state: OptimizerState, g: np.ndarray,
                   cfg: OptimizerConfig) -> OptimizerState:
-    return _sign_momentum_step(state, grad, cfg)
+    return _sign_momentum_step(state, g, cfg)
 
 
-def dithered_step(state: OptimizerState, grad: GradSample,
+def dithered_step(state: OptimizerState, g: np.ndarray,
                   cfg: OptimizerConfig, rng: RngStream) -> OptimizerState:
     if cfg.dither_mode not in ("pre", "post"):
         raise ValueError("dithered_step requires dither_mode 'pre' or 'post'")
-    return _sign_momentum_step(state, grad, cfg, rng)
+    return _sign_momentum_step(state, g, cfg, rng)
 
 
 def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta: float,
@@ -191,17 +189,17 @@ def _rescaled_lambda(sign_m: np.ndarray, grad: np.ndarray, delta: float):
     return delta * np.abs(inner(sign_m, unit)) / l2_norm_sq(unit) / scale
 
 
-def hybrid_step(state: OptimizerState, grad: GradSample,
+def hybrid_step(state: OptimizerState, g: np.ndarray,
                 cfg: OptimizerConfig, rng: RngStream) -> OptimizerState:
     """Sign phase while k < t_switch (momentum sign step, optionally
     dithered, with the calibrated-stepsize EMA tracked from the un-dithered
     momentum); afterwards plain SGD with the EMA frozen at the switch."""
     if state.k < cfg.t_switch:
-        return _sign_momentum_step(state, grad, cfg, rng, track_ema=True)
+        return _sign_momentum_step(state, g, cfg, rng, track_ema=True)
     lam_bar = state.lambda_ema
     n_updates = min(state.k, cfg.t_switch)
     if cfg.lambda_bias_correction and n_updates > 0:
         # the EMA starts at zero, so early values are biased low by the
         # factor 1 - eta^n; the toggle removes it at the point of use
         lam_bar = lam_bar / (1.0 - cfg.eta ** n_updates)
-    return sgd_step(state, grad, lam_bar)
+    return sgd_step(state, g, lam_bar)

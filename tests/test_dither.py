@@ -4,34 +4,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from signopt.core import RngStream
-from signopt.dither import (DitherSchedule, correct_sign_prob,
-                            dither_sigma_sq, expected_dithered_sign,
-                            mc_dithered_sign, normal_cdf)
+from signopt.dither import (correct_sign_prob, dither_sigma_sq,
+                            expected_dithered_sign, mc_dithered_sign,
+                            normal_cdf)
+from signopt.optimizers import OptimizerConfig
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 
 
 class TestSchedule:
     def test_starts_at_alpha(self):
-        assert dither_sigma_sq(0, DitherSchedule(0.3)) == 0.3
+        assert dither_sigma_sq(0, OptimizerConfig(alpha=0.3)) == 0.3
 
     def test_direct_value(self):
-        got = dither_sigma_sq(1, DitherSchedule(0.1, 0.55))
+        got = dither_sigma_sq(1, OptimizerConfig(alpha=0.1, gamma=0.55))
         assert got == pytest.approx(0.1 * 2.0 ** -0.55)
         assert got == pytest.approx(0.0683020128, abs=1e-9)
 
     def test_strictly_decreasing(self):
-        s = DitherSchedule(0.5, 0.55)
+        s = OptimizerConfig(alpha=0.5, gamma=0.55)
         vals = [dither_sigma_sq(k, s) for k in range(200)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DitherSchedule(-0.1)
+            OptimizerConfig(alpha=-0.1)
         with pytest.raises(ValueError):
-            DitherSchedule(0.1, 0.0)
+            OptimizerConfig(alpha=0.1, gamma=0.0)
         with pytest.raises(ValueError):
-            dither_sigma_sq(-1, DitherSchedule(0.1))
+            dither_sigma_sq(-1, OptimizerConfig(alpha=0.1))
 
 
 class TestCorrectSignProb:

@@ -10,12 +10,11 @@ from signopt.optimizers import (OptimizerConfig, OptimizerState,
                                 dithered_step, hybrid_step, init_state,
                                 lambda_project, sgd_step, signsgd_step,
                                 signsgdm_step)
-from signopt.problems import GradSample
 
 
-def gs(values, n=1):
-    arr = np.asarray(values, dtype=np.float64)
-    return GradSample(grad=arr, batch_size=n, coord_std=np.zeros_like(arr))
+def gs(values):
+    """A stochastic gradient as the step rules take it."""
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestSgdStep:
@@ -95,7 +94,7 @@ class TestSignSgdmStep:
         g = gs([2.0, -1.0, 0.5])
         for new in (signsgdm_step(state, g, cfg),
                     dithered_step(state, g, cfg, RngStream(4, 0))):
-            assert new.last_lambda == lambda_project(new.m, g.grad, 0.1,
+            assert new.last_lambda == lambda_project(new.m, g, 0.1,
                                                      cfg.epsilon)
             assert new.last_lambda > 0.0
             assert new.lambda_ema == 0.3
