@@ -197,7 +197,8 @@ def hybrid_step(state: OptimizerState, g: np.ndarray,
     if state.k < cfg.t_switch:
         return _sign_momentum_step(state, g, cfg, rng, track_ema=True)
     lam_bar = state.lambda_ema
-    n_updates = min(state.k, cfg.t_switch)
+    # the sign phase ran steps 0 .. ceil(t_switch) - 1, one EMA update each
+    n_updates = math.ceil(cfg.t_switch)
     if cfg.lambda_bias_correction and n_updates > 0:
         # the EMA starts at zero, so early values are biased low by the
         # factor 1 - eta^n; the toggle removes it at the point of use

@@ -258,6 +258,21 @@ class TestHybridStep:
         assert np.allclose(fixed_step, raw_step / (1.0 - 0.5))
         assert fixed.lambda_ema == raw.lambda_ema  # stored EMA stays raw
 
+    @pytest.mark.parametrize("t_switch", [2.5, 3.0])
+    def test_bias_correction_counts_the_sign_steps_taken(self, t_switch):
+        # steps 0, 1 and 2 are sign steps for both switch points, so the
+        # EMA has been updated three times and is biased by 1 - eta^3
+        cfg = self.cfg(t_switch=t_switch, lambda_bias_correction=True)
+        rng = RngStream(13, 0)
+        state = init_state(np.ones(2))
+        for g in ([2.0, -1.0], [1.0, 3.0], [-0.5, 2.0]):
+            state = hybrid_step(state, gs(g), cfg, rng)
+        assert (state.phase, state.k) == ("sign", 3)
+        new = hybrid_step(state, gs([1.0, 1.0]), cfg, rng)
+        assert new.phase == "sgd"
+        lam_bar = state.lambda_ema / (1.0 - 0.5 ** 3)
+        assert np.array_equal(new.x, state.x - lam_bar * gs([1.0, 1.0]))
+
     def test_undithered_sign_phase_skips_dither_schedule(self, monkeypatch):
         def no_schedule(*args):
             raise AssertionError("dither schedule evaluated")
