@@ -15,7 +15,8 @@ import numpy as np
 
 from .optimizers import OptimizerConfig
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
-                       make_mlp, make_quadratic, mlp_depth_factor)
+                       make_mlp, make_quadratic, mlp_depth_factor,
+                       mlp_n_params)
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
 
@@ -90,9 +91,7 @@ class ProblemSpec:
         of its weights and biases."""
         if self.kind != "mlp":
             return self.dim
-        w = self.layer_widths
-        return sum(fan_out * fan_in + fan_out
-                   for fan_in, fan_out in zip(w[:-1], w[1:]))
+        return mlp_n_params(self.layer_widths)
 
 
 OptimizerSpec = OptimizerConfig  # the `optimizer.*` section

@@ -167,6 +167,11 @@ def _layer_shapes(layer_widths: Sequence[int]):
     return shapes
 
 
+def mlp_n_params(layer_widths: Sequence[int]) -> int:
+    """Length of the MLP's flat parameter vector: its weights and biases."""
+    return sum(math.prod(s) for s in _layer_shapes(layer_widths))
+
+
 def _layout(shapes):
     """(slice, shape) of each parameter block in the flat vector."""
     out, pos = [], 0
@@ -214,7 +219,7 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
 
     layout = _layout(_layer_shapes(widths))
-    dim = layout[-1][0].stop
+    dim = mlp_n_params(widths)
     n_layers = len(widths) - 1
 
     def eval_fg(x):
