@@ -168,15 +168,20 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta: float,
         raise ValueError("epsilon must be > 0")
     sign_m = sign_vec(m_next)
     denom = l2_norm_sq(grad) + epsilon
-    lam = delta * abs(inner(sign_m, grad)) / denom
+    proj = abs(inner(sign_m, grad))
+    lam = delta * proj / denom
     if isinstance(denom, float):  # one vector
         if denom == math.inf:
             return float(_rescaled_lambda(sign_m[None], grad[None], delta)[0])
+        if lam == math.inf:  # delta * proj overflowed, the ratio may not
+            return delta * (proj / denom)
         return lam
-    overflowed = np.isinf(denom)
-    if overflowed.any():
-        lam[overflowed] = _rescaled_lambda(sign_m[overflowed],
-                                           grad[overflowed], delta)
+    # ||g||^2 overflowed where lam is 0 or NaN, delta * proj where it is inf
+    if np.isinf(np.fmax(denom, lam)).any():
+        big = np.isinf(lam)
+        lam[big] = delta * (proj[big] / denom[big])
+        big = np.isinf(denom)
+        lam[big] = _rescaled_lambda(sign_m[big], grad[big], delta)
     return lam
 
 

@@ -312,17 +312,17 @@ MULTI_SEED_CASES = {
     "quadratic-uniform-signsgdm": (1e151, (0, 1, 3)),
     "quadratic-uniform-dithered-pre": (1e151, (0, 1, 3)),
     "quadratic-uniform-dithered-post": (1e151, (0, 1, 3)),
-    "quadratic-uniform-hybrid": (1e151, (0, 1, 5)),
-    "quadratic-uniform-hybrid-bias-corrected": (1e151, (0, 1, 5)),
-    "quadratic-uniform-hybrid-pre": (1e151, (0, 1, 5)),
+    "quadratic-uniform-hybrid": (1e151, (0, 1, 3)),
+    "quadratic-uniform-hybrid-bias-corrected": (1e151, (0, 1, 3)),
+    "quadratic-uniform-hybrid-pre": (1e151, (0, 1, 3)),
     "quadratic-laplace-sgd": (1e151, (0, 1, 9)),
     "quadratic-laplace-signsgd": (1e151, (0, 1, 3)),
     "quadratic-laplace-signsgdm": (1e151, (0, 1, 2)),
     "quadratic-laplace-dithered-pre": (1e151, (0, 1, 2)),
     "quadratic-laplace-dithered-post": (1e151, (0, 1, 2)),
-    "quadratic-laplace-hybrid": (1e151, (0, 5, 8)),
-    "quadratic-laplace-hybrid-bias-corrected": (1e151, (0, 5, 8)),
-    "quadratic-laplace-hybrid-pre": (1e151, (0, 5, 8)),
+    "quadratic-laplace-hybrid": (1e151, (0, 5, 16)),
+    "quadratic-laplace-hybrid-bias-corrected": (1e151, (0, 5, 16)),
+    "quadratic-laplace-hybrid-pre": (1e151, (0, 5, 16)),
     "quadratic-asymmetric-bimodal-sgd": (1e151, (0, 1, 2)),
     "quadratic-asymmetric-bimodal-signsgd": (3.4e149, (0, 2, 3)),
     "quadratic-asymmetric-bimodal-signsgdm": (1e151, (0, 9, 10)),
@@ -422,11 +422,11 @@ MULTI_SEED_GOLDEN = {
         'ff65177efabf0eb250fae3a78db56ccfb288f67fe022fe651947f9dc4075a23a'),
     'quadratic-asymmetric-bimodal-dithered-post': (
         '380ac1ac20c8395949d154136ae4c3596bd97466cfe8aaffef780dbb6c7cdcf7',
-        '991f94eb9bbe5c1d6424af8fd18dd81b3adef6392f8080da0c623f0ec7e91672',
+        '2ea2d9aa1e1f2e0648cc5a29abed79f7871f65b288cf88581375c59e8147846e',
         '0b6067fdc3f59bf03ac9a0d8b7d2f0f1950907da79bfa272979b81d6cc0a46f3'),
     'quadratic-asymmetric-bimodal-dithered-pre': (
         'f67663dbad354e318cb066ab0b056a41f5bd41c6cf52726013767704b5a8cbc3',
-        '51f78fd146b8f991cf162450a6fba6ad996e51486ae2ba2065ee1a0217e68d70',
+        'c6110cbb1085b987a92248d65e74c8456da347e7e71862aa406b77e3621bbff3',
         '3545fbc1a6016af7b0c9fb58cb899e5a19b263b6915df58b293149b1a784582e'),
     'quadratic-asymmetric-bimodal-hybrid': (
         'baea180c61f29cc78f511c1aa9acf5eaff61261099c6d466e3f7cdaf0f620bb0',
@@ -450,7 +450,7 @@ MULTI_SEED_GOLDEN = {
         'abc289c6199acf0adf61e9132b39b79dc165c0b20c3feee462d6aab62a212643'),
     'quadratic-asymmetric-bimodal-signsgdm': (
         'f67663dbad354e318cb066ab0b056a41f5bd41c6cf52726013767704b5a8cbc3',
-        '769a57e42aa7e04ea962869a53665ed4c4610d17d8b6084f31e55db184f9a293',
+        '3b2fed4c11ed76e3751882923d105be1443e8377989859bfe4c2f3de268a740d',
         '3545fbc1a6016af7b0c9fb58cb899e5a19b263b6915df58b293149b1a784582e'),
     'quadratic-gaussian-dithered-post': (
         '466a97b906d20d1c1b91acf451172564733d842a70d1db214ae75e97f2290b32',
@@ -486,24 +486,24 @@ MULTI_SEED_GOLDEN = {
         'de0de104b16b4aed78c968135f16c6c3993062991cfa0cc80f9656f64ee93b66'),
     'quadratic-laplace-dithered-post': (
         '8b8def59287580a308dfd1ae637d0f605ffeb4f97bd074208e9cdbdd55c697d4',
-        '9983997904ad2ba2c70f271af0269d4f517ee17c9dfeb7ac9c9a09b8e897232e',
+        '256005892e7f79cc503f770dad1459d5c55e44d2f8677aa78f2ec4ea2586fccb',
         '06b4d1753f52bd9be1629e4ab8dd1ebf60180b1dc4acbbf9448ed3e85c8c58f1'),
     'quadratic-laplace-dithered-pre': (
         'd36e3ff2f98ff7f0ffa71b30d059642c585e5ad95c538e0f8eea3ef6f33d4030',
-        'd64f741595ecb4ba25cb33b28892c005597cf24ef68358d8cc5cc1615cf849d1',
+        '0939ca32d7b3ba19f100141115e076c14cc36656db449c2b0e4f58e856f33cfa',
         '10fa84d2ef2abcde8b658cafd92dda3f5c52611f9aa9d2ea1197d3f40aa68f24'),
     'quadratic-laplace-hybrid': (
-        'f03acf1ec1e6814698d3a75f3ff1ee0577188b57a9287c5fe106bcd58b6bfb70',
-        'cce78e465ee701bdd8b220fd23bda1321c257511585031531547331a20065cf1',
-        '072d28ba6137ba3a38e668c15afdd5617ce733bdf09062a61d4dae9713bc9987'),
+        '11eac0799582c2232b5a6afa557cc20108d223a25c607afa57b63326fda38445',
+        '4e6e2bd2470f09f60d632e41b0b5960f363fa25708f6466fa76f1ecf51d0e497',
+        '9de56c67eb4b3b6be16c4346679b4c793041eff3c2fa02f9b60e934897c726c6'),
     'quadratic-laplace-hybrid-bias-corrected': (
-        '3d55f948301e4b0e3cfe7655fad4330fb2125bc26a5d335165819aded970c84a',
-        '4720814121430d433758a377eea8ebde92e0d100287dfcffb134dd41c6439077',
-        '16837a93049c366eb42bcfde8e82ad9605146c56cd21ebafae745bff6a98d363'),
+        '4d6f43b01029d9cc9d213460fb88193171aa67561b142e9d9fad975fe990fdae',
+        '015cf91785a0c12a9d31b7f4ee7a5c912f940ef8393793866960ebbecdd96e09',
+        '58a3bfab3979cc3aa516ea94cc9d6047e26bb68e69335255f0942fa6c787d67c'),
     'quadratic-laplace-hybrid-pre': (
-        'f03acf1ec1e6814698d3a75f3ff1ee0577188b57a9287c5fe106bcd58b6bfb70',
-        'f0bc85bc3602357c4e6001f9e138011f4039f024f988e1023ec23814ccde58f3',
-        '072d28ba6137ba3a38e668c15afdd5617ce733bdf09062a61d4dae9713bc9987'),
+        '11eac0799582c2232b5a6afa557cc20108d223a25c607afa57b63326fda38445',
+        '6b86c763107588ccb61baa9604726f976a872e4968d5a19b21755be4b6b1381c',
+        '9de56c67eb4b3b6be16c4346679b4c793041eff3c2fa02f9b60e934897c726c6'),
     'quadratic-laplace-sgd': (
         'b3c144caac6fdc8b8c6aa1814f5a0fbd82a4d1f10f3636b06a54dcdd53c24207',
         '526c83c7fc437d5c563a6a50c2f13df326cd5ea1f818441dc0d68ab69c7cb7c4',
@@ -514,28 +514,28 @@ MULTI_SEED_GOLDEN = {
         '35abbe99c51642a97bd91c1b076cce75b4552f8c62e98cdcef3db5d1d8f0e6e9'),
     'quadratic-laplace-signsgdm': (
         'd36e3ff2f98ff7f0ffa71b30d059642c585e5ad95c538e0f8eea3ef6f33d4030',
-        '411bb0fd92760966cb63c56b1bd5c003f0eb8889fba87d3032d29ca7cdf6b33c',
+        '542973dd24e0aad77d6c3c95d96c471b7c2d81b9d5f0837cc5ada044e5b389d9',
         '10fa84d2ef2abcde8b658cafd92dda3f5c52611f9aa9d2ea1197d3f40aa68f24'),
     'quadratic-uniform-dithered-post': (
         '8a4576fca40df162b89483b656ac479fe488a23dba6eee2791a30c51c00521d3',
-        '73657ba9210a3d4d5440a62c69f3948112058b1803aeb90c1ff3a823d18b8fd3',
+        '479f9a46cc7436dc53cbd6968b345741f04712b62054e765c32e02205b4f48b8',
         'e94b3744fdadeeaf7fc7689070e1ca14c11407654ded7d7bb16f6704020c2fe6'),
     'quadratic-uniform-dithered-pre': (
         '7cc9dfa158bb38dbc18b529e7652f91e0ed9f39809595305112c6d5085370c61',
-        '4ed94b83040d510b5445fbd1d6b159d876d00fada6698d65ab97d5ca1e8ba0a2',
+        '92804e7ce8ce6a866cac8bf64ca3169f130938c0a406863dbdb9e6e66c78a90f',
         'b08509eff64570e8dba1f2f3ef584058e1e9ba74c0ffffab8b806ef2114b836a'),
     'quadratic-uniform-hybrid': (
-        'c722f2e2166089f4599bc0624e3da24bddccf977868c54db9d7d495617b67813',
-        '7a5f3f5590755940e5ba15a93d2555d3253f8e7a13f8825d4fa145d0289effa8',
-        '770c8b131992aaa96ae5d58ee541fb55bdb1d38d07262f168f869c77c1feea31'),
+        'd1c173ff0ba71fc1cb830e90e644b7eb287a0e77fb54eed0d83e5f11e8418676',
+        'cee961028245ce289fc130a28660dc0aa91db69dba14cccef6595fd7de28e832',
+        'fcd97fb550dd1429f501f00515e3702c56da85941acf0bdf81effc096eeec4cf'),
     'quadratic-uniform-hybrid-bias-corrected': (
-        '3d7782684420a209433843ab1781658803807602c4371c52cc7af682836056cc',
-        '8a4f19ce2587ed4458e694aed529f2c7165d01540a0242c930079a464a97524c',
-        'b9922b04353c8a8fa289de9fbc2ecd9e5c4b0ebd36fdc7655de56026321ae4a4'),
+        '20db7b07c0716a15d26498a431bce25d1f859ddcf99f6056384c56a9dd03a141',
+        '0f64a7353fa531e8f70b457e699571cee0a671ec817342768198a2fc9ea20fd2',
+        '7a8058b9fe127d2c9fe1d1af5aa9ac093a59700595a184ec2b888b0864aa3abb'),
     'quadratic-uniform-hybrid-pre': (
-        'c722f2e2166089f4599bc0624e3da24bddccf977868c54db9d7d495617b67813',
-        '44e6aa3d6bfe593b9cd417b134c89a233dc2a42d42f685ddd4edea8b000683b2',
-        '770c8b131992aaa96ae5d58ee541fb55bdb1d38d07262f168f869c77c1feea31'),
+        'd1c173ff0ba71fc1cb830e90e644b7eb287a0e77fb54eed0d83e5f11e8418676',
+        '35ac2fa463ed5035af1a2bc91ef54f4256dc6e05b91710cb99cbb6503af60353',
+        'fcd97fb550dd1429f501f00515e3702c56da85941acf0bdf81effc096eeec4cf'),
     'quadratic-uniform-sgd': (
         '533329cb13d22af36069580746519f4b6bd4ed55c3509c659b2fadfd159e3e5c',
         'd34c2af2487e2b5ed5104b9f9b1a4f0b68974041321b7ec666c8dcc2cbc757c9',
@@ -546,7 +546,7 @@ MULTI_SEED_GOLDEN = {
         '35abbe99c51642a97bd91c1b076cce75b4552f8c62e98cdcef3db5d1d8f0e6e9'),
     'quadratic-uniform-signsgdm': (
         '7cc9dfa158bb38dbc18b529e7652f91e0ed9f39809595305112c6d5085370c61',
-        'efe9d73094ccb6d3374a4cc9c4eb522f00aec33d2c21749c00a7a73d4ca831ad',
+        '67c763d7499ce16d9bd7c6287fd0b4b17f4519e956bcdd6d59bd213492718ce2',
         'b08509eff64570e8dba1f2f3ef584058e1e9ba74c0ffffab8b806ef2114b836a'),
 }
 

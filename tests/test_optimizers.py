@@ -200,6 +200,36 @@ class TestLambdaProject:
         assert rows[2] == pytest.approx(lam / 3.0, rel=1e-14)
 
 
+    def test_overflowing_numerator_keeps_the_ratio(self):
+        # delta * |<sign(m), g>| = 4e156 * 7e153 overflows, while ||g||^2 =
+        # 13e306 does not and the ratio 28/13 * 1e3 is a normal float
+        g = np.full(10, 1e153)
+        g[3] = -2e153
+        m = np.ones(10)
+        lam = lambda_project(m, g, 4e156, 1e-12)
+        assert isinstance(lam, float)
+        assert lam == pytest.approx(28.0 / 13.0 * 1e3, rel=1e-14)
+        # epsilon is kept: 13e306 + 1e307 in the denominator
+        assert lambda_project(m, g, 4e156, 1e307) == pytest.approx(
+            28.0 / 23.0 * 1e3, rel=1e-14)
+
+    def test_overflowing_numerator_rows(self):
+        # rows: numerator overflow only, a plain row, both overflows (its
+        # ||g||^2 is 13e312), and numerator overflow at three times g
+        g = np.full(10, 1e153)
+        g[3] = -2e153
+        small = np.arange(1.0, 11.0)
+        delta = 4e156
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = lambda_project(np.ones((4, 10)),
+                                  np.stack([g, small, 1e3 * g, 3 * g]),
+                                  delta, 1e-12)
+        assert np.all((rows > 0) & np.isfinite(rows))
+        assert rows[0] == lambda_project(np.ones(10), g, delta, 1e-12)
+        assert rows[1] == delta * abs(small.sum()) / (small @ small + 1e-12)
+        assert rows[2] == pytest.approx(28.0 / 13.0, rel=1e-14)
+        assert rows[3] == pytest.approx(rows[0] / 3.0, rel=1e-14)
+
 class TestHybridStep:
     def cfg(self, **kw):
         return OptimizerConfig(**{"delta": 0.1, "beta": 0.9, "eta": 0.5, **kw})
