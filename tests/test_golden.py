@@ -9,8 +9,10 @@ digest, so a refactor of the step rules must leave this table untouched.
 
 `MULTI_SEED_GOLDEN` pins the same three digests for `run_seeds` over three
 seeds, one of which diverges in the middle of the run, and
-`SUITE_GOLDEN` pins the reports of a small theorem suite and switch suite,
-so that a change to how seeds are run together is checked bitwise too.
+`SUITE_GOLDEN` pins the reports of a small theorem suite and of switch
+suites over dithered, bias-corrected, step-decayed, logistic and diverging
+configs and a t-grid with its edge cases, so that a change to how seeds
+and configs are run together is checked bitwise too.
 
 To print the table for the current code (only after a deliberate change of
 trajectories): `PYTHONPATH=src python tests/test_golden.py`.
@@ -388,11 +390,53 @@ def _switch_config():
                     record_stride=40))
 
 
+def _switch_variant(problem=None, run=None, **optimizer):
+    """`_switch_config` with some of its fields changed."""
+    cfg = _switch_config()
+    return replace(cfg, problem=replace(cfg.problem, **(problem or {})),
+                   optimizer=replace(cfg.optimizer, **optimizer),
+                   run=replace(cfg.run, **(run or {})))
+
+
+# Starts near the overflow of f with noise that swamps the gradient, so
+# that seed 1 diverges at step 58 under sign-momentum steps (the hybrids
+# that switch at 60 and 100, and SignSGD-M) and finishes after the switch
+# at 20 and under SGD.
+SWITCH_EDGE_X0 = 2.5e158
+SWITCH_EDGE_SIGMA = 1e151
+
 SUITES = {
     "theorem-suite": lambda: run_theorem_suite(
         _theorem_base_config(1.0), (0, 1, 2), (50, 200), (1, 4)),
     "switch-suite": lambda: run_switch_suite(_switch_config(),
                                              (50, 100, 200), (0, 1, 2)),
+    "switch-suite-pre-bias-corrected": lambda: run_switch_suite(
+        _switch_variant(alpha=0.1, dither_mode="pre",
+                        lambda_bias_correction=True),
+        (50, 100, 200), (0, 1, 2)),
+    # switches before the first step, after a fractional step count, and
+    # never (t_switch >= steps: median_lambda_at_switch is NaN)
+    "switch-suite-grid-edges": lambda: run_switch_suite(
+        _switch_config(), (0, 2.5, 400), (0, 1, 2)),
+    "switch-suite-decay": lambda: run_switch_suite(
+        _switch_variant(run={"decay_every": 100, "decay_factor": 0.5}),
+        (50, 100, 200), (0, 1, 2)),
+    "switch-suite-logistic": lambda: run_switch_suite(
+        _switch_variant(problem={"kind": "logistic", "dim": 6,
+                                 "n_points": 40, "dataset_seed": 3,
+                                 "lipschitz": (1.0,), "x0": (0.0,),
+                                 "sigma": (0.5,)},
+                        run={"steps": 200, "record_stride": 20}),
+        (25, 50, 100), (0, 1, 2)),
+    "switch-suite-diverging": lambda: run_switch_suite(
+        _switch_variant(
+            problem={"x0": (SWITCH_EDGE_X0,), "sigma": (SWITCH_EDGE_SIGMA,),
+                     "lipschitz": tuple(QUADRATIC_CURVATURE_SCALE * v
+                                        for v in np.linspace(0.5, 4.0, 10))},
+            run={"steps": 120, "record_stride": 12},
+            delta=0.01 * SWITCH_EDGE_X0,
+            lr=0.01 * SWITCH_EDGE_X0 / SWITCH_EDGE_SIGMA, eta=0.9),
+        (20, 60, 100), (0, 1, 2)),
 }
 
 
@@ -552,6 +596,11 @@ MULTI_SEED_GOLDEN = {
 
 SUITE_GOLDEN = {
     'switch-suite': '8a97b7fa35bac799aaefb7dc2892b5fc40a9fbd8a039f3a0826bcc3a96b473ff',
+    'switch-suite-decay': 'ae8223aed384684cc44769bebd5b6fb1692e55898fb061519ff2537eea022e01',
+    'switch-suite-diverging': '519066bdac0d868d08e60b6ba33b6d92a2c1c11767bb81d41a966757aa4c447d',
+    'switch-suite-grid-edges': 'b3c59a9d7ff89620a5ee91cf7650350eb887c44bb86fb4ec5b5e977bb4259ad0',
+    'switch-suite-logistic': '5b7adfbc7d96b8f178608ef1e920726fb032628d4af423570ef8dfbe01e0e197',
+    'switch-suite-pre-bias-corrected': '1c23b8404abf2630a455dd278062a769cbe6e3894309ded6c40771c4929b0cc1',
     'theorem-suite': '7872679882975587b753ebfbce27a5af6d86e6e09cdcf3b04eb77e87504646ad',
 }
 
