@@ -6,9 +6,9 @@ from .core import (RngStream, inner, l1_norm, l2_norm_sq, sample_gaussian,
                    sign_vec)
 from .dither import (correct_sign_prob, dither_sigma_sq,
                      expected_dithered_sign, mc_dithered_sign)
-from .optimizers import (OptimizerConfig, OptimizerState, dithered_step,
-                         hybrid_step, init_state, lambda_project, sgd_step,
-                         signsgd_step, signsgdm_step)
+from .optimizers import (OptimizerConfig, OptimizerState, StepParams,
+                         init_state, lambda_project, preset, stack_params,
+                         step)
 from .problems import (GradSample, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, stochastic_grad)
 from .theory import (SnrProfile, TheoremInputs, expected_alignment_bound,

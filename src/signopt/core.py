@@ -95,10 +95,16 @@ def l2_norm_sq(v: np.ndarray):
     return per_row(_dot(v, v))
 
 
-def sample_gaussian(dim, mean: float, std: float, rng) -> np.ndarray:
-    """I.i.d. normal array of shape `dim` (an int or a shape); std = 0
-    returns the constant mean without consuming any random state. `rng`
-    is anything with RngStream's `normal`."""
+def sample_gaussian(dim, mean: float, std, rng) -> np.ndarray:
+    """I.i.d. normal array of shape `dim` (an int or a shape); `std` is a
+    float, or an array that broadcasts against the draw (one std per row
+    as a column). A float std = 0 returns the constant mean without
+    consuming any random state. `rng` is anything with RngStream's
+    `normal`."""
+    if isinstance(std, np.ndarray):
+        if (std < 0).any():
+            raise ValueError("negative std")
+        return mean + std * rng.normal(dim)
     if std < 0:
         raise ValueError(f"negative std: {std}")
     if std == 0.0:

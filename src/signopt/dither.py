@@ -16,16 +16,22 @@ import numpy as np
 from .core import RngStream
 
 if TYPE_CHECKING:
-    from .optimizers import OptimizerConfig
+    from .optimizers import OptimizerConfig, StepParams
 
 DEFAULT_GAMMA = 0.55
 
 
-def dither_sigma_sq(k: int, cfg: OptimizerConfig) -> float:
+def dither_sigma_sq(k: int, cfg: OptimizerConfig | StepParams):
     """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
-    alpha and gamma from the (validated) optimizer config."""
+    alpha and gamma from the (validated) optimizer config or from step
+    parameters, where either may be one value per row."""
     if k < 0:
         raise ValueError("step must be >= 0")
+    if isinstance(cfg.gamma, np.ndarray):
+        # Python's pow for each row, as for the row alone: numpy's power
+        # may differ from it in the last bit
+        return cfg.alpha * np.array([(1.0 + k) ** (-g)
+                                     for g in cfg.gamma.tolist()])
     return cfg.alpha * (1.0 + k) ** (-cfg.gamma)
 
 

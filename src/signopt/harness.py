@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .core import RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm
 from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
 from .dither import dither_sigma_sq
-# lambda_project is not called here; perfbench/tracing.py wraps it under
-# this module's name
-from .optimizers import (OptimizerConfig, OptimizerState, PHASE_SGD,
-                         PHASE_SIGN, dithered_step, hybrid_step, init_state,
-                         lambda_project, sgd_step, signsgd_step,
-                         signsgdm_step)
+# lambda_project and the five *_step presets are not called here;
+# perfbench/tracing.py wraps them under this module's name
+from .optimizers import (column_of, dithered_step, hybrid_step, init_state,
+                         lambda_project, preset, sgd_step, signsgd_step,
+                         signsgdm_step, stack_params, step)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import SnrProfile, phi_measure
@@ -155,77 +154,108 @@ def _fg_rows(problem: Problem, X: np.ndarray) -> tuple:
 
 
 def _row_values(v, rows: int) -> list:
-    """A per-row state value (a float or an (S,) array) as S floats."""
-    return v.tolist() if np.ndim(v) else [v] * rows
+    """A per-row state value (one value or an (S,) array) as S values."""
+    return v.tolist() if isinstance(v, np.ndarray) else [v] * rows
 
 
-def _keep_rows(state: OptimizerState, rows: np.ndarray) -> OptimizerState:
-    def take(v):
-        return v[rows] if np.ndim(v) else v
-    return replace(state, x=state.x[rows], m=state.m[rows],
-                   lambda_ema=take(state.lambda_ema),
-                   last_lambda=take(state.last_lambda))
+def _keep_rows(obj, rows: np.ndarray):
+    """A state or step parameters cut to the given rows: every per-row
+    array field keeps those rows."""
+    return replace(obj, **{f.name: v[rows] for f in fields(obj)
+                           if isinstance(v := getattr(obj, f.name),
+                                         np.ndarray)})
 
 
 def _finish(rec: RunRecord, steps: int, sum_phi: float, sum_l1: float,
-            f: float) -> None:
+            f: float, lambda_ema: float, switch_step) -> None:
+    """Close a record after `steps` steps. A row that took its first SGD
+    step (`switch_step`) has held its EMA frozen since: that is the
+    lambda it switched at."""
     rec.oracle_calls = steps
     rec.final_f = f
     rec.diverged = not math.isfinite(f)
     rec.avg_phi = sum_phi / max(steps, 1)
     rec.avg_l1 = sum_l1 / max(steps, 1)
+    if switch_step < steps:
+        rec.lambda_at_switch = lambda_ema
 
 
-def run_seeds(cfg: ExperimentConfig, seeds=None,
-              problem: Problem | None = None,
+def run_seeds(cfg, seeds=None, problem: Problem | None = None,
               collect_iterates: bool = False) -> list:
     """Execute the configured optimizer for every seed in one loop.
 
-    The iterates and momenta of the live seeds are (S, d) arrays that each
-    step advances with one numpy call per operation. Each step makes one
-    `eval_fg` call (one per row for the logistic and MLP problems), and
-    the run one `eval_f` call for the final f. Each seed draws from its
-    own Philox gradient and dither streams, a block of steps at a time, so
-    every record is bitwise the one the seed gives alone. A seed whose f
-    overflows stops at that step and leaves the batch. Each record's
-    `wall_time` is the elapsed time of the whole batch.
+    `cfg` is one config, or a list of configs that differ only in their
+    optimizer section; then every config runs every seed, and the records
+    come config by config, each in seed order. The iterates and momenta of
+    the live rows are (S, d) arrays that each step advances with one
+    numpy call per operation, and the rows' optimizer parameters are
+    columns where the configs differ. Each step makes one `eval_fg` call
+    (one per row for the logistic and MLP problems), and the run one
+    `eval_f` call for the final f. Each row draws from its seed's own
+    Philox gradient and dither streams, a block of steps at a time, so
+    every record is bitwise the one the seed gives alone under its config.
+    A row whose f overflows stops at that step and leaves the batch. Each
+    record's `wall_time` is the elapsed time of the whole batch.
     """
     t0 = time.perf_counter()
-    seeds = tuple(cfg.run.seeds if seeds is None else seeds)
+    cfgs = [cfg] if isinstance(cfg, ExperimentConfig) else list(cfg)
+    base = cfgs[0]
+    if any(c.problem != base.problem or c.run != base.run for c in cfgs):
+        raise ValueError("configs run together must share their problem "
+                         "and run sections")
+    seeds = tuple(base.run.seeds if seeds is None else seeds)
     if not seeds:
         return []
     if problem is None:
-        problem = build_problem(cfg)
-    opt = cfg.optimizer
-    K = cfg.run.steps
-    n = cfg.run.batch_size
-    if cfg.run.theorem_mode:
-        opt = replace(opt, delta=theorem_delta(problem, K))
-    stride = cfg.run.record_stride or default_stride(K)
-    S, d = len(seeds), problem.dim
+        problem = build_problem(base)
+    run = base.run
+    opts = [c.optimizer for c in cfgs]
+    K = run.steps
+    n = run.batch_size
+    if run.theorem_mode:
+        delta = theorem_delta(problem, K)
+        opts = [replace(opt, delta=delta) for opt in opts]
+    stride = run.record_stride or default_stride(K)
+    n_seeds, d = len(seeds), problem.dim
+    S = len(opts) * n_seeds
     # the noise scale is fixed for the run: validate it and find its
     # noise-free coordinates once, then measure each step's gradient
     snr = SnrProfile(np.zeros(d), problem.noise.sigma / math.sqrt(n))
 
-    recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta) for s in seeds]
+    presets = [preset(opt) for opt in opts]
+    params = stack_params(presets, n_seeds)
+    # the step of each config's first SGD step, for the rows that switch
+    switch_steps = [math.ceil(p.t_switch)
+                    if p.track_ema and p.t_switch < math.inf else math.inf
+                    for p in presets]
+    recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta)
+            for opt in opts for s in seeds]
     live = np.arange(S)  # the record of each row
-    x0 = initial_point(cfg, problem)
-    state = init_state(np.tile(x0, (S, 1)), lambda_ema=opt.lambda_init)
+    x0 = initial_point(base, problem)
+    state = init_state(np.tile(x0, (S, 1)), lambda_ema=column_of(
+        [opt.lambda_init for opt in opts], n_seeds))
     if collect_iterates:
         for rec in recs:
             rec.iterates.append(x0.copy())
     block = max(1, BLOCK_BYTES // (8 * d * max(n, S)))
     noise = dither = None
+    row_seeds = seeds * len(opts)
     if np.any(problem.noise.sigma > 0):
-        noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in seeds],
+        noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in row_seeds],
                             lambda r, c: batch_noise(problem.noise, n, c, r),
                             block, K)
-    if opt.dither_mode != "none":  # read only by the dithering rules
-        dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in seeds],
+    dithered = [opt.dither_mode != "none" for opt in opts]
+    if any(dithered):  # read only by the rows that dither
+        dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
                              lambda r, c: r.normal((c, d)), block, K)
     sum_phi = np.zeros(S)
     sum_l1 = np.zeros(S)
-    switching = opt.algorithm == "hybrid"
+
+    def finish(j, steps, f_j):
+        i, ema = live[j], state.lambda_ema
+        _finish(recs[i], steps, float(sum_phi[j]), float(sum_l1[j]), f_j,
+                float(ema[j]) if isinstance(ema, np.ndarray) else ema,
+                switch_steps[i // n_seeds])
 
     for k in range(K):
         # overflow here is the divergence signal, not an error
@@ -234,9 +264,9 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
         finite = np.isfinite(f)
         if not finite.all():
             for j in np.flatnonzero(~finite):
-                _finish(recs[live[j]], k, float(sum_phi[j]),
-                        float(sum_l1[j]), float(f[j]))
+                finish(j, k, float(f[j]))
             live, state = live[finite], _keep_rows(state, finite)
+            params = _keep_rows(params, finite)
             g_true, f = g_true[finite], f[finite]
             sum_phi, sum_l1 = sum_phi[finite], sum_l1[finite]
             for streams in (noise, dither):
@@ -249,31 +279,29 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
         sum_phi += phi
         sum_l1 += l1
 
-        if cfg.run.decay_every and k and k % cfg.run.decay_every == 0:
+        if run.decay_every and k and k % run.decay_every == 0:
             # the hybrid's frozen EMA is not decayed
-            opt = replace(opt, delta=opt.delta * cfg.run.decay_factor,
-                          lr=opt.lr * cfg.run.decay_factor)
+            params = replace(params, delta=params.delta * run.decay_factor,
+                             lr=params.lr * run.decay_factor)
 
         g = g_true if noise is None else g_true + noise.next()
-        new_state = _apply_step(state, g, opt, dither)
+        state = step(state, g, params, dither)
 
-        rows = live.size
-        if (switching and new_state.phase == PHASE_SGD
-                and state.phase == PHASE_SIGN):
-            for i, lam in zip(live, _row_values(new_state.lambda_ema, rows)):
-                recs[i].lambda_at_switch = lam
         if k % stride == 0 or k == K - 1:
-            sig2 = (dither_sigma_sq(k, opt)
-                    if opt.dither_mode != "none" else 0.0)
-            for i, f_i, l1_i, phi_i, lam, ema in zip(
-                    live, f.tolist(), l1.tolist(), phi.tolist(),
-                    _row_values(new_state.last_lambda, rows),
-                    _row_values(new_state.lambda_ema, rows)):
+            rows = live.size
+            # the schedule is recorded whenever the config names a dither
+            # mode, also on steps that apply none
+            sig2 = [dither_sigma_sq(k, opt) if on else 0.0
+                    for opt, on in zip(opts, dithered)]
+            for i, f_i, l1_i, phi_i, lam, ema, phase in zip(
+                    live.tolist(), f.tolist(), l1.tolist(), phi.tolist(),
+                    _row_values(state.last_lambda, rows),
+                    _row_values(state.lambda_ema, rows),
+                    _row_values(state.phase, rows)):
                 recs[i].rows.append(Row(k=k, f=f_i, l1_grad=l1_i, phi=phi_i,
                                         lam=lam, lambda_ema=ema,
-                                        sigma_dither_sq=sig2,
-                                        phase=new_state.phase))
-        state = new_state
+                                        sigma_dither_sq=sig2[i // n_seeds],
+                                        phase=phase))
         if collect_iterates:
             for i, x in zip(live, state.x):
                 recs[i].iterates.append(x.copy())
@@ -281,27 +309,12 @@ def run_seeds(cfg: ExperimentConfig, seeds=None,
     if live.size:
         with np.errstate(over="ignore", invalid="ignore"):
             f = _on_rows(problem.eval_f, state.x, problem.rowwise)
-        for j, i in enumerate(live):
-            _finish(recs[i], K, float(sum_phi[j]), float(sum_l1[j]),
-                    float(f[j]))
+        for j in range(live.size):
+            finish(j, K, float(f[j]))
     wall_time = time.perf_counter() - t0
     for rec in recs:
         rec.wall_time = wall_time
     return recs
-
-
-def _apply_step(state: OptimizerState, g: np.ndarray, opt: OptimizerConfig,
-                dither) -> OptimizerState:
-    algo = opt.algorithm
-    if algo == "sgd":
-        return sgd_step(state, g, opt.lr)
-    if algo == "signsgd":
-        return signsgd_step(state, g, opt)
-    if algo == "signsgdm":
-        return signsgdm_step(state, g, opt)
-    if algo == "dithered":
-        return dithered_step(state, g, opt, dither)
-    return hybrid_step(state, g, opt, dither)
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +360,32 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
 
 def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
-    baselines with matched step budgets."""
-    problem = build_problem(cfg_base)
+    baselines with matched step budgets, all in one `run_seeds` batch."""
+    t_switch_grid, seeds = tuple(t_switch_grid), tuple(seeds)
 
-    def median_final(cfg):
-        recs = run_seeds(cfg, seeds, problem)
-        return (statistics.median(r.final_f for r in recs), recs)
+    def variant(**changes):
+        return replace(cfg_base,
+                       optimizer=replace(cfg_base.optimizer, **changes))
+
+    cfgs = [variant(algorithm="hybrid", t_switch=float(t))
+            for t in t_switch_grid]
+    cfgs += [variant(algorithm="signsgdm"), variant(algorithm="sgd")]
+    recs = run_seeds(cfgs, seeds)
+    runs = [recs[i:i + len(seeds)] for i in range(0, len(recs), len(seeds))]
+
+    def median_final(run):
+        return statistics.median(r.final_f for r in run)
 
     entries = []
-    for t in t_switch_grid:
-        cfg = replace(cfg_base,
-                      optimizer=replace(cfg_base.optimizer,
-                                        algorithm="hybrid",
-                                        t_switch=float(t)))
-        med, recs = median_final(cfg)
+    for t, run in zip(t_switch_grid, runs):
         # NaN when no run reached the switch (t_switch >= steps, or every
         # run diverged before it)
-        lam_finite = [r.lambda_at_switch for r in recs
+        lam_finite = [r.lambda_at_switch for r in run
                       if math.isfinite(r.lambda_at_switch)]
         lam_switch = statistics.median(lam_finite) if lam_finite else math.nan
-        entries.append({"t_switch": t, "median_final_f": med,
+        entries.append({"t_switch": t, "median_final_f": median_final(run),
                         "median_lambda_at_switch": lam_switch})
-
-    signm_cfg = replace(cfg_base,
-                        optimizer=replace(cfg_base.optimizer,
-                                          algorithm="signsgdm"))
-    sgd_cfg = replace(cfg_base,
-                      optimizer=replace(cfg_base.optimizer, algorithm="sgd"))
-    med_sign, _ = median_final(signm_cfg)
-    med_sgd, _ = median_final(sgd_cfg)
+    med_sign, med_sgd = (median_final(run) for run in runs[-2:])
     best = min(entries, key=lambda e: e["median_final_f"])
     return {"entries": entries, "signsgdm_median_final_f": med_sign,
             "sgd_median_final_f": med_sgd, "best": best,

@@ -272,6 +272,43 @@ def alone(name, seed):
     return record_key(rec)
 
 
+# Optimizer sections that a mixed batch draws from: every preset, dither
+# mode and bias-correction setting, switch points at the start, after a
+# fractional and an integer step count, never, and at the last step, and
+# values of the rule's parameters that differ from row to row.
+MIXED_OPTIMIZERS = st.builds(
+    lambda preset, bias, t_switch, gamma, lam_init, beta: OptimizerSpec(
+        algorithm=preset[0], dither_mode=preset[1], alpha=0.2, gamma=gamma,
+        t_switch=t_switch, eta=0.7, beta=beta, lambda_bias_correction=bias,
+        lambda_init=0.0 if bias else lam_init, lr=0.05),
+    preset=st.sampled_from([(a, m) for a in ("sgd", "signsgd", "signsgdm",
+                                             "dithered", "hybrid")
+                            for m in ("none", "pre", "post")
+                            if (a, m) != ("dithered", "none")]),
+    bias=st.booleans(),
+    t_switch=st.sampled_from((0.0, 2.5, 3.0, math.inf, 30.0)),
+    gamma=st.sampled_from((0.55, 0.8)),
+    lam_init=st.sampled_from((0.0, 0.01)),
+    beta=st.sampled_from((0.9, 0.5)))
+
+
+def mixed_config(base, optimizer):
+    """`optimizer` on a 30-step quadratic, or on the diverging edge config
+    with that config's sign step."""
+    if base == "quadratic":
+        cfg = quad_cfg(run={"steps": 30, "batch_size": 2, "record_stride": 4})
+    else:
+        cfg = edge_cfg()
+        optimizer = replace(optimizer, delta=cfg.optimizer.delta)
+    return replace(cfg, optimizer=optimizer)
+
+
+@functools.cache
+def config_alone(cfg, seed):
+    rec, = run_seeds(cfg, (seed,), collect_iterates=True)
+    return record_key(rec)
+
+
 class TestSeedBatching:
     """A seed's record does not depend on the seeds it runs with, nor on
     the block size of the random draws."""
@@ -307,6 +344,29 @@ class TestSeedBatching:
         a = run_single(cfg, 3, collect_iterates=True)
         b, = run_seeds(cfg, (3,), collect_iterates=True)
         assert record_key(a) == record_key(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.sampled_from(("quadratic", "diverging-edge")),
+           optimizers=st.lists(MIXED_OPTIMIZERS, min_size=2, max_size=4),
+           seeds=st.lists(st.sampled_from(SEED_POOL), min_size=1,
+                          max_size=3, unique=True),
+           block_bytes=st.sampled_from((1, 200, 1000, harness.BLOCK_BYTES)))
+    def test_each_config_matches_its_run_alone(self, base, optimizers, seeds,
+                                               block_bytes):
+        cfgs = [mixed_config(base, opt) for opt in optimizers]
+        with mock.patch.object(harness, "BLOCK_BYTES", block_bytes):
+            recs = run_seeds(cfgs, seeds, collect_iterates=True)
+        assert [r.seed for r in recs] == seeds * len(cfgs)
+        for j, rec in enumerate(recs):
+            assert record_key(rec) == config_alone(cfgs[j // len(seeds)],
+                                                   rec.seed)
+
+    def test_configs_must_share_problem_and_run(self):
+        a = quad_cfg(run={"steps": 20})
+        with pytest.raises(ValueError):
+            run_seeds([a, replace(a, run=replace(a.run, steps=21))])
+        with pytest.raises(ValueError):
+            run_seeds([a, replace(a, problem=replace(a.problem, x0=(2.0,)))])
 
     def test_draw_buffer_does_not_grow_with_steps(self):
         """The theorem cell at n = 16 with 20 seeds: the random numbers are
@@ -395,6 +455,24 @@ class TestOraclePasses:
 
 
 class TestSuites:
+    def test_switch_suite_runs_one_batch(self, monkeypatch):
+        calls = []
+
+        def counting(cfgs, *args, **kwargs):
+            calls.append([c.optimizer for c in cfgs])
+            return run_seeds(cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_seeds", counting)
+        cfg = quad_cfg(optimizer={"algorithm": "hybrid"}, run={"steps": 30})
+        report = run_switch_suite(cfg, (5, 2.5, 30), (0, 1))
+        assert len(calls) == 1
+        assert [(o.algorithm, o.t_switch) for o in calls[0]] == [
+            ("hybrid", 5.0), ("hybrid", 2.5), ("hybrid", 30.0),
+            ("signsgdm", math.inf), ("sgd", math.inf)]
+        assert [e["t_switch"] for e in report["entries"]] == [5, 2.5, 30]
+        # the run ends at step 29, before the switch at 30
+        assert math.isnan(report["entries"][2]["median_lambda_at_switch"])
+
     def test_switch_suite_reports_nan_when_no_run_switches(self):
         # every hybrid run diverges before its switch
         cfg = quad_cfg(optimizer={"algorithm": "hybrid", "delta": 1e200},

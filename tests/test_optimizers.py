@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from signopt.core import RngStream, sign_vec
-from signopt.dither import normal_cdf
-from signopt.optimizers import (OptimizerConfig, OptimizerState,
-                                dithered_step, hybrid_step, init_state,
-                                lambda_project, sgd_step, signsgd_step,
-                                signsgdm_step)
+from signopt.dither import dither_sigma_sq, normal_cdf
+from signopt.optimizers import (PRESETS, OptimizerConfig, OptimizerState,
+                                column_of, dithered_step, hybrid_step,
+                                init_state, lambda_project, preset,
+                                sgd_step, signsgd_step, signsgdm_step,
+                                stack_params, step)
+
+# the overflows the rules handle must not surface as warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def gs(values):
@@ -185,10 +190,9 @@ class TestLambdaProject:
         g[3] = -2e156
         m = np.ones(10)
         small = np.arange(1.0, 11.0)
-        with np.errstate(over="ignore"):
-            lam = lambda_project(m, g, 0.1, 1e-12)
-            rows = lambda_project(np.ones((3, 10)),
-                                  np.stack([g, small, -3 * g]), 0.1, 1e-12)
+        lam = lambda_project(m, g, 0.1, 1e-12)
+        rows = lambda_project(np.ones((3, 10)), np.stack([g, small, -3 * g]),
+                              0.1, 1e-12)
         assert isinstance(lam, float)
         assert 0.0 < lam < math.inf
         assert lam == pytest.approx(0.1 * 7.0 / 13.0 * 1e-156, rel=1e-14)
@@ -220,15 +224,24 @@ class TestLambdaProject:
         g[3] = -2e153
         small = np.arange(1.0, 11.0)
         delta = 4e156
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = lambda_project(np.ones((4, 10)),
-                                  np.stack([g, small, 1e3 * g, 3 * g]),
-                                  delta, 1e-12)
+        rows = lambda_project(np.ones((4, 10)),
+                              np.stack([g, small, 1e3 * g, 3 * g]), delta,
+                              1e-12)
         assert np.all((rows > 0) & np.isfinite(rows))
         assert rows[0] == lambda_project(np.ones(10), g, delta, 1e-12)
         assert rows[1] == delta * abs(small.sum()) / (small @ small + 1e-12)
         assert rows[2] == pytest.approx(28.0 / 13.0, rel=1e-14)
         assert rows[3] == pytest.approx(rows[0] / 3.0, rel=1e-14)
+
+    def test_per_row_delta_and_epsilon(self):
+        gen = RngStream(14, 0).generator
+        m, g = gen.standard_normal((3, 5)), gen.standard_normal((3, 5))
+        delta, eps = np.array([0.1, 0.2, 0.3]), np.array([1e-12, 1.0, 5.0])
+        rows = lambda_project(m, g, delta, eps)
+        for i in range(3):
+            assert rows[i] == lambda_project(m[i], g[i], float(delta[i]),
+                                             float(eps[i]))
+
 
 class TestHybridStep:
     def cfg(self, **kw):
@@ -322,6 +335,125 @@ class TestHybridStep:
             state = hybrid_step(state, gs([1.0]), cfg, rng)
             phases.append(state.phase)
         assert phases == ["sign"] * 3 + ["sgd"] * 3
+
+
+class TestPresets:
+    """The algorithm names are parameter sets of the one rule."""
+
+    def test_preset_table(self):
+        cfg = OptimizerConfig(delta=0.1, eta=0.5, t_switch=2.5, alpha=0.2,
+                              dither_mode="post", lr=0.03,
+                              lambda_bias_correction=True)
+        got = {algo: preset(replace(cfg, algorithm=algo)) for algo in PRESETS}
+        assert {a: p.t_switch for a, p in got.items()} == {
+            "sgd": 0.0, "signsgd": math.inf, "signsgdm": math.inf,
+            "dithered": math.inf, "hybrid": 2.5}
+        assert [a for a, p in got.items() if p.alpha] == ["dithered", "hybrid"]
+        assert [a for a, p in got.items() if not p.momentum] == ["signsgd"]
+        assert [a for a, p in got.items() if p.track_ema] == ["hybrid"]
+        # three sign steps before the switch at 2.5
+        assert got["hybrid"].ema_divisor == 1.0 - 0.5 ** 3
+        assert all(p.ema_divisor == 1.0 for a, p in got.items()
+                   if a != "hybrid")
+        assert all((p.lr, p.delta, p.pre) == (0.03, 0.1, False)
+                   for p in got.values())
+
+    def test_no_dither_without_a_mode(self):
+        cfg = OptimizerConfig(algorithm="hybrid", alpha=0.5)
+        assert preset(cfg).alpha == 0.0
+
+    def test_stack_keeps_shared_values_scalar(self):
+        a = preset(OptimizerConfig(algorithm="hybrid", t_switch=3.0))
+        b = preset(OptimizerConfig(algorithm="sgd"))
+        p = stack_params([a, b], 2)
+        assert p.delta == a.delta and isinstance(p.delta, float)
+        assert p.momentum is True
+        assert p.t_switch.tolist() == [3.0, 3.0, 0.0, 0.0]
+        assert p.track_ema.tolist() == [True, True, False, False]
+        assert stack_params([a], 4) == a
+
+    def test_column_of_tells_signed_zeros_apart(self):
+        assert column_of([0.0, 0.0], 3) == 0.0
+        col = column_of([0.0, -0.0], 2)
+        assert np.signbit(col).tolist() == [False, False, True, True]
+
+
+def batch_dither(seeds):
+    """A dither stream for rows: each row's draw comes from its own
+    stream, as it does alone."""
+    class Rows:
+        streams = [RngStream(s, 3) for s in seeds]
+
+        def normal(self, shape):
+            return np.stack([r.normal(shape[1:]) for r in self.streams])
+    return Rows()
+
+
+class TestMixedRows:
+    """Rows of different presets advance together, each in its own phase,
+    and each row is bitwise the row advanced alone."""
+
+    CONFIGS = [
+        OptimizerConfig(algorithm="sgd", lr=0.05, lambda_init=0.01),
+        OptimizerConfig(algorithm="signsgd", delta=0.1),
+        OptimizerConfig(algorithm="signsgdm", beta=0.8, alpha=0.3,
+                        dither_mode="pre"),
+        OptimizerConfig(algorithm="dithered", alpha=0.3, dither_mode="post",
+                        gamma=0.8),
+        OptimizerConfig(algorithm="dithered", alpha=0.3, dither_mode="pre"),
+        OptimizerConfig(algorithm="hybrid", t_switch=2.5, eta=0.5,
+                        lambda_bias_correction=True, alpha=0.3,
+                        dither_mode="pre"),
+        OptimizerConfig(algorithm="hybrid", t_switch=0.0, lambda_init=0.02),
+        OptimizerConfig(algorithm="hybrid", t_switch=math.inf, eta=0.7),
+    ]
+
+    def run(self, configs, seeds, steps=6):
+        params = stack_params([preset(c) for c in configs], 1)
+        state = init_state(np.ones((len(configs), 3)), lambda_ema=column_of(
+            [c.lambda_init for c in configs], 1))
+        dither = batch_dither(seeds)
+        grads = RngStream(15, 0)
+        states = []
+        for _ in range(steps):
+            g = np.concatenate([grads.normal((1, 3)) for _ in configs])
+            state = step(state, g, params, dither)
+            states.append(state)
+        return states
+
+    def test_each_row_is_its_row_alone(self):
+        n = len(self.CONFIGS)
+        together = self.run(self.CONFIGS, range(n))
+        for i, cfg in enumerate(self.CONFIGS):
+            grads = RngStream(15, 0)
+            params = preset(cfg)
+            state = init_state(np.ones((1, 3)), lambda_ema=cfg.lambda_init)
+            dither = batch_dither([i])
+            for k, batch in enumerate(together):
+                g_all = np.concatenate([grads.normal((1, 3))
+                                        for _ in range(n)])
+                state = step(state, g_all[i:i + 1], params, dither)
+                assert batch.x[i].tobytes() == state.x[0].tobytes()
+                assert batch.m[i].tobytes() == state.m[0].tobytes()
+                for name in ("lambda_ema", "last_lambda", "phase"):
+                    row = np.broadcast_to(getattr(batch, name), (n,))[i]
+                    alone = np.broadcast_to(getattr(state, name), (1,))[0]
+                    assert repr(row.item()) == repr(np.asarray(alone).item())
+
+    def test_phases_per_row(self):
+        states = self.run(self.CONFIGS, range(len(self.CONFIGS)))
+        assert states[0].phase.tolist() == ["sgd"] + ["sign"] * 5 + [
+            "sgd", "sign"]
+        # the hybrid at 2.5 takes its first SGD step at k = 3
+        assert [s.phase[5] for s in states] == ["sign"] * 3 + ["sgd"] * 3
+
+    def test_gamma_per_row_matches_each_row(self):
+        p = stack_params([preset(c) for c in self.CONFIGS], 2)
+        for k in (0, 1, 7, 1000):
+            s2 = dither_sigma_sq(k, p)
+            assert s2.tolist() == [dither_sigma_sq(k, c)
+                                   if preset(c).alpha else 0.0
+                                   for c in self.CONFIGS for _ in range(2)]
 
 
 class TestConfigValidation:
