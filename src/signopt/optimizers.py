@@ -30,11 +30,14 @@ from .dither import DEFAULT_GAMMA, dither_sigma_sq
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
 
-# What each algorithm name fixes of the rule: its switch point (None: the
-# config's t_switch), whether it steps on the momentum, whether it dithers
-# under the config's dither_mode, and whether it tracks the EMA. SGD never
-# takes a sign step; its momentum flag matches the others so that a batch
-# of SGD and sign-momentum rows shares it.
+# What each algorithm name fixes of the one step rule: its switch point
+# (None: the config's t_switch), whether it steps on the momentum, whether
+# it dithers under the config's dither_mode, and whether it tracks the EMA.
+# So SGD is the hybrid at t_switch = 0 stepping by lr, SignSGD-M and the
+# dithered variants are the hybrid at t_switch = inf without the EMA, and
+# SignSGD is SignSGD-M without momentum. SGD never takes a sign step; its
+# momentum flag matches the others so that a batch of SGD and
+# sign-momentum rows shares it.
 PRESETS = {
     "sgd": (0.0, True, False, False),
     "signsgd": (math.inf, False, False, False),
@@ -142,20 +145,16 @@ class StepParams:
 
 
 def preset(cfg: OptimizerConfig) -> StepParams:
-    """The parameters with which `step` runs `cfg.algorithm`: SGD is the
-    hybrid at t_switch = 0 stepping by lr, SignSGD-M and the dithered
-    variants are the hybrid at t_switch = inf without the EMA, and SignSGD
-    is SignSGD-M without momentum."""
+    """The parameters with which `step` runs `cfg.algorithm` (`PRESETS`)."""
     t_switch, momentum, dithers, track_ema = PRESETS[cfg.algorithm]
     if t_switch is None:
         t_switch = cfg.t_switch
-    # the sign phase runs steps 0 .. ceil(t_switch) - 1, one EMA update each
+    # the sign phase runs steps 0 .. ceil(t_switch) - 1, one EMA update
+    # each. The EMA starts at zero, so it is biased low by the factor
+    # 1 - eta^n; the toggle removes that at the point of use
     n_updates = math.ceil(t_switch) if track_ema and t_switch < math.inf else 0
-    divisor = 1.0
-    if cfg.lambda_bias_correction and n_updates > 0:
-        # the EMA starts at zero, so early values are biased low by the
-        # factor 1 - eta^n; the toggle removes it at the point of use
-        divisor = 1.0 - cfg.eta ** n_updates
+    divisor = (1.0 - cfg.eta ** n_updates
+               if cfg.lambda_bias_correction and n_updates > 0 else 1.0)
     return StepParams(
         delta=cfg.delta, beta=cfg.beta, eta=cfg.eta, epsilon=cfg.epsilon,
         alpha=cfg.alpha if dithers and cfg.dither_mode != "none" else 0.0,
@@ -196,12 +195,7 @@ def step(state: OptimizerState, g: np.ndarray, params: StepParams,
     """Advance every row by one step: a sign step where k < t_switch, an
     SGD step elsewhere. `dither` is read only by rows with alpha > 0."""
     k = state.k
-    in_sign = k < params.t_switch
-    if not _uniform(in_sign):
-        if in_sign.all():
-            in_sign = True
-        elif not in_sign.any():
-            in_sign = False
+    in_sign = k < params.t_switch  # a bool, or one per row
     if in_sign is False:
         return OptimizerState(x=state.x - _sgd_rate(state, params) * g,
                               m=state.m, k=k + 1,
