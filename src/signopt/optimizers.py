@@ -175,9 +175,9 @@ def stack_params(params: list, rows: int) -> StepParams:
     """`rows` rows of each StepParams in turn. A value they all share stays
     a scalar, so that a batch of one config takes the same numpy calls as
     one row does."""
-    return StepParams(**{f.name: column_of([getattr(p, f.name) for p in params],
-                                           rows)
-                         for f in fields(StepParams)})
+    return StepParams(**{
+        f.name: column_of([getattr(p, f.name) for p in params], rows)
+        for f in fields(StepParams)})
 
 
 def _column(v):
@@ -260,10 +260,12 @@ def _sign_step(state: OptimizerState, g: np.ndarray, p: StepParams,
 
 
 def _direction(src: np.ndarray, k: int, p: StepParams, dither) -> np.ndarray:
-    """sign(src), with the step's dither added before or after the sign on
-    the rows whose variance sigma_k^2 is not 0. sigma_k = 0 draws nothing,
-    so the alpha = 0 trajectory is bitwise equal to the clean one on the
-    same streams."""
+    """sign(src), with the step's dither added before or after the sign.
+    sigma_k = 0 draws nothing, so the alpha = 0 trajectory is bitwise
+    equal to the clean one on the same streams. In a batch where other
+    rows dither, a row with sigma_k = 0 gets a dither of exactly +0.0,
+    which leaves its direction bitwise sign(src): np.sign returns +0.0
+    for both zeros."""
     if dither is None or (_uniform(p.alpha) and p.alpha == 0.0):
         return sign_vec(src)
     s2 = dither_sigma_sq(k, p)
@@ -271,22 +273,16 @@ def _direction(src: np.ndarray, k: int, p: StepParams, dither) -> np.ndarray:
         if s2 == 0.0:
             return sign_vec(src)
         std = math.sqrt(s2)
-    else:
-        on = s2 > 0.0
-        if not on.any():
-            return sign_vec(src)
+    elif s2.any():
         std = np.sqrt(s2)[:, None]
+    else:
+        return sign_vec(src)
     xi = sample_gaussian(src.shape, 0.0, std, dither)
     if p.pre is True:
-        direction = sign_vec(src + xi)
-    elif p.pre is False:
-        direction = sign_vec(src) + xi
-    else:
-        direction = np.where(p.pre[:, None], sign_vec(src + xi),
-                             sign_vec(src) + xi)
-    if not _uniform(s2) and not on.all():
-        direction = np.where(on[:, None], direction, sign_vec(src))
-    return direction
+        return sign_vec(src + xi)
+    if p.pre is False:
+        return sign_vec(src) + xi
+    return np.where(p.pre[:, None], sign_vec(src + xi), sign_vec(src) + xi)
 
 
 def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):

@@ -310,8 +310,8 @@ def config_alone(cfg, seed):
 
 
 class TestSeedBatching:
-    """A seed's record does not depend on the seeds it runs with, nor on
-    the block size of the random draws."""
+    """A seed's record does not depend on the seeds or the configs it runs
+    with, nor on the block size of the random draws."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(BATCH_CONFIGS)),

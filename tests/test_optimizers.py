@@ -447,6 +447,20 @@ class TestMixedRows:
         # the hybrid at 2.5 takes its first SGD step at k = 3
         assert [s.phase[5] for s in states] == ["sign"] * 3 + ["sgd"] * 3
 
+    def test_rows_that_draw_no_dither_keep_signed_zeros(self):
+        # the signsgd row adds a dither of +0.0 to g = -0.0 in the batch
+        cfgs = [OptimizerConfig(algorithm="signsgd", delta=0.1),
+                OptimizerConfig(algorithm="dithered", alpha=0.3,
+                                dither_mode="pre")]
+        state = init_state(np.full((2, 2), -0.0))
+        g = np.array([[-0.0, 1.0], [1.0, 1.0]])
+        both = step(state, g, stack_params([preset(c) for c in cfgs], 1),
+                    batch_dither([0, 1]))
+        alone = step(init_state(np.full((1, 2), -0.0)), g[:1],
+                     preset(cfgs[0]))
+        assert both.x[0].tobytes() == alone.x[0].tobytes()
+        assert np.signbit(alone.x[0, 0])
+
     def test_gamma_per_row_matches_each_row(self):
         p = stack_params([preset(c) for c in self.CONFIGS], 2)
         for k in (0, 1, 7, 1000):
