@@ -252,6 +252,8 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     sum_l1 = np.zeros(S)
 
     def finish(j, steps, f_j):
+        """Close the record of live row j, read from the loop's arrays as
+        they are when it is called."""
         i, ema = live[j], state.lambda_ema
         _finish(recs[i], steps, float(sum_phi[j]), float(sum_l1[j]), f_j,
                 float(ema[j]) if isinstance(ema, np.ndarray) else ema,
