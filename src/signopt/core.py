@@ -72,7 +72,7 @@ def sign_vec(v: np.ndarray) -> np.ndarray:
 
 def per_row(v):
     """A reduction's result: a float for one vector, an array for rows."""
-    return float(v) if np.ndim(v) == 0 else v
+    return float(v) if v.ndim == 0 else v
 
 
 def _dot(a: np.ndarray, b: np.ndarray):

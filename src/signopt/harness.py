@@ -138,21 +138,6 @@ class _RowStreams:
             self.buf = self.buf[:, rows]
 
 
-def _on_rows(fn, X: np.ndarray, rowwise: bool) -> np.ndarray:
-    """`fn` of every row of X: one call if `fn` takes rows, else one per
-    row."""
-    return fn(X) if rowwise else np.array([fn(x) for x in X])
-
-
-def _fg_rows(problem: Problem, X: np.ndarray) -> tuple:
-    """f and the gradient at every row of X, from one `eval_fg` call if the
-    problem takes rows, else one per row."""
-    if problem.rowwise:
-        return problem.eval_fg(X)
-    fs, grads = zip(*map(problem.eval_fg, X))
-    return np.array(fs), np.array(grads)
-
-
 def _row_values(v, rows: int) -> list:
     """A per-row state value (one value or an (S,) array) as S values."""
     return v.tolist() if isinstance(v, np.ndarray) else [v] * rows
@@ -190,10 +175,10 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     the live rows are (S, d) arrays that each step advances with one
     numpy call per operation, and the rows' optimizer parameters are
     columns where the configs differ. Each step makes one `eval_fg` call
-    (one per row for the logistic and MLP problems), and the run one
-    `eval_f` call for the final f. Each row draws from its seed's own
-    Philox gradient and dither streams, a block of steps at a time, so
-    every record is bitwise the one the seed gives alone under its config.
+    on all live rows, and the run one `eval_f` call for the final f. Each
+    row draws from its seed's own Philox gradient and dither streams, a
+    block of steps at a time, so every record is bitwise the one the seed
+    gives alone under its config.
     A row whose f overflows stops at that step and leaves the batch. Each
     record's `wall_time` is the elapsed time of the whole batch.
     """
@@ -262,7 +247,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     for k in range(K):
         # overflow here is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g_true = _fg_rows(problem, state.x)
+            f, g_true = problem.eval_fg(state.x)
         finite = np.isfinite(f)
         if not finite.all():
             for j in np.flatnonzero(~finite):
@@ -310,7 +295,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
 
     if live.size:
         with np.errstate(over="ignore", invalid="ignore"):
-            f = _on_rows(problem.eval_f, state.x, problem.rowwise)
+            f = problem.eval_f(state.x)
         for j in range(live.size):
             finish(j, K, float(f[j]))
     wall_time = time.perf_counter() - t0

@@ -290,6 +290,9 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
     sign step onto the current stochastic gradient:
     delta * |<sign(m), g>| / (||g||^2 + epsilon); one per row of (S, d)
     arrays, where delta and epsilon may also be one per row."""
+    if m_next.ndim == 1:  # one vector: a float, from its one row
+        return float(lambda_project(m_next[None], grad[None], delta,
+                                    epsilon)[0])
     if _uniform(epsilon) and epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     sign_m = sign_vec(m_next)
@@ -299,13 +302,8 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
         denom = l2_norm_sq(grad) + epsilon
         proj = abs(inner(sign_m, grad))
         lam = delta * proj / denom
-    if isinstance(denom, float):  # one vector
-        if denom == math.inf:
-            return float(_rescaled_lambda(sign_m[None], grad[None], delta)[0])
-        if lam == math.inf:  # delta * proj overflowed, the ratio may not
-            return delta * (proj / denom)
-        return lam
     if np.isinf(np.fmax(denom, lam)).any():
+        # delta * proj overflowed, the ratio may not
         big = np.isinf(lam)
         lam[big] = _rows(delta, big) * (proj[big] / denom[big])
         big = np.isinf(denom)

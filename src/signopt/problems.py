@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import RngStream, STREAM_DATA, as_vector, per_row
+from .core import RngStream, STREAM_DATA, as_vector, l2_norm_sq, per_row
 
 NOISE_FAMILIES = ("gaussian", "uniform", "laplace", "asymmetric-bimodal")
 
@@ -41,7 +41,9 @@ class Problem:
     """An objective and its oracles. `eval_fg(x)` returns `(f, grad)` from
     one forward pass, bitwise `(eval_f(x), eval_grad(x))`; the run loop
     calls it alone, and `eval_f`/`eval_grad` serve callers that need one
-    of the two."""
+    of the two. Every oracle takes one point, or an (S, d) array of S
+    points and returns one f and one gradient per row, each bitwise that
+    of its row alone."""
     dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_grad: Callable[[np.ndarray], np.ndarray]
@@ -50,9 +52,6 @@ class Problem:
     f_star: float
     noise: NoiseSpec
     name: str = "problem"
-    # the oracles also take an (S, d) array of S points and return one
-    # value or gradient per row, each bitwise that of its row alone
-    rowwise: bool = False
 
 
 def _problem(eval_fg, **fields) -> Problem:
@@ -91,7 +90,8 @@ def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream) -> np.ndarr
     in one draw: row i is bitwise the noise the i-th of `steps` calls of
     `stochastic_grad` on the same stream adds."""
     unit = sample_unit_noise(spec.family, (steps, n, spec.sigma.size), rng)
-    return (unit * spec.sigma).mean(axis=1)  # scaled before the mean
+    # scaled before the mean; sum / n is numpy's mean without its wrapper
+    return (unit * spec.sigma).sum(axis=1) / n
 
 
 def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSample:
@@ -124,7 +124,7 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
         return per_row(0.5 * (grad * d).sum(axis=-1)), grad
 
     return _problem(eval_fg, dim=L.size, lipschitz=L, f_star=0.0,
-                    noise=noise, name="quadratic", rowwise=True)
+                    noise=noise, name="quadratic")
 
 
 def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
@@ -148,12 +148,15 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
     L = 0.25 * np.mean(A * A, axis=0) + reg
 
     def eval_fg(x):
-        z = -y * (A @ x)
+        # a stacked matmul runs the GEMV of `A @ x` on each row; a mean is
+        # a sum / n_points, the bits of np.mean
+        z = -y * np.matmul(A, x[..., None])[..., 0]
         # log(1 + e^z) computed stably
-        loss = np.mean(np.logaddexp(0.0, z))
+        loss = np.logaddexp(0.0, z).sum(axis=-1) / n_points
         s = 1.0 / (1.0 + np.exp(-z))  # sigmoid(z)
-        return (float(loss + 0.5 * reg * (x @ x)),
-                A.T @ (-y * s) / n_points + reg * x)
+        return (per_row(loss + 0.5 * reg * l2_norm_sq(x)),
+                np.matmul(A.T, (-y * s)[..., None])[..., 0] / n_points
+                + reg * x)
 
     return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise,
                     name="logistic")
@@ -223,25 +226,28 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     n_layers = len(widths) - 1
 
     def eval_fg(x):
-        params = [x[sl].reshape(shape) for sl, shape in layout]
+        lead = x.shape[:-1]  # the row axes, carried by every array below
+        params = [x[..., sl].reshape(lead + shape) for sl, shape in layout]
         acts = [X.T]  # (width, n_points) column-per-sample
         for l in range(n_layers):
             W, b = params[2 * l], params[2 * l + 1]
-            pre = W @ acts[-1] + b[:, None]
+            pre = W @ acts[-1] + b[..., None]
             acts.append(pre if l == n_layers - 1 else np.tanh(pre))
-        logits = acts[-1][0]
-        f = float(np.mean(np.logaddexp(0.0, -y * logits)))
+        logits = acts[-1][..., 0, :]
+        f = per_row(np.logaddexp(0.0, -y * logits).sum(axis=-1) / n_points)
         # d loss / d logit = -y * sigmoid(-y z), averaged over samples
         dlogit = (-y / (1.0 + np.exp(y * logits))) / n_points
-        delta = dlogit[None, :]
+        delta = dlogit[..., None, :]
         grads = [None] * (2 * n_layers)
         for l in range(n_layers - 1, -1, -1):
             W = params[2 * l]
-            grads[2 * l] = delta @ acts[l].T
-            grads[2 * l + 1] = delta.sum(axis=1)
+            grads[2 * l] = delta @ np.swapaxes(acts[l], -1, -2)
+            grads[2 * l + 1] = delta.sum(axis=-1)
             if l > 0:
-                delta = (W.T @ delta) * (1.0 - acts[l] * acts[l])
-        return f, np.concatenate([g.ravel() for g in grads])
+                delta = ((np.swapaxes(W, -1, -2) @ delta)
+                         * (1.0 - acts[l] * acts[l]))
+        return f, np.concatenate([g.reshape(lead + (-1,)) for g in grads],
+                                 axis=-1)
 
     # Coarse curvature bound: logistic head curvature 1/4, activations
     # bounded by max(|X|, 1) through tanh, weights assumed within +-B.

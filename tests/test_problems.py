@@ -141,7 +141,7 @@ FUSED_PROBLEMS = {
 
 class TestFusedOracle:
     """eval_fg(x) is bitwise (eval_f(x), eval_grad(x)) at any finite x, and
-    the quadratic's rows are bitwise its single points."""
+    every problem's rows are bitwise its single points."""
 
     @pytest.mark.parametrize("name", sorted(FUSED_PROBLEMS))
     @settings(max_examples=60, deadline=None)
@@ -155,6 +155,23 @@ class TestFusedOracle:
             assert bits(g) == bits(p.eval_grad(x))
         assert isinstance(f, float) and g.shape == (p.dim,)
 
+    @pytest.mark.parametrize("name", sorted(FUSED_PROBLEMS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_points(self, name, data):
+        p = FUSED_PROBLEMS[name]
+        X = data.draw(st.integers(1, 5).flatmap(
+            lambda rows: finite_points(p.dim, rows)))
+        with np.errstate(all="ignore"):
+            f, g = p.eval_fg(X)
+            assert bits(f) == bits(p.eval_f(X))
+            assert bits(g) == bits(p.eval_grad(X))
+            for i, x in enumerate(X):
+                f_i, g_i = p.eval_fg(x)
+                assert bits(f[i]) == bits(f_i)
+                assert bits(g[i]) == bits(g_i)
+        assert f.shape == (len(X),) and g.shape == X.shape
+
     @settings(max_examples=60, deadline=None)
     @given(X=st.integers(1, 5).flatmap(lambda rows: finite_points(4, rows)))
     def test_quadratic_rows(self, X):
@@ -163,8 +180,6 @@ class TestFusedOracle:
         x_opt = np.array([1.0, 0.0, -1.0, 2.5])
         with np.errstate(all="ignore"):
             f, g = p.eval_fg(X)
-            assert bits(f) == bits(p.eval_f(X))
-            assert bits(g) == bits(p.eval_grad(X))
             for i, x in enumerate(X):
                 d = x - x_opt
                 assert bits(f[i]) == bits(0.5 * np.sum(L * d * d))
