@@ -12,8 +12,8 @@ from .optimizers import (OptimizerConfig, OptimizerState, StepParams,
 from .problems import (GradSample, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, stochastic_grad)
 from .theory import (SnrProfile, TheoremInputs, expected_alignment_bound,
-                     gauss_bound, mc_sign_failure, min_split_check,
-                     phi_measure, sign_agreement_lower_bound,
-                     theorem_rhs_l1, theorem_rhs_phi)
+                     gauss_bound, mc_sign_failure, phi_measure,
+                     sign_agreement_lower_bound, theorem_rhs_l1,
+                     theorem_rhs_phi)
 
 __version__ = "0.1.0"

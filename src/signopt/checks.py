@@ -16,13 +16,14 @@ from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec, RunSpec,
                      parse_config, serialize_config)
 from .core import RngStream, STREAM_MC, sign_vec
 from .dither import expected_dithered_sign, mc_dithered_sign
-from .harness import (Row, RunRecord, emit_csv, load_csv, run_single,
-                      run_switch_suite, run_theorem_suite)
+from .harness import (emit_csv, load_csv, run_single, run_switch_suite,
+                      run_theorem_suite)
 from .optimizers import lambda_project
 from .theory import (GAUSS_SPLIT, gauss_bound, mc_sign_failure,
                      sign_agreement_lower_bound)
 
 MC_SEED = 20240817
+MC_TRIALS = 10**6
 
 SYMMETRIC_FAMILIES = ("gaussian", "uniform", "laplace")
 SNR_GRID = (0.1, 0.25, 0.5, GAUSS_SPLIT, 1.0, 2.0, 5.0)
@@ -46,6 +47,8 @@ class CheckResult:
 
 
 def _theorem_base_config(sigma: float = 1.0) -> ExperimentConfig:
+    """The rate check's 10-dim quadratic; the decay, switching and
+    limit-cycle checks derive their configs from it."""
     return ExperimentConfig(
         problem=ProblemSpec(kind="quadratic", dim=10,
                             lipschitz=tuple(np.linspace(0.5, 4.0, 10)),
@@ -59,7 +62,7 @@ def _theorem_base_config(sigma: float = 1.0) -> ExperimentConfig:
 
 # -- 1 ----------------------------------------------------------------------
 
-def check_gauss_bound_validity(trials: int = 10**6) -> CheckResult:
+def check_gauss_bound_validity(trials: int = MC_TRIALS) -> CheckResult:
     """Sign-failure rate never exceeds the unimodal-symmetric bound."""
     rng = RngStream(MC_SEED, STREAM_MC)
     worst = None
@@ -93,11 +96,11 @@ def check_relaxation_inequality() -> CheckResult:
 
 # -- 3 & 4 ------------------------------------------------------------------
 
-def check_theorem_rate(seeds=THEOREM_SEEDS, k_grid=THEOREM_K_GRID,
-                       n_grid=THEOREM_N_GRID):
+def check_theorem_rate() -> tuple:
     """Both rate bounds hold in every (K, n) cell; returns the phi-bound
     and l1-bound results separately."""
-    report = run_theorem_suite(_theorem_base_config(1.0), seeds, k_grid, n_grid)
+    report = run_theorem_suite(_theorem_base_config(1.0), THEOREM_SEEDS,
+                               THEOREM_K_GRID, THEOREM_N_GRID)
     phi_ok = all(c["avg_phi"] <= c["rhs_phi"] for c in report["cells"])
     l1_ok = all(c["avg_l1"] <= c["rhs_l1"] for c in report["cells"])
     phi_margin = min(c["rhs_phi"] / c["avg_phi"] for c in report["cells"])
@@ -106,20 +109,16 @@ def check_theorem_rate(seeds=THEOREM_SEEDS, k_grid=THEOREM_K_GRID,
                           f"min rhs/lhs ratio {phi_margin:.3f}")
     res_l1 = CheckResult("theorem-rate-l1", l1_ok,
                          f"min rhs/lhs ratio {l1_margin:.3f}")
-    return res_phi, res_l1, report
+    return res_phi, res_l1
 
 
-def check_decay_exponent(k_grid=THEOREM_K_GRID) -> CheckResult:
+def check_decay_exponent() -> CheckResult:
     """Noiseless rate: the K-averaged measure decays like K^-p, p in
     [0.4, 0.6]."""
-    cfg = _theorem_base_config(sigma=0.0)
-    avgs = []
-    for K in k_grid:
-        c = replace(cfg, run=replace(cfg.run, steps=K, seeds=(0,),
-                                     record_stride=max(1, K // 10)))
-        rec = run_single(c, 0)
-        avgs.append(rec.avg_phi)
-    slope = np.polyfit(np.log(k_grid), np.log(avgs), 1)[0]
+    report = run_theorem_suite(_theorem_base_config(0.0), (0,),
+                               THEOREM_K_GRID, (1,))
+    avgs = [c["avg_phi"] for c in report["cells"]]
+    slope = np.polyfit(np.log(THEOREM_K_GRID), np.log(avgs), 1)[0]
     p = -slope
     return CheckResult("noiseless-decay-exponent", 0.4 <= p <= 0.6,
                        f"fitted exponent {p:.3f}")
@@ -127,7 +126,7 @@ def check_decay_exponent(k_grid=THEOREM_K_GRID) -> CheckResult:
 
 # -- 5 ----------------------------------------------------------------------
 
-def check_dither_statistics(trials: int = 10**6) -> CheckResult:
+def check_dither_statistics(trials: int = MC_TRIALS) -> CheckResult:
     """MC dithered-sign mean matches 2*Phi(m/sigma)-1 on the ratio grid,
     and the small-ratio linearization is accurate to 0.1%."""
     rng = RngStream(MC_SEED + 1, STREAM_MC)
@@ -150,9 +149,10 @@ def check_dither_statistics(trials: int = 10**6) -> CheckResult:
 
 # -- 6 ----------------------------------------------------------------------
 
-def check_projection_calibration(n_triples: int = 10**4) -> CheckResult:
+def check_projection_calibration() -> CheckResult:
     """Nonnegativity, the defining identity to 2 ulps, exact zero on
     orthogonal input, and the worked value delta/c."""
+    n_triples = 10**4
     rng = RngStream(MC_SEED + 2, STREAM_MC).generator
     eps = 1e-12
     ok = True
@@ -200,8 +200,8 @@ def _reduction_config(**opt_kwargs) -> ExperimentConfig:
     )
 
 
-def _iterates(cfg: ExperimentConfig, seed: int = 7):
-    return run_single(cfg, seed, collect_iterates=True).iterates
+def _iterates(cfg: ExperimentConfig):
+    return run_single(cfg, 7, collect_iterates=True).iterates
 
 
 def _same_trajectory(a, b) -> bool:
@@ -286,20 +286,17 @@ def check_scale_invariance() -> CheckResult:
 
 # -- 9 ----------------------------------------------------------------------
 
-def check_switching_benefit(seeds=tuple(range(20))) -> CheckResult:
+def check_switching_benefit() -> CheckResult:
     """Some switch point beats pure momentum-sign descent on the noisy
-    quadratic (median final loss over seeds)."""
-    cfg = ExperimentConfig(
-        problem=ProblemSpec(kind="quadratic", dim=10,
-                            lipschitz=tuple(np.linspace(0.5, 4.0, 10)),
-                            x_opt=(0.0,), x0=(1.0,),
-                            noise_family="gaussian", sigma=(1.0,)),
+    quadratic of the rate check (median final loss over its seeds)."""
+    cfg = replace(
+        _theorem_base_config(1.0),
         optimizer=OptimizerSpec(algorithm="hybrid", delta=0.05, beta=0.9,
                                 eta=0.99, lr=0.01),
-        run=RunSpec(steps=4000, batch_size=1, seeds=seeds,
+        run=RunSpec(steps=4000, batch_size=1, seeds=THEOREM_SEEDS,
                     record_stride=400),
     )
-    report = run_switch_suite(cfg, (500, 1000, 2000), seeds)
+    report = run_switch_suite(cfg, (500, 1000, 2000), THEOREM_SEEDS)
     best = report["best"]
     ok = best["median_final_f"] < report["signsgdm_median_final_f"]
     return CheckResult(
@@ -313,11 +310,10 @@ def check_sign_limit_cycle() -> CheckResult:
     loss cycle peak stays above max(L) * delta^2 / 8 and below the full
     band value."""
     delta = 0.05
-    L = tuple(np.linspace(0.5, 4.0, 10))
+    problem = _theorem_base_config(0.0).problem
+    L = problem.lipschitz
     cfg = ExperimentConfig(
-        problem=ProblemSpec(kind="quadratic", dim=10, lipschitz=L,
-                            x_opt=(0.0,), x0=(1.0137,),
-                            noise_family="gaussian", sigma=(0.0,)),
+        problem=replace(problem, x0=(1.0137,)),
         optimizer=OptimizerSpec(algorithm="signsgd", delta=delta),
         run=RunSpec(steps=2000, batch_size=1, seeds=(0,), record_stride=1),
     )
@@ -335,13 +331,13 @@ def check_sign_limit_cycle() -> CheckResult:
 
 # -- 10 ---------------------------------------------------------------------
 
-def check_asymmetric_failure(trials: int = 10**6) -> CheckResult:
+def check_asymmetric_failure() -> CheckResult:
     """The symmetric-noise bound breaks under asymmetric-bimodal noise, and
     sign descent stalls where SGD converges on the matching 1-D quadratic."""
     rng = RngStream(MC_SEED + 3, STREAM_MC)
     violated = False
     for i, S in enumerate(SNR_GRID):
-        p_hat, se = mc_sign_failure("asymmetric-bimodal", S, trials,
+        p_hat, se = mc_sign_failure("asymmetric-bimodal", S, MC_TRIALS,
                                     rng.derive(i))
         if p_hat > gauss_bound(S) + 3.0 * se:
             violated = True
@@ -379,32 +375,28 @@ def _fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def check_gradient_correctness(n_points: int = 100) -> CheckResult:
+def check_gradient_correctness() -> CheckResult:
     """Analytic gradients of the logistic and MLP problems agree with
-    central finite differences."""
+    central finite differences at 100 random points each."""
     from .problems import NoiseSpec, make_logistic, make_mlp
 
-    noise0 = NoiseSpec("gaussian", (0.0,) * 5)
-    logi = make_logistic(11, 5, 60, noise0)
     rng = RngStream(MC_SEED + 4, STREAM_MC).generator
-    worst_logi = 0.0
-    for _ in range(n_points):
-        x = rng.standard_normal(logi.dim)
-        g = logi.eval_grad(x)
-        g_fd = _fd_gradient(logi.eval_f, x, 1e-6)
-        worst_logi = max(worst_logi,
-                         float(np.linalg.norm(g - g_fd) / np.linalg.norm(g)))
-
-    widths = (3, 6, 1)
-    mlp = make_mlp(13, widths, NoiseSpec("gaussian", (0.0,)))
-    worst_mlp = 0.0
-    for _ in range(n_points):
-        x = 0.5 * rng.standard_normal(mlp.dim)
-        g = mlp.eval_grad(x)
-        g_fd = _fd_gradient(mlp.eval_f, x, 1e-5)
-        worst_mlp = max(worst_mlp,
-                        float(np.linalg.norm(g - g_fd) / np.linalg.norm(g)))
-
+    worst = []
+    # (problem, scale of its random points, finite-difference step)
+    for problem, scale, h in (
+            (make_logistic(11, 5, 60, NoiseSpec("gaussian", (0.0,) * 5)),
+             1.0, 1e-6),
+            (make_mlp(13, (3, 6, 1), NoiseSpec("gaussian", (0.0,))),
+             0.5, 1e-5)):
+        err = 0.0
+        for _ in range(100):
+            x = scale * rng.standard_normal(problem.dim)
+            g = problem.eval_grad(x)
+            g_fd = _fd_gradient(problem.eval_f, x, h)
+            err = max(err, float(np.linalg.norm(g - g_fd)
+                                 / np.linalg.norm(g)))
+        worst.append(err)
+    worst_logi, worst_mlp = worst
     ok = worst_logi < 1e-6 and worst_mlp < 1e-4
     return CheckResult("gradient-correctness", ok,
                        f"logistic rel err {worst_logi:.2e} (< 1e-6), "
@@ -413,7 +405,7 @@ def check_gradient_correctness(n_points: int = 100) -> CheckResult:
 
 # -- 12 ---------------------------------------------------------------------
 
-def check_serialization_roundtrip(tmp_dir=None) -> CheckResult:
+def check_serialization_roundtrip() -> CheckResult:
     """Config text and trajectory CSV survive a round trip bit-exactly."""
     import tempfile
     from pathlib import Path
@@ -432,7 +424,7 @@ def check_serialization_roundtrip(tmp_dir=None) -> CheckResult:
     cfg_ok = parse_config(serialize_config(cfg)) == cfg
 
     rec = run_single(cfg, 42)
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as td:
+    with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "run.csv"
         emit_csv(rec, path)
         rows = load_csv(path)
@@ -445,26 +437,20 @@ def check_serialization_roundtrip(tmp_dir=None) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 
-def run_all(fast: bool = False) -> list:
-    """The complete verification battery. `fast` shrinks Monte Carlo sizes
-    for smoke testing only; acceptance uses the defaults."""
-    trials = 10**5 if fast else 10**6
-    seeds = tuple(range(5)) if fast else THEOREM_SEEDS
-    results = [
-        check_gauss_bound_validity(trials),
-        check_relaxation_inequality(),
-    ]
-    res_phi, res_l1, _ = check_theorem_rate(seeds=seeds)
-    results += [res_phi, res_l1,
-                check_decay_exponent(),
-                check_dither_statistics(trials),
-                check_projection_calibration(10**3 if fast else 10**4),
-                check_reduction_identities(),
-                check_sign_phase_geometry(),
-                check_scale_invariance(),
-                check_switching_benefit(seeds=seeds),
-                check_sign_limit_cycle(),
-                check_asymmetric_failure(trials),
-                check_gradient_correctness(20 if fast else 100),
-                check_serialization_roundtrip()]
-    return results
+def run_all() -> list:
+    """The complete verification battery, at its full Monte Carlo sizes:
+    what the `selftest` CLI command runs."""
+    return [check_gauss_bound_validity(),
+            check_relaxation_inequality(),
+            *check_theorem_rate(),
+            check_decay_exponent(),
+            check_dither_statistics(),
+            check_projection_calibration(),
+            check_reduction_identities(),
+            check_sign_phase_geometry(),
+            check_scale_invariance(),
+            check_switching_benefit(),
+            check_sign_limit_cycle(),
+            check_asymmetric_failure(),
+            check_gradient_correctness(),
+            check_serialization_roundtrip()]

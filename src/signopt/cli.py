@@ -12,8 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .checks import (check_dither_statistics, check_gauss_bound_validity,
-                     check_relaxation_inequality, run_all)
+from .checks import (MC_TRIALS, check_dither_statistics,
+                     check_gauss_bound_validity, check_relaxation_inequality,
+                     run_all)
 from .config import ConfigError, load_config
 from .harness import emit_csv, emit_json, run_single, run_summary
 
@@ -130,7 +131,7 @@ def cmd_bound_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return _print_results(run_all(fast=args.fast))
+    return _print_results(run_all())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,16 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_switch_suite)
 
     p = sub.add_parser("dither-verify", help="dithered-sign MC grid")
-    p.add_argument("--trials", type=_int_at_least(1), default=10**6)
+    p.add_argument("--trials", type=_int_at_least(1), default=MC_TRIALS)
     p.set_defaults(func=cmd_dither_verify)
 
     p = sub.add_parser("bound-verify", help="sign-failure bound grids")
-    p.add_argument("--trials", type=_int_at_least(1), default=10**6)
+    p.add_argument("--trials", type=_int_at_least(1), default=MC_TRIALS)
     p.set_defaults(func=cmd_bound_verify)
 
     p = sub.add_parser("selftest", help="full verification battery")
-    p.add_argument("--fast", action="store_true",
-                   help="smaller MC sizes (smoke test only)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -97,10 +97,9 @@ def theorem_delta(problem: Problem, steps: int) -> float:
 
 
 def run_single(cfg: ExperimentConfig, seed: int,
-               problem: Problem | None = None,
                collect_iterates: bool = False) -> RunRecord:
     """Execute one seeded trajectory of the configured optimizer."""
-    return run_seeds(cfg, (seed,), problem, collect_iterates)[0]
+    return run_seeds(cfg, (seed,), collect_iterates=collect_iterates)[0]
 
 
 class _RowStreams:

@@ -193,7 +193,8 @@ def _uniform(v) -> bool:
 def step(state: OptimizerState, g: np.ndarray, params: StepParams,
          dither=None) -> OptimizerState:
     """Advance every row by one step: a sign step where k < t_switch, an
-    SGD step elsewhere. `dither` is read only by rows with alpha > 0."""
+    SGD step elsewhere. `dither` is read only by rows with alpha > 0, and
+    a sign step with such rows needs it."""
     k = state.k
     in_sign = k < params.t_switch  # a bool, or one per row
     if in_sign is False:
@@ -232,8 +233,7 @@ def _sgd_rate(state: OptimizerState, p: StepParams):
 def _sign_step(state: OptimizerState, g: np.ndarray, p: StepParams,
                dither) -> tuple:
     """The sign step's move delta * direction, the new momentum and EMA,
-    and lambda. The direction is dithered where alpha > 0 and a dither
-    stream is given.
+    and lambda. The direction is dithered where alpha > 0.
 
     The calibration scalar is computed from the un-dithered momentum;
     only rows that track the EMA fold it in.
@@ -266,8 +266,10 @@ def _direction(src: np.ndarray, k: int, p: StepParams, dither) -> np.ndarray:
     rows dither, a row with sigma_k = 0 gets a dither of exactly +0.0,
     which leaves its direction bitwise sign(src): np.sign returns +0.0
     for both zeros."""
-    if dither is None or (_uniform(p.alpha) and p.alpha == 0.0):
+    if _uniform(p.alpha) and p.alpha == 0.0:
         return sign_vec(src)
+    if dither is None:
+        raise ValueError("a step with alpha > 0 needs a dither stream")
     s2 = dither_sigma_sq(k, p)
     if _uniform(s2):
         if s2 == 0.0:

@@ -22,6 +22,9 @@ NOISE_FAMILIES = ("gaussian", "uniform", "laplace", "asymmetric-bimodal")
 # the mean is zero and the variance is 1. q = 0.1 gives a = 3, b = 1/3.
 BIMODAL_Q = 0.1
 
+# Weight of the logistic problem's L2 penalty (reg/2) * ||x||^2.
+LOGISTIC_REG = 1e-2
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -127,8 +130,8 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
                     noise=noise, name="quadratic")
 
 
-def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
-                  reg: float = 1e-2) -> Problem:
+def make_logistic(dataset_seed: int, dim: int, n_points: int,
+                  noise: NoiseSpec) -> Problem:
     """L2-regularized logistic loss on a synthetic near-separable dataset.
 
     Per-coordinate curvature of the log-loss term is at most
@@ -145,6 +148,7 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int, noise: NoiseSpec,
     margins = A @ w_true + 0.1 * data_rng.normal(n_points)
     y = np.where(margins >= 0, 1.0, -1.0)
 
+    reg = LOGISTIC_REG
     L = 0.25 * np.mean(A * A, axis=0) + reg
 
     def eval_fg(x):

@@ -111,14 +111,6 @@ def theorem_rhs_l1(t: TheoremInputs) -> float:
     return theorem_rhs_phi(t) + t.l1_sigma / math.sqrt(t.n)
 
 
-def min_split_check(a: float, s: float) -> bool:
-    """The elementary split |a| <= min(|a|, a^2/s) + s used to relate the
-    l1 norm to Phi."""
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    return abs(a) <= min(abs(a), a * a / s) + s
-
-
 def mc_sign_failure(family: str, S: float, trials: int, rng: RngStream):
     """Empirical sign-failure rate (p_hat, std_err) for a coordinate with
     SNR S under unit-variance noise from the named family.

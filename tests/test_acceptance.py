@@ -34,7 +34,7 @@ FULL_BATTERY_LINES = [
 
 @pytest.fixture(scope="session")
 def results():
-    return {r.name: r for r in run_all(fast=False)}
+    return {r.name: r for r in run_all()}
 
 
 def _assert(results, name):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signopt.checks import CheckResult
 from signopt.cli import main
 from signopt.config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                             RunSpec, save_config)
@@ -57,6 +58,39 @@ def test_bound_verify_passes():
 
 def test_dither_verify_passes():
     assert main(["dither-verify", "--trials", "20000"]) == 0
+
+
+CANNED = [CheckResult("first", True, "detail one"),
+          CheckResult("second", True)]
+
+
+def selftest(monkeypatch, capsys, results, argv=("selftest",)):
+    """`signopt selftest` over canned battery results: (exit code, stdout
+    lines)."""
+    monkeypatch.setattr("signopt.cli.run_all", lambda: list(results))
+    code = main(list(argv))
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_selftest_prints_one_line_per_result(monkeypatch, capsys):
+    code, lines = selftest(monkeypatch, capsys, CANNED)
+    assert code == 0
+    assert lines == ["[PASS] first: detail one", "[PASS] second"]
+
+
+def test_selftest_exits_1_when_a_check_fails(monkeypatch, capsys):
+    code, lines = selftest(monkeypatch, capsys,
+                           CANNED + [CheckResult("third", False, "off")])
+    assert code == 1
+    assert lines == ["[PASS] first: detail one", "[PASS] second",
+                     "[FAIL] third: off"]
+
+
+def test_selftest_has_no_fast_flag(monkeypatch, capsys):
+    code, lines = selftest(monkeypatch, capsys, CANNED,
+                           argv=("selftest", "--fast"))
+    assert code == 2
+    assert lines == []
 
 
 def test_out_root_env_var(tmp_path, monkeypatch):

@@ -147,6 +147,18 @@ class TestDitheredStep:
         # |step| is delta plus a noise perturbation, not quantized
         assert new.x[0] != pytest.approx(-0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["pre", "post"])
+    def test_dither_needs_a_stream(self, mode):
+        cfg = OptimizerConfig(algorithm="dithered", alpha=0.3,
+                              dither_mode=mode)
+        state = init_state(np.zeros(2))
+        with pytest.raises(ValueError, match="dither stream"):
+            step(state, gs([1.0, -1.0]), preset(cfg))
+        # an undithered step and an SGD step draw nothing
+        step(state, gs([1.0, -1.0]), preset(replace(cfg, alpha=0.0)))
+        step(state, gs([1.0, -1.0]),
+             preset(replace(cfg, algorithm="hybrid", t_switch=0.0)))
+
 
 class TestLambdaProject:
     def test_worked_value(self):

@@ -8,7 +8,7 @@ from signopt.core import RngStream, sign_vec
 from signopt.dither import normal_cdf
 from signopt.theory import (GAUSS_SPLIT, SnrProfile, TheoremInputs,
                             expected_alignment_bound, gauss_bound,
-                            mc_sign_failure, min_split_check, phi_measure,
+                            mc_sign_failure, phi_measure,
                             sign_agreement_lower_bound, theorem_rhs_l1,
                             theorem_rhs_phi)
 
@@ -154,22 +154,6 @@ class TestTheoremRhs:
             TheoremInputs(0.0, 0.0, 1.0, 0.0, 100, 1)
         with pytest.raises(ValueError):
             TheoremInputs(1.0, 0.0, -1.0, 0.0, 100, 1)
-
-
-class TestMinSplit:
-    def test_examples(self):
-        assert min_split_check(1.0, 2.0)
-        assert min_split_check(0.0, 0.5)
-        assert min_split_check(1.5, 1.5)
-
-    @given(st.floats(min_value=-1e8, max_value=1e8),
-           st.floats(min_value=1e-8, max_value=1e8))
-    def test_holds_everywhere(self, a, s):
-        assert min_split_check(a, s)
-
-    def test_requires_positive_s(self):
-        with pytest.raises(ValueError):
-            min_split_check(1.0, 0.0)
 
 
 class TestMcSignFailure:
