@@ -5,6 +5,16 @@ Per-step diagnostics (the l1 gradient norm and the SNR-weighted measure)
 are always computed from the TRUE gradient at the current iterate and the
 known batch noise scale, never from the stochastic sample, and the summary
 averages cover every step regardless of the recording stride.
+
+The diagnostics are reduced once per block of steps: each step's true
+gradient waits in a buffer, and a flush measures the whole block with one
+`l1_norm` and one `phi_measure` call, each a last-axis sum per row as on
+a single step. The running sums take the block's values in step order
+through `np.add.accumulate`, never `np.add.reduce`, which sums a
+contiguous block pairwise and so differs in the last bits. A row whose f
+overflows flushes the block before it leaves the batch, so its sums stop
+at its last finite step. Rows recorded in a block get their l1 and phi
+at its flush; everything else in a row is taken at its step.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ AUTO_STRIDE_LIMIT = 10_000
 # `run_seeds` draws random numbers a block of steps ahead. A block holds at
 # most this many bytes of one seed's noise draws (n * d a step) and of the
 # draws of all S seeds (S * d a step), so memory does not grow with steps.
+# The true gradients awaiting their diagnostics (S * d a step) hold at
+# most an eighth of it, so the temporaries of their flush stay small.
 BLOCK_BYTES = 1 << 18
 
 
@@ -137,6 +149,77 @@ class _RowStreams:
             self.buf = self.buf[:, rows]
 
 
+class _BlockDiagnostics:
+    """The l1 norm and phi of each step's true gradient and their running
+    sums, measured a block of `size` steps at a time.
+
+    `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
+    flushing it first when it is full. A flush measures the buffered
+    steps with one `l1_norm` and one `phi_measure` call, adds them to the
+    sums in step order and completes the rows recorded in the block. The
+    buffer's rows are the batch's, which is cut only right after a
+    flush."""
+
+    def __init__(self, snr: SnrProfile, size: int, rows: int, dim: int,
+                 recs: list, n_seeds: int):
+        self.snr = snr
+        self.grads = np.empty((size, rows, dim))
+        # phi and l1: the sums so far, then a value per buffered step.
+        # Accumulating along axis 1 adds step after step; np.add.reduce
+        # would sum one seed's contiguous column pairwise.
+        self.acc = np.zeros((2, size + 1, rows))
+        self.used = 0
+        self.pending = []   # the recorded steps of the block
+        self.recs = recs
+        self.n_seeds = n_seeds
+
+    def add(self, g: np.ndarray) -> None:
+        if self.used == len(self.grads):
+            self.flush()
+        self.grads[self.used] = g
+        self.used += 1
+
+    def record(self, k: int, live: list, f: list, lam: list, ema: list,
+               phase: list, sig2: list) -> None:
+        """Record step k of the rows of `live`; `sig2` is per config."""
+        self.pending.append((self.used - 1, k, live, f, lam, ema, phase,
+                             sig2))
+
+    def flush(self) -> None:
+        used = self.used
+        if not used:
+            return
+        g = self.grads[:used]
+        l1 = l1_norm(g)
+        phi = phi_measure(self.snr, g)
+        acc = self.acc[:, :used + 1]
+        acc[0, 1:] = phi
+        acc[1, 1:] = l1
+        np.add.accumulate(acc, axis=1, out=acc)
+        acc[:, 0] = acc[:, used]
+        self.used = 0
+        if not self.pending:
+            return
+        l1s, phis = l1.tolist(), phi.tolist()
+        recs, n_seeds = self.recs, self.n_seeds
+        for pos, k, live, fs, lams, emas, phases, sig2 in self.pending:
+            for i, f_i, l1_i, phi_i, lam, ema, phase in zip(
+                    live, fs, l1s[pos], phis[pos], lams, emas, phases):
+                # a frozen dataclass builds faster from positional values
+                recs[i].rows.append(Row(k, f_i, l1_i, phi_i, lam, ema,
+                                        sig2[i // n_seeds], phase))
+        self.pending = []
+
+    def sums(self, j: int) -> tuple:
+        """Row j's phi and l1 sums over the flushed steps."""
+        return float(self.acc[0, 0, j]), float(self.acc[1, 0, j])
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Cut the batch to `rows`; call it right after a flush."""
+        self.acc = self.acc[:, :, rows]
+        self.grads = self.grads[:, rows]
+
+
 def _row_values(v, rows: int) -> list:
     """A per-row state value (one value or an (S,) array) as S values."""
     return v.tolist() if isinstance(v, np.ndarray) else [v] * rows
@@ -232,14 +315,14 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     if any(dithered):  # read only by the rows that dither
         dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
                              lambda r, c: r.normal((c, d)), block, K)
-    sum_phi = np.zeros(S)
-    sum_l1 = np.zeros(S)
+    diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
+                             S, d, recs, n_seeds)
 
     def finish(j, steps, f_j):
         """Close the record of live row j, read from the loop's arrays as
         they are when it is called."""
         i, ema = live[j], state.lambda_ema
-        _finish(recs[i], steps, float(sum_phi[j]), float(sum_l1[j]), f_j,
+        _finish(recs[i], steps, *diag.sums(j), f_j,
                 float(ema[j]) if isinstance(ema, np.ndarray) else ema,
                 switch_steps[i // n_seeds])
 
@@ -249,21 +332,20 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             f, g_true = problem.eval_fg(state.x)
         finite = np.isfinite(f)
         if not finite.all():
+            # the dead rows' sums end with the step before this one
+            diag.flush()
             for j in np.flatnonzero(~finite):
                 finish(j, k, float(f[j]))
             live, state = live[finite], _keep_rows(state, finite)
             params = _keep_rows(params, finite)
             g_true, f = g_true[finite], f[finite]
-            sum_phi, sum_l1 = sum_phi[finite], sum_l1[finite]
+            diag.keep(finite)
             for streams in (noise, dither):
                 if streams is not None:
                     streams.keep(finite)
             if not live.size:
                 break
-        l1 = l1_norm(g_true)
-        phi = phi_measure(snr, g_true)
-        sum_phi += phi
-        sum_l1 += l1
+        diag.add(g_true)
 
         if run.decay_every and k and k % run.decay_every == 0:
             # the hybrid's frozen EMA is not decayed
@@ -279,20 +361,16 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             # mode, also on steps that apply none
             sig2 = [dither_sigma_sq(k, opt) if on else 0.0
                     for opt, on in zip(opts, dithered)]
-            for i, f_i, l1_i, phi_i, lam, ema, phase in zip(
-                    live.tolist(), f.tolist(), l1.tolist(), phi.tolist(),
-                    _row_values(state.last_lambda, rows),
-                    _row_values(state.lambda_ema, rows),
-                    _row_values(state.phase, rows)):
-                recs[i].rows.append(Row(k=k, f=f_i, l1_grad=l1_i, phi=phi_i,
-                                        lam=lam, lambda_ema=ema,
-                                        sigma_dither_sq=sig2[i // n_seeds],
-                                        phase=phase))
+            diag.record(k, live.tolist(), f.tolist(),
+                        _row_values(state.last_lambda, rows),
+                        _row_values(state.lambda_ema, rows),
+                        _row_values(state.phase, rows), sig2)
         if collect_iterates:
             for i, x in zip(live, state.x):
                 recs[i].iterates.append(x.copy())
 
     if live.size:
+        diag.flush()
         with np.errstate(over="ignore", invalid="ignore"):
             f = problem.eval_f(state.x)
         for j in range(live.size):
@@ -396,8 +474,12 @@ def load_csv(path) -> list:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
         rows = []
-        for line in fh:
+        n_fields = CSV_HEADER.count(",") + 1
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != n_fields:
+                raise ValueError(f"line {lineno}: expected {n_fields} CSV "
+                                 f"fields, got {len(parts)}")
             rows.append(Row(k=int(parts[0]), f=float(parts[1]),
                             l1_grad=float(parts[2]), phi=float(parts[3]),
                             lam=float(parts[4]), lambda_ema=float(parts[5]),

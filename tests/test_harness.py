@@ -474,6 +474,75 @@ class TestOraclePasses:
         assert any(row.phi < row.l1_grad for rec in recs for row in rec.rows)
 
 
+def step_order_sum(values):
+    """Left to right, as the run adds its steps."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def diagnostics_block(cfg, seeds):
+    """The steps a run measures together: its buffer of (S, d) true
+    gradients holds at most BLOCK_BYTES // 8 bytes."""
+    return max(1, harness.BLOCK_BYTES // 8 // (8 * len(seeds)
+                                               * build_problem(cfg).dim))
+
+
+class TestBlockDiagnostics:
+    """l1 and phi are measured once per block of steps, with every record
+    as it is when they are measured step by step."""
+
+    @pytest.mark.parametrize("case", ["one-seed", "diverging"])
+    # dim 4: 5-step blocks for 3 seeds and 15-step blocks for one
+    @pytest.mark.parametrize("block_bytes", [harness.BLOCK_BYTES,
+                                             64 * 4 * 3 * 5])
+    def test_sums_stay_in_step_order(self, case, block_bytes):
+        if case == "one-seed":
+            cfg, seeds = quad_cfg(run={"steps": 3100}), (4,)
+        else:
+            # seed 0 diverges at step 14, inside a block at either size
+            cfg, seeds = edge_cfg(), (1, 0, 2)
+            cfg = replace(cfg, run=replace(cfg.run, steps=1100))
+        with mock.patch.object(harness, "BLOCK_BYTES", block_bytes):
+            block = diagnostics_block(cfg, seeds)
+            recs = run_seeds(cfg, seeds)
+        assert 2 <= block and cfg.run.steps > 3 * block
+        assert [r.diverged for r in recs] == [
+            case == "diverging" and r.seed == 0 for r in recs]
+        for rec in recs:
+            assert [r.k for r in rec.rows] == list(range(rec.oracle_calls))
+            assert rec.avg_phi == step_order_sum(
+                r.phi for r in rec.rows) / rec.oracle_calls
+            assert rec.avg_l1 == step_order_sum(
+                r.l1_grad for r in rec.rows) / rec.oracle_calls
+
+    @pytest.mark.parametrize("name", ["theorem", "diverging-edge"])
+    def test_measured_once_per_flush(self, name, monkeypatch):
+        if name == "theorem":
+            cfg, seeds = _theorem_base_config(1.0), tuple(range(20))
+        else:
+            cfg, seeds = BATCH_CONFIGS[name], SEED_POOL
+        calls = Counter()
+
+        def counted(attr):
+            fn = getattr(harness, attr)
+
+            def call(*args):
+                calls[attr] += 1
+                return fn(*args)
+            return call
+
+        for attr in ("phi_measure", "l1_norm"):
+            monkeypatch.setattr(harness, attr, counted(attr))
+        recs = run_seeds(cfg, seeds)
+        flushes = (math.ceil(cfg.run.steps / diagnostics_block(cfg, seeds))
+                   + sum(r.diverged for r in recs) + 1)
+        assert any(r.diverged for r in recs) == (name == "diverging-edge")
+        assert 0 < calls["phi_measure"] <= flushes
+        assert 0 < calls["l1_norm"] <= flushes
+
+
 class TestSuites:
     def test_switch_suite_runs_one_batch(self, monkeypatch):
         calls = []
@@ -529,6 +598,14 @@ class TestSerialization:
         rows = load_csv(path)
         assert rows == rec.rows
         assert {r.phase for r in rows} == {"sign", "sgd"}
+
+    @pytest.mark.parametrize("row", ["0,1.0,2.0",
+                                     "0,1,2,3,4,5,6,sign,7"])
+    def test_row_with_wrong_field_count_names_its_line(self, tmp_path, row):
+        path = tmp_path / "run.csv"
+        path.write_text(f"{CSV_HEADER}\n0,1,2,3,4,5,6,sign\n{row}\n")
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_csv(path)
 
     def test_config_roundtrip(self):
         cfg = quad_cfg(optimizer={"algorithm": "dithered", "alpha": 0.3,

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -239,14 +240,24 @@ class TestStochasticGrad:
         assert np.array_equal(gs.grad, p.eval_grad(x))
         assert np.array_equal(gs.coord_std, np.zeros(2))
 
+    @staticmethod
+    def samples(p, x, n, trials, rng):
+        """`trials` successive `stochastic_grad(p, x, n, rng)` gradients,
+        drawn in one `batch_noise` call: bitwise the calls' draws, which
+        is checked on the first 100."""
+        check = copy.deepcopy(rng)
+        grads = p.eval_grad(x) + batch_noise(p.noise, n, trials, rng)
+        calls = [stochastic_grad(p, x, n, check).grad for _ in range(100)]
+        assert np.array_equal(grads[:100], calls)
+        return grads
+
     def test_unbiased(self):
         sigma = np.array([0.5, 2.0])
         p = make_quadratic([1.0, 2.0], [0.0, 0.0], NoiseSpec("laplace", sigma))
         x = np.array([0.3, -0.7])
         rng = RngStream(31, 0)
         trials = 10**5
-        mean = np.mean([stochastic_grad(p, x, 1, rng).grad
-                        for _ in range(trials)], axis=0)
+        mean = np.mean(self.samples(p, x, 1, trials, rng), axis=0)
         se = sigma / math.sqrt(trials)
         assert np.all(np.abs(mean - p.eval_grad(x)) <= 4.0 * se)
 
@@ -256,10 +267,8 @@ class TestStochasticGrad:
         x = np.array([0.0])
         rng = RngStream(32, 0)
         trials = 10**5
-        v1 = np.var([stochastic_grad(p, x, 1, rng).grad[0]
-                     for _ in range(trials)])
-        v4 = np.var([stochastic_grad(p, x, 4, rng).grad[0]
-                     for _ in range(trials)])
+        v1 = np.var(self.samples(p, x, 1, trials, rng)[:, 0])
+        v4 = np.var(self.samples(p, x, 4, trials, rng)[:, 0])
         assert 0.22 <= v4 / v1 <= 0.28
         # and the batch variance respects sigma^2 / n with MC slack
         assert v4 <= (1.0 / 4.0) * 1.05
