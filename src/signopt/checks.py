@@ -16,9 +16,10 @@ from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec, RunSpec,
                      parse_config, serialize_config)
 from .core import RngStream, STREAM_MC, sign_vec
 from .dither import expected_dithered_sign, mc_dithered_sign
-from .harness import (emit_csv, load_csv, run_single, run_switch_suite,
+from .harness import (emit_csv, load_csv, run_seeds, run_switch_suite,
                       run_theorem_suite)
 from .optimizers import lambda_project
+from .problems import NoiseSpec, make_logistic, make_mlp
 from .theory import (GAUSS_SPLIT, gauss_bound, mc_sign_failure,
                      sign_agreement_lower_bound)
 
@@ -200,37 +201,27 @@ def _reduction_config(**opt_kwargs) -> ExperimentConfig:
     )
 
 
-def _iterates(cfg: ExperimentConfig):
-    return run_single(cfg, 7, collect_iterates=True).iterates
-
-
-def _same_trajectory(a, b) -> bool:
-    return len(a) == len(b) and all(
-        np.array_equal(x, y) for x, y in zip(a, b))
-
-
 def check_reduction_identities() -> CheckResult:
     """alpha=0 dithering, never-switching and immediately-switching hybrids
     collapse bitwise onto their base methods."""
-    base = _iterates(_reduction_config(algorithm="signsgdm"))
-    dith_pre = _iterates(_reduction_config(algorithm="dithered", alpha=0.0,
-                                           dither_mode="pre"))
-    dith_post = _iterates(_reduction_config(algorithm="dithered", alpha=0.0,
-                                            dither_mode="post"))
-    never = _iterates(_reduction_config(algorithm="hybrid",
-                                        t_switch=math.inf))
-    also_never = _iterates(_reduction_config(algorithm="hybrid",
-                                             t_switch=10**9))
     lr = 0.02
-    immediate = _iterates(_reduction_config(algorithm="hybrid", t_switch=0.0,
-                                            lambda_init=lr))
-    pure_sgd = _iterates(_reduction_config(algorithm="sgd", lr=lr))
-    ok = (_same_trajectory(dith_pre, base)
-          and _same_trajectory(dith_post, base)
-          and _same_trajectory(dith_pre, dith_post)
-          and _same_trajectory(never, base)
-          and _same_trajectory(also_never, base)
-          and _same_trajectory(immediate, pure_sgd))
+    cfgs = [_reduction_config(**kwargs) for kwargs in (
+        {"algorithm": "signsgdm"},
+        {"algorithm": "dithered", "alpha": 0.0, "dither_mode": "pre"},
+        {"algorithm": "dithered", "alpha": 0.0, "dither_mode": "post"},
+        {"algorithm": "hybrid", "t_switch": math.inf},
+        {"algorithm": "hybrid", "t_switch": 10**9},
+        {"algorithm": "hybrid", "t_switch": 0.0, "lambda_init": lr},
+        {"algorithm": "sgd", "lr": lr})]
+    base, dith_pre, dith_post, never, also_never, immediate, pure_sgd = (
+        np.array(rec.iterates)
+        for rec in run_seeds(cfgs, collect_iterates=True))
+    ok = (np.array_equal(dith_pre, base)
+          and np.array_equal(dith_post, base)
+          and np.array_equal(dith_pre, dith_post)
+          and np.array_equal(never, base)
+          and np.array_equal(also_never, base)
+          and np.array_equal(immediate, pure_sgd))
     return CheckResult("reduction-identities", ok,
                        f"{len(base) - 1} steps compared bitwise")
 
@@ -241,17 +232,15 @@ def check_sign_phase_geometry() -> CheckResult:
     """Every sign-phase coordinate step is exactly -delta, 0 or +delta
     (dyadic delta so set membership is exact in floating point)."""
     delta = 1.0 / 32.0
-    ok = True
-    for algo, kwargs in (("signsgdm", {}),
-                         ("signsgd", {}),
-                         ("dithered", {"alpha": 0.1, "dither_mode": "pre"}),
-                         ("hybrid", {"t_switch": math.inf})):
-        cfg = _reduction_config(algorithm=algo, delta=delta, **kwargs)
-        cfg = replace(cfg, problem=replace(cfg.problem, x0=(0.5,)))
-        its = _iterates(cfg)
-        for prev, nxt in zip(its[:-1], its[1:]):
-            if not np.all(np.isin(nxt - prev, (-delta, 0.0, delta))):
-                ok = False
+    cfgs = [_reduction_config(algorithm=algo, delta=delta, **kwargs)
+            for algo, kwargs in (("signsgdm", {}),
+                                 ("signsgd", {}),
+                                 ("dithered", {"alpha": 0.1,
+                                               "dither_mode": "pre"}),
+                                 ("hybrid", {"t_switch": math.inf}))]
+    cfgs = [replace(c, problem=replace(c.problem, x0=(0.5,))) for c in cfgs]
+    ok = all(np.isin(np.diff(rec.iterates, axis=0), (-delta, 0.0, delta)).all()
+             for rec in run_seeds(cfgs, collect_iterates=True))
     return CheckResult("sign-phase-geometry", ok,
                        "coordinate steps confined to {-d, 0, +d}")
 
@@ -270,9 +259,9 @@ def check_scale_invariance() -> CheckResult:
     )
     scaled = replace(base, problem=replace(base.problem,
                                            lipschitz=(2.0 * c,)))
-    rec_a = run_single(base, 3, collect_iterates=True)
-    rec_b = run_single(scaled, 3, collect_iterates=True)
-    ok = _same_trajectory(rec_a.iterates, rec_b.iterates)
+    rec_a, = run_seeds(base, collect_iterates=True)
+    rec_b, = run_seeds(scaled, collect_iterates=True)
+    ok = np.array_equal(rec_a.iterates, rec_b.iterates)
     worst = 0.0
     for ra, rb in zip(rec_a.rows, rec_b.rows):
         err = abs(c * rb.lam - ra.lam)
@@ -317,7 +306,7 @@ def check_sign_limit_cycle() -> CheckResult:
         optimizer=OptimizerSpec(algorithm="signsgd", delta=delta),
         run=RunSpec(steps=2000, batch_size=1, seeds=(0,), record_stride=1),
     )
-    rec = run_single(cfg, 0, collect_iterates=True)
+    rec, = run_seeds(cfg, collect_iterates=True)
     tail_f = [r.f for r in rec.rows[-2:]]
     lower = max(L) * delta * delta / 8.0
     upper = 0.5 * sum(L) * delta * delta
@@ -353,8 +342,10 @@ def check_asymmetric_failure() -> CheckResult:
     sgd_cfg = replace(sign_cfg,
                       optimizer=OptimizerSpec(algorithm="sgd", lr=3e-4))
     f0 = 0.5  # f(x0) for L=1, x0 - x* = 1
-    sign_min = min(r.f for r in run_single(sign_cfg, 1).rows)
-    sgd_min = min(r.f for r in run_single(sgd_cfg, 1).rows)
+    # two runs, not one 2-config batch: a batch whose rows are in
+    # different phases computes both steps for every row
+    sign_min = min(r.f for r in run_seeds(sign_cfg)[0].rows)
+    sgd_min = min(r.f for r in run_seeds(sgd_cfg)[0].rows)
     sign_stalls = sign_min >= 0.5 * f0
     sgd_converges = sgd_min < 0.01 * f0
     ok = violated and sign_stalls and sgd_converges
@@ -366,33 +357,33 @@ def check_asymmetric_failure() -> CheckResult:
 
 # -- 11 ---------------------------------------------------------------------
 
-def _fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return g
+def _gradient_problems() -> tuple:
+    """(problem, scale of its random points, finite-difference step) for
+    each problem of the gradient check."""
+    return ((make_logistic(11, 5, 60, NoiseSpec("gaussian", (0.0,) * 5)),
+             1.0, 1e-6),
+            (make_mlp(13, (3, 6, 1), NoiseSpec("gaussian", (0.0,))),
+             0.5, 1e-5))
+
+
+def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of f at x along every axis: the 2*dim probes
+    x +- h*e_i are the rows of two calls of f."""
+    probe = h * np.eye(x.size)
+    return (f(x + probe) - f(x - probe)) / (2.0 * h)
 
 
 def check_gradient_correctness() -> CheckResult:
     """Analytic gradients of the logistic and MLP problems agree with
     central finite differences at 100 random points each."""
-    from .problems import NoiseSpec, make_logistic, make_mlp
-
     rng = RngStream(MC_SEED + 4, STREAM_MC).generator
     worst = []
-    # (problem, scale of its random points, finite-difference step)
-    for problem, scale, h in (
-            (make_logistic(11, 5, 60, NoiseSpec("gaussian", (0.0,) * 5)),
-             1.0, 1e-6),
-            (make_mlp(13, (3, 6, 1), NoiseSpec("gaussian", (0.0,))),
-             0.5, 1e-5)):
+    for problem, scale, h in _gradient_problems():
         err = 0.0
         for _ in range(100):
             x = scale * rng.standard_normal(problem.dim)
             g = problem.eval_grad(x)
-            g_fd = _fd_gradient(problem.eval_f, x, h)
+            g_fd = _central_differences(problem.eval_f, x, h)
             err = max(err, float(np.linalg.norm(g - g_fd)
                                  / np.linalg.norm(g)))
         worst.append(err)
@@ -423,13 +414,14 @@ def check_serialization_roundtrip() -> CheckResult:
     )
     cfg_ok = parse_config(serialize_config(cfg)) == cfg
 
-    rec = run_single(cfg, 42)
+    csv_ok = phases_ok = True
     with tempfile.TemporaryDirectory() as td:
-        path = Path(td) / "run.csv"
-        emit_csv(rec, path)
-        rows = load_csv(path)
-    csv_ok = rows == rec.rows
-    phases_ok = all(r.phase in ("sign", "sgd") for r in rows)
+        for rec in run_seeds(cfg):
+            path = Path(td) / f"run_seed{rec.seed}.csv"
+            emit_csv(rec, path)
+            rows = load_csv(path)
+            csv_ok &= rows == rec.rows
+            phases_ok &= all(r.phase in ("sign", "sgd") for r in rows)
     ok = cfg_ok and csv_ok and phases_ok
     return CheckResult("serialization-roundtrip", ok,
                        f"config {cfg_ok}, csv {csv_ok}, phases {phases_ok}")

@@ -190,6 +190,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a size the config allows but this machine cannot hold
+        print(f"config error: too large for memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -80,18 +80,9 @@ class RunRecord:
     wall_time: float = 0.0
 
     def summary(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "final_f": self.final_f,
-            "avg_phi": self.avg_phi,
-            "avg_l1": self.avg_l1,
-            "delta_used": self.delta_used,
-            "lambda_at_switch": self.lambda_at_switch,
-            "oracle_calls": self.oracle_calls,
-            "diverged": self.diverged,
-            "wall_time": self.wall_time,
-        }
+        """Every field but the per-step lists, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("rows", "iterates")}
 
 
 def default_stride(steps: int) -> int:

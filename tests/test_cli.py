@@ -100,6 +100,25 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "run_seed0.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem-suite", "--seeds", "2", "--k-grid", "100", "--n-grid", "1"],
+    ["switch-suite", "--seeds", "2", "--t-grid", "50"],
+])
+def test_suites_write_only_with_out(tmp_path, monkeypatch, argv):
+    """`SIGNOPT_OUT_ROOT` redirects `run` alone: without --out, a suite
+    writes nothing, neither under the variable nor in the working
+    directory."""
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="hybrid",
+                         delta=0.05)
+    monkeypatch.setenv("SIGNOPT_OUT_ROOT", str(tmp_path / "envout"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv + ["--config", str(cfg_path)]) in (0, 1)
+    assert not (tmp_path / "envout").exists()
+    assert not any(cwd.iterdir())
+
+
 def test_theorem_suite_command(tmp_path):
     cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")
     code = main(["theorem-suite", "--config", str(cfg_path),
@@ -173,6 +192,25 @@ def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     else:
         path.write_text(text)
     assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "theorem-suite", "switch-suite"])
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                            command):
+    """A valid size too large for memory is a config error, not a failed
+    check; the build is patched to fail, so nothing large is allocated."""
+    def build_problem(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr("signopt.harness.build_problem", build_problem)
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")
+    assert main([command, "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
