@@ -68,8 +68,8 @@ def _int_list_at_least(minimum: int):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args.out)
     record = run_single(cfg, args.seed)
+    out = _out_dir(args.out)
     emit_csv(record, out / f"run_seed{args.seed}.csv")
     emit_json(run_summary(cfg, record), out / f"run_seed{args.seed}.json")
     if record.diverged:
@@ -84,7 +84,6 @@ def cmd_theorem_suite(args) -> int:
     from .harness import run_theorem_suite
 
     cfg = load_config(args.config)
-    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
@@ -92,8 +91,8 @@ def cmd_theorem_suite(args) -> int:
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
               f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}")
-    if out:
-        emit_json(report, out / "theorem_suite.json")
+    if args.out:
+        emit_json(report, _out_dir(args.out) / "theorem_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -101,7 +100,6 @@ def cmd_switch_suite(args) -> int:
     from .harness import run_switch_suite
 
     cfg = load_config(args.config)
-    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_switch_suite(cfg, args.t_grid, seeds)
     for e in report["entries"]:
@@ -110,8 +108,8 @@ def cmd_switch_suite(args) -> int:
               f"{e['median_lambda_at_switch']:.6g}")
     print(f"pure signsgdm median final f {report['signsgdm_median_final_f']:.6g}")
     print(f"pure sgd      median final f {report['sgd_median_final_f']:.6g}")
-    if out:
-        emit_json(report, out / "switch_suite.json")
+    if args.out:
+        emit_json(report, _out_dir(args.out) / "switch_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

@@ -75,6 +75,14 @@ class ProblemSpec:
         if n > _MAX_VECTOR:
             raise ValueError(f"problem has {n} parameters; numpy's largest "
                              f"float64 array holds {_MAX_VECTOR}")
+        if self.kind != "quadratic":
+            # logistic's (n_points, dim) data, or the MLP's activations of
+            # its widest layer, one row per point
+            width = self.dim if self.kind == "logistic" else max(widths)
+            if self.n_points * width > _MAX_VECTOR:
+                raise ValueError(f"problem.n_points * {width} exceeds "
+                                 f"numpy's largest float64 array "
+                                 f"({_MAX_VECTOR})")
         for name in ("lipschitz", "x_opt", "x0", "sigma"):
             vec = getattr(self, name)
             if len(vec) not in (1, n):
@@ -110,6 +118,9 @@ class RunSpec:
     def __post_init__(self):
         if not (self.steps >= 1 and self.batch_size >= 1):
             raise ValueError("run.steps and run.batch_size must be >= 1")
+        if self.steps > sys.float_info.max:
+            raise ValueError(f"run.steps must be <= "
+                             f"{sys.float_info.max:.4g}, the largest float")
         if not (self.seeds and all(0 <= s < _SEED_LIMIT for s in self.seeds)):
             raise ValueError("run.seeds needs at least one seed, "
                              "each in [0, 2^64)")
@@ -128,6 +139,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         opt, run = self.optimizer, self.run
+        # a step draws batch_size noise vectors in one array; ConfigError,
+        # because the theorem suite builds its cells with replace()
+        if run.batch_size * self.problem.n_params > _MAX_VECTOR:
+            raise ConfigError(f"run.batch_size * {self.problem.n_params} "
+                              f"parameters exceeds numpy's largest float64 "
+                              f"array ({_MAX_VECTOR})")
         if not run.decay_every:
             return
         if run.theorem_mode:

@@ -119,7 +119,10 @@ class _RowStreams:
         self.buf = np.empty((0,))
         self.pos = 0
 
-    def next(self) -> np.ndarray:
+    def normal(self, size=None) -> np.ndarray:
+        """The next (S, d) draw of every row. It has RngStream's `normal`
+        signature, so the step rule reads its dither stream through it;
+        `size` is ignored."""
         if self.pos == len(self.buf):
             count = min(self.block, self.left)
             self.buf = np.stack([self.draw(r, count) for r in self.streams],
@@ -128,11 +131,6 @@ class _RowStreams:
         self.pos += 1
         self.left -= 1
         return self.buf[self.pos - 1]
-
-    def normal(self, size=None) -> np.ndarray:
-        """The next standard-normal draw of every row: the step rules'
-        dither stream."""
-        return self.next()
 
     def keep(self, rows: np.ndarray) -> None:
         self.streams = [r for r, k in zip(self.streams, rows) if k]
@@ -276,8 +274,8 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     stride = run.record_stride or default_stride(K)
     n_seeds, d = len(seeds), problem.dim
     S = len(opts) * n_seeds
-    # the noise scale is fixed for the run: validate it and find its
-    # noise-free coordinates once, then measure each step's gradient
+    # the noise scale is fixed for the run: validate it once, then measure
+    # each block's gradients against it
     snr = SnrProfile(np.zeros(d), problem.noise.sigma / math.sqrt(n))
 
     presets = [preset(opt) for opt in opts]
@@ -343,7 +341,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             params = replace(params, delta=params.delta * run.decay_factor,
                              lr=params.lr * run.decay_factor)
 
-        g = g_true if noise is None else g_true + noise.next()
+        g = g_true if noise is None else g_true + noise.normal()
         state = step(state, g, params, dither)
 
         if k % stride == 0 or k == K - 1:

@@ -54,7 +54,6 @@ class Problem:
     lipschitz: np.ndarray  # per-coordinate L_i
     f_star: float
     noise: NoiseSpec
-    name: str = "problem"
 
 
 def _problem(eval_fg, **fields) -> Problem:
@@ -126,8 +125,7 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
         grad = L * d
         return per_row(0.5 * (grad * d).sum(axis=-1)), grad
 
-    return _problem(eval_fg, dim=L.size, lipschitz=L, f_star=0.0,
-                    noise=noise, name="quadratic")
+    return _problem(eval_fg, dim=L.size, lipschitz=L, f_star=0.0, noise=noise)
 
 
 def make_logistic(dataset_seed: int, dim: int, n_points: int,
@@ -162,8 +160,7 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
                 np.matmul(A.T, (-y * s)[..., None])[..., 0] / n_points
                 + reg * x)
 
-    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise,
-                    name="logistic")
+    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise)
 
 
 def _layer_shapes(layer_widths: Sequence[int]):
@@ -259,5 +256,4 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     L_scalar = 0.25 * (act_bound ** 2) * mlp_depth_factor(n_layers)
     L = np.full(dim, L_scalar)
 
-    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise,
-                    name="mlp")
+    return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise)

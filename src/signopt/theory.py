@@ -10,7 +10,7 @@ noise-dominated ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ GAUSS_SPLIT = math.sqrt(2.0 / 3.0)
 class SnrProfile:
     g: np.ndarray  # true gradient, or an (S, d) array of S gradients
     s: np.ndarray  # per-coordinate noise std of the batch gradient
-    # the coordinates with s > 0, None when every one has
-    noisy: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
@@ -36,8 +34,6 @@ class SnrProfile:
             raise ValueError("gradient / noise dimension mismatch")
         if np.any(self.s < 0):
             raise ValueError("noise scales must be >= 0")
-        noisy = self.s > 0
-        object.__setattr__(self, "noisy", None if noisy.all() else noisy)
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,8 @@ def phi_measure(p: SnrProfile, g: np.ndarray | None = None):
     measures each step's gradient against it. It must be a float64 array
     of `p`'s dimension."""
     ag = np.abs(p.g if g is None else g)
-    if p.noisy is None:
-        quad = ag * ag / p.s
-    else:
-        quad = np.divide(ag * ag, p.s, out=np.full_like(ag, np.inf),
-                         where=p.noisy)
+    quad = np.divide(ag * ag, p.s, out=np.full_like(ag, np.inf),
+                     where=p.s > 0)
     return per_row(np.minimum(ag, quad).sum(axis=-1))
 
 

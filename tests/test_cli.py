@@ -179,6 +179,12 @@ OUT_IS_FILE = object()
     pytest.param("problem.dim = 9223372036854775807\n", id="dim-too-big"),
     pytest.param("problem.kind = mlp\nproblem.layer_widths = "
                  + ",".join(["1"] * 600) + "\n", id="mlp-too-deep"),
+    pytest.param("run.steps = 1" + "0" * 400 + "\n", id="steps-not-a-float"),
+    pytest.param(f"run.batch_size = {2**62}\n", id="batch-too-big"),
+    pytest.param(f"problem.kind = logistic\nproblem.n_points = {2**62}\n",
+                 id="logistic-data-too-big"),
+    pytest.param(f"problem.kind = mlp\nproblem.n_points = {2**62}\n",
+                 id="mlp-data-too-big"),
 ])
 def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
@@ -197,6 +203,27 @@ def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     assert err.startswith("config error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    pytest.param("run.theorem_mode = true\nproblem.lipschitz = 0\n",
+                 ["run"], id="run-theorem-mode-flat"),
+    pytest.param(f"run.batch_size = {2**62}\n", ["run"],
+                 id="run-batch-too-big"),
+    # the suite builds each cell's config: its batch is checked there
+    pytest.param("", ["theorem-suite", "--seeds", "2", "--k-grid", "100",
+                      "--n-grid", str(2**60)],
+                 id="theorem-suite-batch-too-big"),
+])
+def test_failed_command_leaves_no_out_directory(tmp_path, capsys, text, argv):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(argv + ["--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "theorem-suite", "switch-suite"])
