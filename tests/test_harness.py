@@ -543,6 +543,52 @@ class TestBlockDiagnostics:
         assert 0 < calls["l1_norm"] <= flushes
 
 
+class TestLambdaAtSwitch:
+    """A hybrid record's `lambda_at_switch` is read off its recorded rows:
+    NaN exactly when no row took an SGD step, else the EMA on the first
+    SGD row, which the SGD phase holds frozen."""
+
+    @staticmethod
+    def assert_read_off_rows(rec):
+        sgd = [r for r in rec.rows if r.phase == "sgd"]
+        if sgd:
+            assert repr(rec.lambda_at_switch) == repr(sgd[0].lambda_ema)
+        else:
+            assert math.isnan(rec.lambda_at_switch)
+
+    def test_switch_points_in_one_batch(self):
+        K = 20
+        grid = (0.0, 2.5, K - 1.0, K - 0.5, float(K), math.inf)
+        base = quad_cfg(optimizer={"algorithm": "hybrid",
+                                   "lambda_init": 0.01},
+                        run={"steps": K})
+        cfgs = [replace(base, optimizer=replace(base.optimizer, t_switch=t))
+                for t in grid]
+        cfgs.append(replace(base, optimizer=replace(base.optimizer,
+                                                    algorithm="sgd")))
+        seeds = (0, 1)
+        recs = run_seeds(cfgs, seeds)
+        for rec in recs[:-len(seeds)]:
+            self.assert_read_off_rows(rec)
+        switched = [math.isfinite(r.lambda_at_switch) for r in recs]
+        assert switched == [True] * 6 + [False] * 6 + [False] * 2
+        # SGD steps from the start, with no EMA to freeze
+        assert all(r.rows[0].phase == "sgd" for r in recs[-len(seeds):])
+
+    # at 30, seeds 0 and 7 diverge before the switch; at 13, seed 0
+    # diverges at step 54, after it
+    @pytest.mark.parametrize("t_switch", [30.0, 13.0])
+    def test_diverging_edge_seeds(self, t_switch):
+        cfg = edge_cfg()
+        cfg = replace(cfg, optimizer=replace(cfg.optimizer,
+                                             t_switch=t_switch))
+        recs = run_seeds(cfg, SEED_POOL)
+        assert any(r.diverged for r in recs)
+        for rec in recs:
+            assert len(rec.rows) == rec.oracle_calls
+            self.assert_read_off_rows(rec)
+
+
 class TestSuites:
     def test_switch_suite_runs_one_batch(self, monkeypatch):
         calls = []
