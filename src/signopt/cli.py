@@ -27,12 +27,27 @@ OUT_ROOT_ENV = "SIGNOPT_OUT_ROOT"
 
 
 def _out_dir(flag_value) -> Path:
+    """The output directory, checked before anything runs: the nearest of
+    it and its parents that exists must be a directory. Nothing is
+    created until `_write`."""
     path = Path(flag_value or os.environ.get(OUT_ROOT_ENV, "."))
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    for part in (path, *path.parents):
+        if os.path.exists(part):
+            if not os.path.isdir(part):
+                raise ConfigError(f"cannot create output directory {path}: "
+                                  f"{part} is not a directory")
+            break
     return path
+
+
+def _write(emit, obj, path: Path) -> None:
+    """`emit(obj, path)` into a directory created on demand; a path that
+    cannot be written is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        emit(obj, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _int_at_least(minimum: int, below: float = math.inf):
@@ -68,10 +83,11 @@ def _int_list_at_least(minimum: int):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    record = run_single(cfg, args.seed)
     out = _out_dir(args.out)
-    emit_csv(record, out / f"run_seed{args.seed}.csv")
-    emit_json(run_summary(cfg, record), out / f"run_seed{args.seed}.json")
+    record = run_single(cfg, args.seed)
+    _write(emit_csv, record, out / f"run_seed{args.seed}.csv")
+    _write(emit_json, run_summary(cfg, record),
+           out / f"run_seed{args.seed}.json")
     if record.diverged:
         print(f"run diverged at step {record.oracle_calls}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -84,6 +100,7 @@ def cmd_theorem_suite(args) -> int:
     from .harness import run_theorem_suite
 
     cfg = load_config(args.config)
+    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
@@ -91,8 +108,8 @@ def cmd_theorem_suite(args) -> int:
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
               f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}")
-    if args.out:
-        emit_json(report, _out_dir(args.out) / "theorem_suite.json")
+    if out is not None:
+        _write(emit_json, report, out / "theorem_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -100,6 +117,7 @@ def cmd_switch_suite(args) -> int:
     from .harness import run_switch_suite
 
     cfg = load_config(args.config)
+    out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
     report = run_switch_suite(cfg, args.t_grid, seeds)
     for e in report["entries"]:
@@ -108,8 +126,8 @@ def cmd_switch_suite(args) -> int:
               f"{e['median_lambda_at_switch']:.6g}")
     print(f"pure signsgdm median final f {report['signsgdm_median_final_f']:.6g}")
     print(f"pure sgd      median final f {report['sgd_median_final_f']:.6g}")
-    if args.out:
-        emit_json(report, _out_dir(args.out) / "switch_suite.json")
+    if out is not None:
+        _write(emit_json, report, out / "switch_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

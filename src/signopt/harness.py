@@ -13,8 +13,8 @@ a single step. The running sums take the block's values in step order
 through `np.add.accumulate`, never `np.add.reduce`, which sums a
 contiguous block pairwise and so differs in the last bits. A row whose f
 overflows flushes the block before it leaves the batch, so its sums stop
-at its last finite step. Rows recorded in a block get their l1 and phi
-at its flush; everything else in a row is taken at its step.
+at its last finite step. A row is recorded at its step with its l1 and
+phi left NaN, and the flush of its block fills them in.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .config import (ConfigError, ExperimentConfig, build_problem,
 from .dither import dither_sigma_sq
 # lambda_project and the five *_step presets are not called here;
 # perfbench/tracing.py wraps them under this module's name
-from .optimizers import (column_of, dithered_step, hybrid_step, init_state,
-                         lambda_project, preset, sgd_step, signsgd_step,
-                         signsgdm_step, stack_params, step)
+from .optimizers import (PHASE_SGD, PHASE_SIGN, column_of, dithered_step,
+                         hybrid_step, init_state, lambda_project, preset,
+                         sgd_step, signsgd_step, signsgdm_step, stack_params,
+                         step)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import SnrProfile, phi_measure
@@ -52,7 +53,7 @@ AUTO_STRIDE_LIMIT = 10_000
 BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass
 class Row:
     k: int
     f: float
@@ -145,12 +146,11 @@ class _BlockDiagnostics:
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
     flushing it first when it is full. A flush measures the buffered
     steps with one `l1_norm` and one `phi_measure` call, adds them to the
-    sums in step order and completes the rows recorded in the block. The
-    buffer's rows are the batch's, which is cut only right after a
-    flush."""
+    sums in step order and fills in the l1 and phi of the rows recorded in
+    the block. The buffer's rows are the batch's, which is cut only right
+    after a flush."""
 
-    def __init__(self, snr: SnrProfile, size: int, rows: int, dim: int,
-                 recs: list, n_seeds: int):
+    def __init__(self, snr: SnrProfile, size: int, rows: int, dim: int):
         self.snr = snr
         self.grads = np.empty((size, rows, dim))
         # phi and l1: the sums so far, then a value per buffered step.
@@ -158,9 +158,7 @@ class _BlockDiagnostics:
         # would sum one seed's contiguous column pairwise.
         self.acc = np.zeros((2, size + 1, rows))
         self.used = 0
-        self.pending = []   # the recorded steps of the block
-        self.recs = recs
-        self.n_seeds = n_seeds
+        self.pending = []   # (step in block, its rows) per recorded step
 
     def add(self, g: np.ndarray) -> None:
         if self.used == len(self.grads):
@@ -168,11 +166,9 @@ class _BlockDiagnostics:
         self.grads[self.used] = g
         self.used += 1
 
-    def record(self, k: int, live: list, f: list, lam: list, ema: list,
-               phase: list, sig2: list) -> None:
-        """Record step k of the rows of `live`; `sig2` is per config."""
-        self.pending.append((self.used - 1, k, live, f, lam, ema, phase,
-                             sig2))
+    def record(self, rows: list) -> None:
+        """The last added step's rows, one per batch row, to fill in."""
+        self.pending.append((self.used - 1, rows))
 
     def flush(self) -> None:
         used = self.used
@@ -190,13 +186,9 @@ class _BlockDiagnostics:
         if not self.pending:
             return
         l1s, phis = l1.tolist(), phi.tolist()
-        recs, n_seeds = self.recs, self.n_seeds
-        for pos, k, live, fs, lams, emas, phases, sig2 in self.pending:
-            for i, f_i, l1_i, phi_i, lam, ema, phase in zip(
-                    live, fs, l1s[pos], phis[pos], lams, emas, phases):
-                # a frozen dataclass builds faster from positional values
-                recs[i].rows.append(Row(k, f_i, l1_i, phi_i, lam, ema,
-                                        sig2[i // n_seeds], phase))
+        for pos, rows in self.pending:
+            for row, l1_i, phi_i in zip(rows, l1s[pos], phis[pos]):
+                row.l1_grad, row.phi = l1_i, phi_i
         self.pending = []
 
     def sums(self, j: int) -> tuple:
@@ -220,20 +212,6 @@ def _keep_rows(obj, rows: np.ndarray):
     return replace(obj, **{f.name: v[rows] for f in fields(obj)
                            if isinstance(v := getattr(obj, f.name),
                                          np.ndarray)})
-
-
-def _finish(rec: RunRecord, steps: int, sum_phi: float, sum_l1: float,
-            f: float, lambda_ema: float, switch_step) -> None:
-    """Close a record after `steps` steps. A row that took its first SGD
-    step (`switch_step`) has held its EMA frozen since: that is the
-    lambda it switched at."""
-    rec.oracle_calls = steps
-    rec.final_f = f
-    rec.diverged = not math.isfinite(f)
-    rec.avg_phi = sum_phi / max(steps, 1)
-    rec.avg_l1 = sum_l1 / max(steps, 1)
-    if switch_step < steps:
-        rec.lambda_at_switch = lambda_ema
 
 
 def run_seeds(cfg, seeds=None, problem: Problem | None = None,
@@ -278,12 +256,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     # each block's gradients against it
     snr = SnrProfile(np.zeros(d), problem.noise.sigma / math.sqrt(n))
 
-    presets = [preset(opt) for opt in opts]
-    params = stack_params(presets, n_seeds)
-    # the step of each config's first SGD step, for the rows that switch
-    switch_steps = [math.ceil(p.t_switch)
-                    if p.track_ema and p.t_switch < math.inf else math.inf
-                    for p in presets]
+    params = stack_params([preset(opt) for opt in opts], n_seeds)
     recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta)
             for opt in opts for s in seeds]
     live = np.arange(S)  # the record of each row
@@ -305,15 +278,23 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
                              lambda r, c: r.normal((c, d)), block, K)
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
-                             S, d, recs, n_seeds)
+                             S, d)
 
     def finish(j, steps, f_j):
-        """Close the record of live row j, read from the loop's arrays as
-        they are when it is called."""
-        i, ema = live[j], state.lambda_ema
-        _finish(recs[i], steps, *diag.sums(j), f_j,
-                float(ema[j]) if isinstance(ema, np.ndarray) else ema,
-                switch_steps[i // n_seeds])
+        """Close the record of live row j after `steps` steps from the
+        loop's arrays as they are now. A row that tracks the EMA and last
+        took an SGD step has held the EMA frozen since its first one: that
+        is the lambda it switched at."""
+        rec = recs[live[j]]
+        rec.oracle_calls = steps
+        rec.final_f = f_j
+        rec.diverged = not math.isfinite(f_j)
+        rec.avg_phi, rec.avg_l1 = (v / max(steps, 1) for v in diag.sums(j))
+        track, phase, ema = (v[j] if isinstance(v, np.ndarray) else v for v
+                             in (params.track_ema, state.phase,
+                                 state.lambda_ema))
+        if track and phase == PHASE_SGD:
+            rec.lambda_at_switch = float(ema)
 
     for k in range(K):
         # overflow here is the divergence signal, not an error
@@ -350,10 +331,17 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             # mode, also on steps that apply none
             sig2 = [dither_sigma_sq(k, opt) if on else 0.0
                     for opt, on in zip(opts, dithered)]
-            diag.record(k, live.tolist(), f.tolist(),
-                        _row_values(state.last_lambda, rows),
-                        _row_values(state.lambda_ema, rows),
-                        _row_values(state.phase, rows), sig2)
+            new = []
+            for i, f_i, lam, ema, phase in zip(
+                    live.tolist(), f.tolist(),
+                    _row_values(state.last_lambda, rows),
+                    _row_values(state.lambda_ema, rows),
+                    _row_values(state.phase, rows)):
+                row = Row(k, f_i, math.nan, math.nan, lam, ema,
+                          sig2[i // n_seeds], phase)
+                recs[i].rows.append(row)
+                new.append(row)
+            diag.record(new)
         if collect_iterates:
             for i, x in zip(live, state.x):
                 recs[i].iterates.append(x.copy())
@@ -466,13 +454,17 @@ def load_csv(path) -> list:
         n_fields = CSV_HEADER.count(",") + 1
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            if len(parts) != n_fields:
-                raise ValueError(f"line {lineno}: expected {n_fields} CSV "
-                                 f"fields, got {len(parts)}")
-            rows.append(Row(k=int(parts[0]), f=float(parts[1]),
-                            l1_grad=float(parts[2]), phi=float(parts[3]),
-                            lam=float(parts[4]), lambda_ema=float(parts[5]),
-                            sigma_dither_sq=float(parts[6]), phase=parts[7]))
+            try:
+                if len(parts) != n_fields:
+                    raise ValueError(f"expected {n_fields} CSV fields, got "
+                                     f"{len(parts)}")
+                if parts[7] not in (PHASE_SIGN, PHASE_SGD):
+                    raise ValueError(f"unknown phase {parts[7]!r}")
+                # the CSV columns are the Row fields in order
+                rows.append(Row(int(parts[0]), *map(float, parts[1:7]),
+                                parts[7]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return rows
 
 

@@ -226,6 +226,51 @@ def test_failed_command_leaves_no_out_directory(tmp_path, capsys, text, argv):
     assert not (tmp_path / "out").exists()
 
 
+# the flags of a small run of each writing command, and the file it writes
+WRITES = {
+    "run": ([], "run_seed0.csv"),
+    "theorem-suite": (["--seeds", "1", "--k-grid", "10", "--n-grid", "1"],
+                      "theorem_suite.json"),
+    "switch-suite": (["--seeds", "1", "--t-grid", "5"], "switch_suite.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys,
+                                                      command):
+    flags, name = WRITES[command]
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="hybrid",
+                         delta=0.05)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main([command, "--config", str(cfg_path), *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {tmp_path / 'out'}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_out_under_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                               command, under):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in ("signopt.cli.run_single",
+                 "signopt.harness.run_theorem_suite",
+                 "signopt.harness.run_switch_suite"):
+        monkeypatch.setattr(name, never)
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="hybrid",
+                         delta=0.05)
+    (tmp_path / "out").write_text("")
+    assert main([command, "--config", str(cfg_path), *WRITES[command][0],
+                 "--out", str(tmp_path / "out" / under)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert len(err.splitlines()) == 1
+    assert (tmp_path / "out").read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["run", "theorem-suite", "switch-suite"])
 def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             command):

@@ -653,6 +653,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^line 3: "):
             load_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,x,2,3,4,5,6,sign", "could not convert string to float: 'x'"),
+        ("1.5,1,2,3,4,5,6,sign", "invalid literal for int"),
+        ("1,1,2,3,4,5,6,bogus", "unknown phase 'bogus'"),
+        ("1,1,2,3,4,5,6,", "unknown phase ''"),
+    ])
+    def test_bad_field_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "run.csv"
+        path.write_text(f"{CSV_HEADER}\n0,1,2,3,4,5,6,sgd\n{row}\n")
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
+            load_csv(path)
+
     def test_config_roundtrip(self):
         cfg = quad_cfg(optimizer={"algorithm": "dithered", "alpha": 0.3,
                                   "dither_mode": "post", "epsilon": 1e-12})

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports, and every private name
+it defines at module level, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,44 @@ def test_tracer_only_imports_are_still_imported():
     for module, names in TRACER_ONLY.items():
         path = PACKAGE / f"{module}.py"
         assert names <= unused_imports(ast.parse(path.read_text("utf-8")))
+
+
+def unused_private_names(tree: ast.Module) -> set:
+    """The module-level `_name`s (functions, classes and constants, dunders
+    excepted) that the module itself never reads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined.update(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return private - read
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_private_name_is_used(path):
+    """A private name is for its own module: one that the module never
+    reads is dead, even where a test imports it."""
+    unused = unused_private_names(ast.parse(path.read_text("utf-8")))
+    assert not unused, f"{path.name} never uses {sorted(unused)}"
+
+
+def test_unused_private_names_finds_an_orphan():
+    tree = ast.parse("def _used(): pass\n"
+                     "def _orphan(): pass\n"
+                     "class _Orphan: pass\n"
+                     "_LIMIT = 3\n"
+                     "_a, _b = 1, 2\n"
+                     "__version__ = '1'\n"
+                     "def public(): return _used() + _b\n")
+    assert unused_private_names(tree) == {"_orphan", "_Orphan", "_LIMIT",
+                                          "_a"}
