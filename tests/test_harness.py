@@ -118,6 +118,19 @@ class TestRunSingle:
         dist = [np.linalg.norm(x) for x in rec.iterates[51:]]
         assert all(b <= a for a, b in zip(dist, dist[1:]))
 
+    @pytest.mark.parametrize("steps, recorded", [
+        (10000, list(range(10000))),
+        (10001, list(range(0, 10001, 2))),
+    ])
+    def test_automatic_stride_records_at_most_1e4_rows(self, steps,
+                                                       recorded):
+        # record_stride = 0 records every step up to 1e4 steps, and past
+        # that every ceil(steps / 1e4)-th step and the last
+        cfg = quad_cfg(sigma=(0.0,), optimizer={"algorithm": "sgd",
+                                                "lr": 0.1},
+                       run={"steps": steps, "record_stride": 0})
+        assert [r.k for r in run_single(cfg, 0).rows] == recorded
+
 
 
 class TestDitherColumn:
