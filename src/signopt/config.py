@@ -139,8 +139,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         opt, run = self.optimizer, self.run
-        # a step draws batch_size noise vectors in one array; ConfigError,
-        # because the theorem suite builds its cells with replace()
+        # ConfigError, not ValueError: the theorem suite builds its cells
+        # with replace(), and the CLI maps only ConfigError to exit 2.
+        # A step draws batch_size noise vectors in one array.
         if run.batch_size * self.problem.n_params > _MAX_VECTOR:
             raise ConfigError(f"run.batch_size * {self.problem.n_params} "
                               f"parameters exceeds numpy's largest float64 "
@@ -148,19 +149,19 @@ class ExperimentConfig:
         if not run.decay_every:
             return
         if run.theorem_mode:
-            raise ValueError("run.theorem_mode fixes the stepsize at "
-                             "1/sqrt(L1*K); run.decay_every must be 0")
+            raise ConfigError("run.theorem_mode fixes the stepsize at "
+                              "1/sqrt(L1*K); run.decay_every must be 0")
         # The last step decays lr and delta n times. The check works in log
         # space so the power cannot overflow, and the normal-range margin
         # covers rounding against the run loop's repeated multiplication.
         n = (run.steps - 1) // run.decay_every
         scale = n * math.log(run.decay_factor)
+        decayed = f"run.decay_factor ** {n} takes optimizer.delta"
         if math.log(opt.delta) + scale < _LOG_MIN:
-            raise ValueError(f"run.decay_factor ** {n} takes optimizer.delta "
-                             f"below the smallest normal float")
+            raise ConfigError(f"{decayed} below the smallest normal float")
         if math.log(max(opt.delta, opt.lr)) + scale > _LOG_MAX:
-            raise ValueError(f"run.decay_factor ** {n} takes optimizer.delta "
-                             f"or optimizer.lr near float overflow")
+            raise ConfigError(f"{decayed} or optimizer.lr near float "
+                              f"overflow")
 
 
 def _fmt(value) -> str:
@@ -189,8 +190,6 @@ def _parse_scalar(text: str, kind: type):
 
 def _parse_value(text: str, template, where: str):
     try:
-        if isinstance(template, bool):
-            return _parse_scalar(text, bool)
         if isinstance(template, tuple):
             elem = type(template[0]) if template else float
             if text == "":

@@ -86,10 +86,11 @@ class RunRecord:
                 if f.name not in ("rows", "iterates")}
 
 
-def default_stride(steps: int) -> int:
-    if steps <= AUTO_STRIDE_LIMIT:
-        return 1
-    return math.ceil(steps / AUTO_STRIDE_LIMIT)
+def _run_errstate():
+    """A run's floating-point policy: `over` and `invalid` pass silently,
+    because an overflow is the divergence signal and reaches f by the next
+    step, which cuts the row; `divide` and `under` keep numpy's default."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def theorem_delta(problem: Problem, steps: int) -> float:
@@ -249,7 +250,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     if run.theorem_mode:
         delta = theorem_delta(problem, K)
         opts = [replace(opt, delta=delta) for opt in opts]
-    stride = run.record_stride or default_stride(K)
+    stride = run.record_stride or math.ceil(K / AUTO_STRIDE_LIMIT)
     n_seeds, d = len(seeds), problem.dim
     S = len(opts) * n_seeds
     # the noise scale is fixed for the run: validate it once, then measure
@@ -289,69 +290,69 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         rec.oracle_calls = steps
         rec.final_f = f_j
         rec.diverged = not math.isfinite(f_j)
-        rec.avg_phi, rec.avg_l1 = (v / max(steps, 1) for v in diag.sums(j))
+        if steps:  # else the averages keep RunRecord's NaN
+            rec.avg_phi, rec.avg_l1 = (v / steps for v in diag.sums(j))
         track, phase, ema = (v[j] if isinstance(v, np.ndarray) else v for v
                              in (params.track_ema, state.phase,
                                  state.lambda_ema))
         if track and phase == PHASE_SGD:
             rec.lambda_at_switch = float(ema)
 
-    for k in range(K):
-        # overflow here is the divergence signal, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
+    with _run_errstate():
+        for k in range(K):
             f, g_true = problem.eval_fg(state.x)
-        finite = np.isfinite(f)
-        if not finite.all():
-            # the dead rows' sums end with the step before this one
+            finite = np.isfinite(f)
+            if not finite.all():
+                # the dead rows' sums end with the step before this one
+                diag.flush()
+                for j in np.flatnonzero(~finite):
+                    finish(j, k, float(f[j]))
+                live, state = live[finite], _keep_rows(state, finite)
+                params = _keep_rows(params, finite)
+                g_true, f = g_true[finite], f[finite]
+                diag.keep(finite)
+                for streams in (noise, dither):
+                    if streams is not None:
+                        streams.keep(finite)
+                if not live.size:
+                    break
+            diag.add(g_true)
+
+            if run.decay_every and k and k % run.decay_every == 0:
+                # the hybrid's frozen EMA is not decayed
+                params = replace(params,
+                                 delta=params.delta * run.decay_factor,
+                                 lr=params.lr * run.decay_factor)
+
+            g = g_true if noise is None else g_true + noise.normal()
+            state = step(state, g, params, dither)
+
+            if k % stride == 0 or k == K - 1:
+                rows = live.size
+                # the schedule is recorded whenever the config names a
+                # dither mode, also on steps that apply none
+                sig2 = [dither_sigma_sq(k, opt) if on else 0.0
+                        for opt, on in zip(opts, dithered)]
+                new = []
+                for i, f_i, lam, ema, phase in zip(
+                        live.tolist(), f.tolist(),
+                        _row_values(state.last_lambda, rows),
+                        _row_values(state.lambda_ema, rows),
+                        _row_values(state.phase, rows)):
+                    row = Row(k, f_i, math.nan, math.nan, lam, ema,
+                              sig2[i // n_seeds], phase)
+                    recs[i].rows.append(row)
+                    new.append(row)
+                diag.record(new)
+            if collect_iterates:
+                for i, x in zip(live, state.x):
+                    recs[i].iterates.append(x.copy())
+
+        if live.size:
             diag.flush()
-            for j in np.flatnonzero(~finite):
-                finish(j, k, float(f[j]))
-            live, state = live[finite], _keep_rows(state, finite)
-            params = _keep_rows(params, finite)
-            g_true, f = g_true[finite], f[finite]
-            diag.keep(finite)
-            for streams in (noise, dither):
-                if streams is not None:
-                    streams.keep(finite)
-            if not live.size:
-                break
-        diag.add(g_true)
-
-        if run.decay_every and k and k % run.decay_every == 0:
-            # the hybrid's frozen EMA is not decayed
-            params = replace(params, delta=params.delta * run.decay_factor,
-                             lr=params.lr * run.decay_factor)
-
-        g = g_true if noise is None else g_true + noise.normal()
-        state = step(state, g, params, dither)
-
-        if k % stride == 0 or k == K - 1:
-            rows = live.size
-            # the schedule is recorded whenever the config names a dither
-            # mode, also on steps that apply none
-            sig2 = [dither_sigma_sq(k, opt) if on else 0.0
-                    for opt, on in zip(opts, dithered)]
-            new = []
-            for i, f_i, lam, ema, phase in zip(
-                    live.tolist(), f.tolist(),
-                    _row_values(state.last_lambda, rows),
-                    _row_values(state.lambda_ema, rows),
-                    _row_values(state.phase, rows)):
-                row = Row(k, f_i, math.nan, math.nan, lam, ema,
-                          sig2[i // n_seeds], phase)
-                recs[i].rows.append(row)
-                new.append(row)
-            diag.record(new)
-        if collect_iterates:
-            for i, x in zip(live, state.x):
-                recs[i].iterates.append(x.copy())
-
-    if live.size:
-        diag.flush()
-        with np.errstate(over="ignore", invalid="ignore"):
             f = problem.eval_f(state.x)
-        for j in range(live.size):
-            finish(j, K, float(f[j]))
+            for j in range(live.size):
+                finish(j, K, float(f[j]))
     wall_time = time.perf_counter() - t0
     for rec in recs:
         rec.wall_time = wall_time
@@ -366,12 +367,11 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     compare against the closed-form rate bounds."""
     from .theory import TheoremInputs, theorem_rhs_l1, theorem_rhs_phi
 
-    if cfg_base.run.decay_every:
-        raise ConfigError("the theorem suite runs at the constant theorem "
-                          "stepsize; run.decay_every must be 0")
     problem = build_problem(cfg_base)
-    x0 = initial_point(cfg_base, problem)
-    f0 = problem.eval_f(x0)
+    with _run_errstate():
+        f0 = problem.eval_f(initial_point(cfg_base, problem))
+    if not math.isfinite(f0):
+        raise ConfigError(f"the theorem suite needs a finite f(x0), got {f0}")
     l1_L = float(np.sum(problem.lipschitz))
     l1_sigma = float(np.sum(problem.noise.sigma))
 
@@ -390,7 +390,8 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
                               f_star=problem.f_star, K=K, n=n)
             rhs_phi = theorem_rhs_phi(t)
             rhs_l1 = theorem_rhs_l1(t)
-            ok = avg_phi <= rhs_phi and avg_l1 <= rhs_l1
+            ok = (avg_phi <= rhs_phi and avg_l1 <= rhs_l1
+                  and not any(r.diverged for r in recs))
             all_pass &= ok
             cells.append({"K": K, "n": n, "avg_phi": avg_phi,
                           "rhs_phi": rhs_phi, "avg_l1": avg_l1,

@@ -163,27 +163,20 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise)
 
 
-def _layer_shapes(layer_widths: Sequence[int]):
-    shapes = []
+def _layout(layer_widths: Sequence[int]):
+    """(slice, shape) of each weight and bias in the MLP's flat parameter
+    vector, layer by layer."""
+    pos = 0
     for fan_in, fan_out in zip(layer_widths[:-1], layer_widths[1:]):
-        shapes.append((fan_out, fan_in))  # weight
-        shapes.append((fan_out,))         # bias
-    return shapes
+        for shape in ((fan_out, fan_in), (fan_out,)):  # weight, bias
+            size = math.prod(shape)
+            yield slice(pos, pos + size), shape
+            pos += size
 
 
 def mlp_n_params(layer_widths: Sequence[int]) -> int:
     """Length of the MLP's flat parameter vector: its weights and biases."""
-    return sum(math.prod(s) for s in _layer_shapes(layer_widths))
-
-
-def _layout(shapes):
-    """(slice, shape) of each parameter block in the flat vector."""
-    out, pos = [], 0
-    for s in shapes:
-        size = math.prod(s)
-        out.append((slice(pos, pos + size), s))
-        pos += size
-    return out
+    return max((sl.stop for sl, _ in _layout(layer_widths)), default=0)
 
 
 MLP_WEIGHT_BOUND = 4.0  # B, the assumed bound on the MLP's weights
@@ -222,7 +215,7 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     ])
     y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
 
-    layout = _layout(_layer_shapes(widths))
+    layout = list(_layout(widths))
     dim = mlp_n_params(widths)
     n_layers = len(widths) - 1
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signopt.checks import CheckResult
 from signopt.cli import main
@@ -372,9 +372,32 @@ extra_flags = st.lists(st.one_of(
     st.tuples(st.sampled_from(["--fast", "--bogus", "extra"]))), max_size=3)
 
 
+# Configs that overflow where a run expects it: in phi at a diagnostics
+# flush, in a sign step, in an SGD step and in f(x0). None of them may let a
+# RuntimeWarning out of `main`.
+QUAD3 = "problem.kind = quadratic\nproblem.dim = 3\n"
+OVERFLOW_IN_PHI = QUAD3 + ("problem.lipschitz = 1e250\nproblem.x0 = 1e-60\n"
+                           "optimizer.delta = 1e-70\nrun.steps = 5\n")
+OVERFLOW_IN_SIGN_STEP = QUAD3 + (
+    "optimizer.algorithm = dithered\noptimizer.dither_mode = post\n"
+    "optimizer.alpha = 1e300\noptimizer.delta = 1e300\nrun.steps = 20\n")
+OVERFLOW_IN_SGD_STEP = QUAD3 + ("optimizer.algorithm = sgd\n"
+                                "optimizer.lr = 1e300\n"
+                                "problem.lipschitz = 1e10\nrun.steps = 20\n")
+INFINITE_F0 = QUAD3 + "problem.x0 = 1e300\nproblem.lipschitz = 1e10\n"
+# diverges at step 13, with its averages far inside the theorem's bounds
+SGD_DIVERGES = QUAD3 + ("problem.x0 = 1e150\nproblem.lipschitz = 3\n"
+                        "problem.sigma = 0\noptimizer.algorithm = sgd\n"
+                        "optimizer.lr = 1\n")
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=config_texts, command=st.sampled_from(sorted(COMMANDS)),
        flags=extra_flags)
+@example(text=OVERFLOW_IN_PHI, command="run", flags=[])
+@example(text=OVERFLOW_IN_SIGN_STEP, command="run", flags=[])
+@example(text=OVERFLOW_IN_SGD_STEP, command="run", flags=[])
+@example(text=INFINITE_F0, command="theorem-suite", flags=[])
 def test_exit_code_contract_holds_for_random_input(text, command, flags):
     with tempfile.TemporaryDirectory() as td:
         root = Path(td)
@@ -393,3 +416,22 @@ def test_exit_code_contract_holds_for_random_input(text, command, flags):
             code = main(argv)
     assert code in (0, 1, 2, 3), (argv, text)
     assert "Traceback" not in err.getvalue(), (argv, text)
+
+
+@pytest.mark.parametrize("text, argv, code, err", [
+    (OVERFLOW_IN_PHI, ["run"], 0, ""),
+    (OVERFLOW_IN_SIGN_STEP, ["run"], 3, "run diverged at step 1\n"),
+    (OVERFLOW_IN_SGD_STEP, ["run"], 3, "run diverged at step 1\n"),
+    (INFINITE_F0, ["theorem-suite", "--seeds", "2", "--k-grid", "5",
+                   "--n-grid", "1"], 2,
+     "config error: the theorem suite needs a finite f(x0), got inf\n"),
+    (SGD_DIVERGES, ["theorem-suite", "--seeds", "2", "--k-grid", "50",
+                    "--n-grid", "1"], 1, ""),
+], ids=["phi", "sign-step", "sgd-step", "infinite-f0", "suite-diverged"])
+def test_handled_overflow_gives_its_exit_code_alone(tmp_path, capsys, text,
+                                                    argv, code, err):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    assert main(argv + ["--config", str(config), "--out",
+                        str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == err

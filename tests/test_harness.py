@@ -101,6 +101,13 @@ class TestRunSingle:
         assert rec.diverged
         assert rec.oracle_calls < 2000
 
+    def test_divergence_at_step_0_leaves_averages_nan(self):
+        cfg = quad_cfg(optimizer={"algorithm": "sgd"})
+        cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e300,)))
+        rec = run_single(cfg, 0)
+        assert rec.diverged and rec.oracle_calls == 0 and not rec.rows
+        assert math.isnan(rec.avg_phi) and math.isnan(rec.avg_l1)
+
     def test_hybrid_post_switch_contraction(self):
         cfg = quad_cfg(sigma=(0.0,),
                        optimizer={"algorithm": "hybrid", "t_switch": 50.0,
@@ -121,7 +128,7 @@ class TestRunSingle:
     @pytest.mark.parametrize("steps, recorded", [
         (10000, list(range(10000))),
         (10001, list(range(0, 10001, 2))),
-    ])
+    ], ids=["10000-steps", "10001-steps"])
     def test_automatic_stride_records_at_most_1e4_rows(self, steps,
                                                        recorded):
         # record_stride = 0 records every step up to 1e4 steps, and past
@@ -635,6 +642,25 @@ class TestSuites:
         with pytest.raises(ConfigError):
             run_theorem_suite(cfg, (0,), (10,), (1,))
 
+    def test_theorem_suite_fails_a_cell_whose_run_diverged(self):
+        cfg = quad_cfg(sigma=(0.0,), optimizer={"algorithm": "sgd",
+                                                "lr": 1.0},
+                       run={"steps": 50})
+        cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e150,)))
+        assert run_single(cfg, 0).diverged
+        report = run_theorem_suite(cfg, (0, 1), (50,), (1,))
+        [cell] = report["cells"]
+        # the averages up to the divergence are within both bounds
+        assert cell["avg_phi"] <= cell["rhs_phi"]
+        assert cell["avg_l1"] <= cell["rhs_l1"]
+        assert not cell["passed"] and not report["passed"]
+
+    def test_theorem_suite_rejects_non_finite_f0(self):
+        cfg = quad_cfg()
+        cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e300,)))
+        with pytest.raises(ConfigError, match=r"finite f\(x0\), got inf"):
+            run_theorem_suite(cfg, (0, 1), (5,), (1,))
+
     def test_theorem_mode_rejects_zero_lipschitz_sum(self):
         cfg = replace(quad_cfg(run={"theorem_mode": True}),
                       problem=ProblemSpec(lipschitz=(0.0,)))
@@ -732,6 +758,19 @@ class TestConfigParsing:
                      "optimizer.beta = 1.5\n"):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+    @pytest.mark.parametrize("run", [
+        {"batch_size": 2**62},
+        {"theorem_mode": True, "decay_every": 10},
+        {"decay_every": 1, "decay_factor": 0.1},    # delta underflows
+        {"decay_every": 1, "decay_factor": 10.0},   # delta overflows
+    ], ids=["batch-size", "theorem-mode-decay", "decay-underflow",
+            "decay-overflow"])
+    def test_cross_section_rules_raise_config_error(self, run):
+        cfg = quad_cfg(run={"steps": 1000})
+        spec = replace(cfg.run, **run)  # valid on its own
+        with pytest.raises(ConfigError):
+            replace(cfg, run=spec)
 
     def test_n_params_counts_mlp_weights_and_biases(self):
         spec = ProblemSpec(kind="mlp", layer_widths=(2, 8, 1))
