@@ -341,10 +341,9 @@ def check_asymmetric_failure() -> CheckResult:
     sgd_cfg = replace(sign_cfg,
                       optimizer=OptimizerSpec(algorithm="sgd", lr=3e-4))
     f0 = 0.5  # f(x0) for L=1, x0 - x* = 1
-    # two runs, not one 2-config batch: a batch whose rows are in
-    # different phases computes both steps for every row
-    sign_min = min(r.f for r in run_seeds(sign_cfg)[0].rows)
-    sgd_min = min(r.f for r in run_seeds(sgd_cfg)[0].rows)
+    sign_rec, sgd_rec = run_seeds([sign_cfg, sgd_cfg])
+    sign_min = min(r.f for r in sign_rec.rows)
+    sgd_min = min(r.f for r in sgd_rec.rows)
     sign_stalls = sign_min >= 0.5 * f0
     sgd_converges = sgd_min < 0.01 * f0
     ok = violated and sign_stalls and sgd_converges

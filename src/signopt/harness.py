@@ -15,6 +15,13 @@ contiguous block pairwise and so differs in the last bits. A row whose f
 overflows flushes the block before it leaves the batch, so its sums stop
 at its last finite step. A row is recorded at its step with its l1 and
 phi left NaN, and the flush of its block fills them in.
+
+The rows of a batch run in switch order, by t_switch, descending and
+stable: the rows in the sign phase at any step are a leading slice, so
+`optimizers.RowStepper` steps each phase on its own slice of the rows,
+in place. The per-row seed streams and `live`, which maps each row to its
+record, are put in that order once, and the records come back in config
+then seed order.
 """
 
 from __future__ import annotations
@@ -33,10 +40,9 @@ from .config import (ConfigError, ExperimentConfig, build_problem,
 from .dither import dither_sigma_sq
 # lambda_project and the five *_step presets are not called here;
 # perfbench/tracing.py wraps them under this module's name
-from .optimizers import (PHASE_SGD, PHASE_SIGN, column_of, dithered_step,
-                         hybrid_step, init_state, lambda_project, preset,
-                         sgd_step, signsgd_step, signsgdm_step, stack_params,
-                         step)
+from .optimizers import (PHASE_SGD, PHASE_SIGN, RowStepper, dithered_step,
+                         hybrid_step, lambda_project, preset, sgd_step,
+                         signsgd_step, signsgdm_step, stack_params)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import SnrProfile, phi_measure
@@ -122,9 +128,10 @@ class _RowStreams:
         self.pos = 0
 
     def normal(self, size=None) -> np.ndarray:
-        """The next (S, d) draw of every row. It has RngStream's `normal`
-        signature, so the step rule reads its dither stream through it;
-        `size` is ignored."""
+        """The next (S, d) draw of every row, of which a `size` of
+        (rows, d) returns the first `rows`. It has RngStream's `normal`
+        signature, so the step rule reads its dither stream through it,
+        for the rows in the sign phase; every stream advances."""
         if self.pos == len(self.buf):
             count = min(self.block, self.left)
             self.buf = np.stack([self.draw(r, count) for r in self.streams],
@@ -132,7 +139,8 @@ class _RowStreams:
             self.pos = 0
         self.pos += 1
         self.left -= 1
-        return self.buf[self.pos - 1]
+        draw = self.buf[self.pos - 1]
+        return draw if size is None else draw[:size[0]]
 
     def keep(self, rows: np.ndarray) -> None:
         self.streams = [r for r, k in zip(self.streams, rows) if k]
@@ -202,19 +210,6 @@ class _BlockDiagnostics:
         self.grads = self.grads[:, rows]
 
 
-def _row_values(v, rows: int) -> list:
-    """A per-row state value (one value or an (S,) array) as S values."""
-    return v.tolist() if isinstance(v, np.ndarray) else [v] * rows
-
-
-def _keep_rows(obj, rows: np.ndarray):
-    """A state or step parameters cut to the given rows: every per-row
-    array field keeps those rows."""
-    return replace(obj, **{f.name: v[rows] for f in fields(obj)
-                           if isinstance(v := getattr(obj, f.name),
-                                         np.ndarray)})
-
-
 def run_seeds(cfg, seeds=None, problem: Problem | None = None,
               collect_iterates: bool = False) -> list:
     """Execute the configured optimizer for every seed in one loop.
@@ -222,9 +217,10 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     `cfg` is one config, or a list of configs that differ only in their
     optimizer section; then every config runs every seed, and the records
     come config by config, each in seed order. The iterates and momenta of
-    the live rows are (S, d) arrays that each step advances with one
-    numpy call per operation, and the rows' optimizer parameters are
-    columns where the configs differ. Each step makes one `eval_fg` call
+    the live rows are (S, d) arrays, in switch order, that each step
+    advances in place with one numpy call per operation on each phase's
+    slice of rows, and the rows' optimizer parameters are columns where
+    the configs differ. Each step makes one `eval_fg` call
     on all live rows, and the run one `eval_f` call for the final f. Each
     row draws from its seed's own Philox gradient and dither streams, a
     block of steps at a time, so every record is bitwise the one the seed
@@ -257,19 +253,20 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     # each block's gradients against it
     snr = SnrProfile(np.zeros(d), problem.noise.sigma / math.sqrt(n))
 
-    params = stack_params([preset(opt) for opt in opts], n_seeds)
     recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta)
             for opt in opts for s in seeds]
-    live = np.arange(S)  # the record of each row
     x0 = initial_point(base, problem)
-    state = init_state(np.tile(x0, (S, 1)), lambda_ema=column_of(
-        [opt.lambda_init for opt in opts], n_seeds))
+    # the rows in switch order: each step's sign rows are a leading slice
+    rule = RowStepper(np.tile(x0, (S, 1)), np.zeros((S, d)),
+                      np.repeat([opt.lambda_init for opt in opts], n_seeds),
+                      stack_params([preset(opt) for opt in opts], n_seeds))
+    live = rule.order  # the record of each row
     if collect_iterates:
         for rec in recs:
             rec.iterates.append(x0.copy())
     block = max(1, BLOCK_BYTES // (8 * d * max(n, S)))
     noise = dither = None
-    row_seeds = seeds * len(opts)
+    row_seeds = [seeds[i % n_seeds] for i in live.tolist()]
     if np.any(problem.noise.sigma > 0):
         noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in row_seeds],
                             lambda r, c: batch_noise(problem.noise, n, c, r),
@@ -284,31 +281,31 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     def finish(j, steps, f_j):
         """Close the record of live row j after `steps` steps from the
         loop's arrays as they are now. A row that tracks the EMA and last
-        took an SGD step has held the EMA frozen since its first one: that
-        is the lambda it switched at."""
+        took an SGD step (it is past the sign rows) has held the EMA frozen
+        since its first one: that is the lambda it switched at."""
         rec = recs[live[j]]
         rec.oracle_calls = steps
         rec.final_f = f_j
         rec.diverged = not math.isfinite(f_j)
         if steps:  # else the averages keep RunRecord's NaN
             rec.avg_phi, rec.avg_l1 = (v / steps for v in diag.sums(j))
-        track, phase, ema = (v[j] if isinstance(v, np.ndarray) else v for v
-                             in (params.track_ema, state.phase,
-                                 state.lambda_ema))
-        if track and phase == PHASE_SGD:
-            rec.lambda_at_switch = float(ema)
+        track = rule.params.track_ema
+        if isinstance(track, np.ndarray):
+            track = track[j]
+        if track and j >= rule.p:
+            rec.lambda_at_switch = float(rule.ema[j])
 
     with _run_errstate():
         for k in range(K):
-            f, g_true = problem.eval_fg(state.x)
+            f, g_true = problem.eval_fg(rule.x)
             finite = np.isfinite(f)
             if not finite.all():
                 # the dead rows' sums end with the step before this one
                 diag.flush()
                 for j in np.flatnonzero(~finite):
                     finish(j, k, float(f[j]))
-                live, state = live[finite], _keep_rows(state, finite)
-                params = _keep_rows(params, finite)
+                live = live[finite]
+                rule.keep(finite)
                 g_true, f = g_true[finite], f[finite]
                 diag.keep(finite)
                 for streams in (noise, dither):
@@ -319,38 +316,36 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             diag.add(g_true)
 
             if run.decay_every and k and k % run.decay_every == 0:
-                # the hybrid's frozen EMA is not decayed
-                params = replace(params,
-                                 delta=params.delta * run.decay_factor,
-                                 lr=params.lr * run.decay_factor)
+                rule.decay(run.decay_factor)
 
             g = g_true if noise is None else g_true + noise.normal()
-            state = step(state, g, params, dither)
+            lam = rule.step(g, k, dither)
 
             if k % stride == 0 or k == K - 1:
-                rows = live.size
+                # the rows past the sign rows took an SGD step, lambda 0
+                p, rest = rule.p, live.size - rule.p
+                lams = [0.0] * p if lam is None else lam.tolist()
                 # the schedule is recorded whenever the config names a
                 # dither mode, also on steps that apply none
                 sig2 = [dither_sigma_sq(k, opt) if on else 0.0
                         for opt, on in zip(opts, dithered)]
                 new = []
-                for i, f_i, lam, ema, phase in zip(
-                        live.tolist(), f.tolist(),
-                        _row_values(state.last_lambda, rows),
-                        _row_values(state.lambda_ema, rows),
-                        _row_values(state.phase, rows)):
-                    row = Row(k, f_i, math.nan, math.nan, lam, ema,
+                for i, f_i, lam_i, ema, phase in zip(
+                        live.tolist(), f.tolist(), lams + [0.0] * rest,
+                        rule.ema.tolist(),
+                        [PHASE_SIGN] * p + [PHASE_SGD] * rest):
+                    row = Row(k, f_i, math.nan, math.nan, lam_i, ema,
                               sig2[i // n_seeds], phase)
                     recs[i].rows.append(row)
                     new.append(row)
                 diag.record(new)
             if collect_iterates:
-                for i, x in zip(live, state.x):
+                for i, x in zip(live, rule.x):
                     recs[i].iterates.append(x.copy())
 
         if live.size:
             diag.flush()
-            f = problem.eval_f(state.x)
+            f = problem.eval_f(rule.x)
             for j in range(live.size):
                 finish(j, K, float(f[j]))
     wall_time = time.perf_counter() - t0

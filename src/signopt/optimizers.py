@@ -1,20 +1,24 @@
-"""The step rule of the sign-based optimizer family as a pure state
-transition.
+"""The step rule of the sign-based optimizer family.
 
-One rule, `step`, covers plain SGD, SignSGD, SignSGD with momentum,
-pre-/post-sign dithered variants, the projection-based learning-rate
-calibration, and the hybrid sign-to-SGD switcher that freezes the
-calibrated stepsize at the switch. The algorithm names are presets:
-`preset` turns an `OptimizerConfig` into the rule's `StepParams`.
+One rule covers plain SGD, SignSGD, SignSGD with momentum, pre-/post-sign
+dithered variants, the projection-based learning-rate calibration, and
+the hybrid sign-to-SGD switcher that freezes the calibrated stepsize at
+the switch. The algorithm names are presets: `preset` turns an
+`OptimizerConfig` into the rule's `StepParams`.
 
-The rule works row by row: a state whose `x` and `m` are (S, d) arrays
-advances S independent trajectories at once, with one lambda per row, and
-each row is bitwise the trajectory of that row alone. The step counter is
-shared by the rows. Each parameter is one value for every row or one per
-row (`stack_params`), so rows of different configs run together, each in
-its own phase. A dither stream is anything with RngStream's
-`normal(shape)`; for rows it returns one draw per row, each from that
-row's own stream.
+The rule works row by row, and each row is bitwise the trajectory of that
+row alone. Each parameter is one value for every row or one per row
+(`stack_params`), so rows of different configs run together, each in its
+own phase; the step counter is shared by the rows. The rule's one body is
+`RowStepper`, which holds the rows' x, m and EMA in mutable arrays and
+advances them in place. It keeps the rows in switch order (by t_switch,
+descending and stable), so the rows in the sign phase are always a
+leading slice [:p]: each step runs the sign step on [:p] and the SGD step
+on [p:], and p never grows. `step` is the same rule as a pure state
+transition on an `OptimizerState`: it reorders a copy of the rows, runs
+one `RowStepper` step and returns the rows in their own order. A dither
+stream is anything with RngStream's `normal(shape)`; for rows it returns
+one draw per row, each from that row's own stream.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ class OptimizerState:
     k: int = 0
     lambda_ema: float = 0.0   # a float, or one value per row
     phase: str = PHASE_SIGN   # a phase, or one per row when the rows differ
-    last_lambda: float = 0.0  # this step's calibration scalar; 0 if none
+    last_lambda: float = 0.0  # this step's calibration scalar, or one per
+                              # row; 0 where none is computed
 
 
 def init_state(x0: np.ndarray, lambda_ema=0.0) -> OptimizerState:
@@ -190,101 +195,202 @@ def _uniform(v) -> bool:
     return not isinstance(v, np.ndarray)
 
 
+def _take_rows(params: StepParams, rows) -> StepParams:
+    """The parameters of the given rows (a mask, an index array or a
+    slice), each one value where those rows share it to the bit."""
+    return replace(params, **{
+        f.name: column_of(v[rows].tolist(), 1) for f in fields(params)
+        if isinstance(v := getattr(params, f.name), np.ndarray)})
+
+
+class RowStepper:
+    """The step rule on S rows held in mutable arrays and advanced in
+    place: x and m are (S, d), the EMA is (S,).
+
+    The rows are kept in switch order, by t_switch, descending and stable;
+    `order[j]` is the input row of row j. The rows in the sign phase at
+    step k, those with k < t_switch, are then the leading slice [:p], and
+    p never grows. A step runs the sign step on [:p] and the SGD step on
+    [p:]. What depends only on the parameters and on p is resolved when p
+    changes, on a decay and after a cut, not every step: which parameters
+    are one value on each slice, and the SGD rate, which reads the EMA
+    that the SGD phase holds frozen. Each operation is the one the rule
+    takes on a row alone, so every row is bitwise its row alone.
+    """
+
+    def __init__(self, x, m, ema, params: StepParams):
+        rows = len(x)
+        t_switch = params.t_switch
+        self.order = (np.arange(rows) if _uniform(t_switch)
+                      else np.argsort(-t_switch, kind="stable"))
+        self.x = np.asarray(x, dtype=np.float64)[self.order]
+        self.m = np.asarray(m, dtype=np.float64)[self.order]
+        self.ema = np.asarray(ema, dtype=np.float64)[self.order]
+        self.params = _take_rows(params, self.order)
+        self._t = np.broadcast_to(self.params.t_switch, (rows,)).tolist()
+        self._buf = np.empty_like(self.x)
+        self.p = rows  # before the first step every row is in the sign phase
+        self._resolve()
+
+    def step(self, g: np.ndarray, k: int, dither=None):
+        """Advance every row by step k on its gradient row of g; return the
+        lambda of the sign rows [:p] (None when none computes one). `dither`
+        is read only by sign rows with alpha > 0, and a step with such rows
+        needs it."""
+        p, t = self.p, self._t
+        while p and not k < t[p - 1]:
+            p -= 1
+        if p != self.p:
+            self.p = p
+            self._resolve()
+        lam = self._sign_step(g[:p], k, dither) if p else None
+        if p < len(t):
+            np.multiply(g[p:], self._rate, out=self._sgd_buf)
+            np.subtract(self._sgd_x, self._sgd_buf, out=self._sgd_x)
+        return lam
+
+    def decay(self, factor: float) -> None:
+        """Scale delta and lr; the hybrid's frozen EMA is not decayed."""
+        p = self.params
+        self.params = replace(p, delta=p.delta * factor, lr=p.lr * factor)
+        self._resolve()
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Cut the rows to those of the boolean mask `rows`."""
+        self.p = int(np.count_nonzero(rows[:self.p]))
+        self.x, self.m, self.ema = self.x[rows], self.m[rows], self.ema[rows]
+        self.params = _take_rows(self.params, rows)
+        self._t = [t for t, kept in zip(self._t, rows.tolist()) if kept]
+        self._buf = self._buf[rows]
+        self._resolve()
+
+    def _resolve(self) -> None:
+        p = self.p
+        sp = self._sign = _take_rows(self.params, slice(None, p))
+        self._beta = _column(sp.beta)
+        self._beta_rest = 1.0 - self._beta
+        self._eta_rest = 1.0 - sp.eta
+        self._delta = _column(sp.delta)
+        self._sign_x, self._sign_m = self.x[:p], self.m[:p]
+        self._sign_ema, self._sign_buf = self.ema[:p], self._buf[:p]
+        self._sgd_x, self._sgd_buf = self.x[p:], self._buf[p:]
+        if p == len(self.x):
+            return
+        rest = _take_rows(self.params, slice(p, None))
+        rate = rest.lr
+        if rest.track_ema is not False:
+            # the EMA that the SGD phase holds frozen, bias-corrected (a
+            # divisor of 1 is exact)
+            frozen = self.ema[p:] / rest.ema_divisor
+            rate = (frozen if rest.track_ema is True
+                    else np.where(rest.track_ema, frozen, rate))
+        self._rate = _column(rate)
+
+    def _sign_step(self, g: np.ndarray, k: int, dither):
+        """The sign step of rows [:p]: momentum, one sign of the momentum
+        shared by lambda and the direction, lambda, the EMA where tracked,
+        then x -= delta * direction. Without momentum a row steps on the
+        sign of g and its lambda is 0."""
+        sp, x, m, ema = self._sign, self._sign_x, self._sign_m, self._sign_ema
+        if sp.momentum is True:
+            np.multiply(m, self._beta, out=m)
+            np.multiply(g, self._beta_rest, out=self._sign_buf)
+            src = np.add(m, self._sign_buf, out=m)
+        elif sp.momentum is False:
+            src = g
+        else:
+            col = sp.momentum[:, None]
+            new = self._beta * m + self._beta_rest * g
+            src = np.where(col, new, g)
+            np.copyto(m, new, where=col)
+        sign = sign_vec(src)
+        lam = None
+        if sp.momentum is not False:
+            # lambda is computed from the un-dithered momentum; only rows
+            # that track the EMA fold it in
+            lam = _calibration(sign, g, sp.delta, sp.epsilon)
+            if sp.track_ema is not False:
+                tracked = sp.eta * ema + self._eta_rest * lam
+                np.copyto(ema, tracked, where=sp.track_ema)
+            if sp.momentum is not True:
+                lam[~sp.momentum] = 0.0
+        move = _direction(src, sign, k, sp, dither)
+        np.multiply(move, self._delta, out=move)
+        np.subtract(x, move, out=x)
+        return lam
+
+
 def step(state: OptimizerState, g: np.ndarray, params: StepParams,
          dither=None) -> OptimizerState:
     """Advance every row by one step: a sign step where k < t_switch, an
     SGD step elsewhere. `dither` is read only by rows with alpha > 0, and
-    a sign step with such rows needs it."""
-    k = state.k
-    in_sign = k < params.t_switch  # a bool, or one per row
-    if in_sign is False:
-        return OptimizerState(x=state.x - _sgd_rate(state, params) * g,
-                              m=state.m, k=k + 1,
-                              lambda_ema=state.lambda_ema, phase=PHASE_SGD)
-    move, m, lam_ema, lam = _sign_step(state, g, params, dither)
-    if in_sign is True:
-        return OptimizerState(x=state.x - move, m=m, k=k + 1,
-                              lambda_ema=lam_ema, phase=PHASE_SIGN,
-                              last_lambda=lam)
-    # the rows in the SGD phase keep their momentum and EMA, and record
-    # lambda 0
-    col = in_sign[:, None]
-    return OptimizerState(
-        x=state.x - np.where(col, move, _sgd_rate(state, params) * g),
-        m=np.where(col, m, state.m), k=k + 1,
-        lambda_ema=np.where(in_sign, lam_ema, state.lambda_ema),
-        phase=np.where(in_sign, PHASE_SIGN, PHASE_SGD),
-        last_lambda=np.where(in_sign, lam, 0.0))
+    a sign step with such rows needs it.
+
+    One `RowStepper` step on a copy of the state's rows, returned in the
+    state's row order: one vector gives floats, rows give (S,) arrays,
+    and the phase is one value when every row shares it."""
+    x = np.atleast_2d(state.x)
+    rows = len(x)
+    stepper = RowStepper(x, np.atleast_2d(state.m),
+                         np.broadcast_to(state.lambda_ema, (rows,)), params)
+    order = stepper.order
+    if dither is not None:
+        dither = _Reordered(dither, order)
+    lam = stepper.step(np.atleast_2d(g)[order], state.k, dither)
+    p, back = stepper.p, np.argsort(order)
+    last = np.zeros(rows)
+    if lam is not None:
+        last[:p] = lam
+    phase = PHASE_SIGN if p == rows else PHASE_SGD if p == 0 else np.array(
+        [PHASE_SIGN] * p + [PHASE_SGD] * (rows - p))[back]
+    if state.x.ndim == 1:
+        return OptimizerState(x=stepper.x[0], m=stepper.m[0], k=state.k + 1,
+                              lambda_ema=float(stepper.ema[0]), phase=phase,
+                              last_lambda=float(last[0]))
+    return OptimizerState(x=stepper.x[back], m=stepper.m[back],
+                          k=state.k + 1, lambda_ema=stepper.ema[back],
+                          phase=phase, last_lambda=last[back])
 
 
-def _sgd_rate(state: OptimizerState, p: StepParams):
-    """The SGD stepsize, as a column for rows: lr, or the frozen EMA where
-    the row tracks it."""
-    rate = p.lr
-    if p.track_ema is not False:
-        rate = state.lambda_ema
-        if not _uniform(p.ema_divisor) or p.ema_divisor != 1.0:
-            rate = rate / p.ema_divisor
-        if p.track_ema is not True:
-            rate = np.where(p.track_ema, rate, p.lr)
-    return _column(rate)
+class _Reordered:
+    """A dither stream for rows with its draws in a stepper's row order,
+    the first `size[0]` of them: the rows in the sign phase."""
+
+    def __init__(self, stream, order: np.ndarray):
+        self.stream, self.order = stream, order
+
+    def normal(self, size):
+        rows, d = size
+        return self.stream.normal((len(self.order), d))[self.order][:rows]
 
 
-def _sign_step(state: OptimizerState, g: np.ndarray, p: StepParams,
-               dither) -> tuple:
-    """The sign step's move delta * direction, the new momentum and EMA,
-    and lambda. The direction is dithered where alpha > 0.
-
-    The calibration scalar is computed from the un-dithered momentum;
-    only rows that track the EMA fold it in.
-    """
-    if p.momentum is False:
-        m, src, lam, lam_ema = state.m, g, 0.0, state.lambda_ema
-    else:
-        beta = _column(p.beta)
-        m = beta * state.m + (1.0 - beta) * g
-        src = m
-        if p.momentum is not True:
-            src = np.where(p.momentum[:, None], m, g)
-            m = np.where(p.momentum[:, None], m, state.m)
-        lam = lambda_project(src, g, p.delta, p.epsilon)
-        lam_ema = state.lambda_ema
-        if p.track_ema is not False:
-            tracked = p.eta * lam_ema + (1.0 - p.eta) * lam
-            lam_ema = (tracked if p.track_ema is True
-                       else np.where(p.track_ema, tracked, lam_ema))
-        if p.momentum is not True:
-            lam = np.where(p.momentum, lam, 0.0)
-    move = _column(p.delta) * _direction(src, state.k, p, dither)
-    return move, m, lam_ema, lam
-
-
-def _direction(src: np.ndarray, k: int, p: StepParams, dither) -> np.ndarray:
-    """sign(src), with the step's dither added before or after the sign.
-    sigma_k = 0 draws nothing, so the alpha = 0 trajectory is bitwise
-    equal to the clean one on the same streams. In a batch where other
-    rows dither, a row with sigma_k = 0 gets a dither of exactly +0.0,
-    which leaves its direction bitwise sign(src): np.sign returns +0.0
-    for both zeros."""
+def _direction(src: np.ndarray, sign: np.ndarray, k: int, p: StepParams,
+               dither) -> np.ndarray:
+    """sign = sign(src), with the step's dither added before or after the
+    sign, as a new array. sigma_k = 0 draws nothing, so the alpha = 0
+    trajectory is bitwise equal to the clean one on the same streams. In a
+    batch where other rows dither, a row with sigma_k = 0 gets a dither of
+    exactly +0.0, which leaves its direction bitwise sign(src): np.sign
+    returns +0.0 for both zeros."""
     if _uniform(p.alpha) and p.alpha == 0.0:
-        return sign_vec(src)
+        return sign
     if dither is None:
         raise ValueError("a step with alpha > 0 needs a dither stream")
     s2 = dither_sigma_sq(k, p)
     if _uniform(s2):
         if s2 == 0.0:
-            return sign_vec(src)
+            return sign
         std = math.sqrt(s2)
     elif s2.any():
         std = np.sqrt(s2)[:, None]
     else:
-        return sign_vec(src)
+        return sign
     xi = sample_gaussian(src.shape, 0.0, std, dither)
     if p.pre is True:
         return sign_vec(src + xi)
     if p.pre is False:
-        return sign_vec(src) + xi
-    return np.where(p.pre[:, None], sign_vec(src + xi), sign_vec(src) + xi)
+        return sign + xi
+    return np.where(p.pre[:, None], sign_vec(src + xi), sign + xi)
 
 
 def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
@@ -297,15 +403,20 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
                                     epsilon)[0])
     if _uniform(epsilon) and epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    sign_m = sign_vec(m_next)
-    # overflows are handled below: ||g||^2 overflowed where denom is inf
-    # (lam is then 0 or NaN), delta * proj where lam is inf
+    # the run loop calls _calibration under its own errstate
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = l2_norm_sq(grad) + epsilon
-        proj = abs(inner(sign_m, grad))
-        lam = delta * proj / denom
+        return _calibration(sign_vec(m_next), grad, delta, epsilon)
+
+
+def _calibration(sign_m: np.ndarray, grad: np.ndarray, delta, epsilon):
+    """lambda_project's ratio on rows, from sign(m). It overflows where
+    its terms do, and the caller silences `over` and `invalid`."""
+    denom = l2_norm_sq(grad) + epsilon
+    proj = abs(inner(sign_m, grad))
+    lam = delta * proj / denom
     if np.isinf(np.fmax(denom, lam)).any():
-        # delta * proj overflowed, the ratio may not
+        # ||g||^2 overflowed where denom is inf (lam is then 0 or NaN),
+        # delta * proj where lam is inf; the ratio may not have
         big = np.isinf(lam)
         lam[big] = _rows(delta, big) * (proj[big] / denom[big])
         big = np.isinf(denom)

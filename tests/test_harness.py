@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signopt import harness
+from signopt import harness, optimizers
 from signopt.checks import _theorem_base_config
-from signopt.core import STREAM_GRAD, RngStream
+from signopt.core import STREAM_GRAD, RngStream, inner
 from signopt.dither import dither_sigma_sq
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             ProblemSpec, RunSpec, build_problem,
@@ -609,6 +609,29 @@ class TestLambdaAtSwitch:
             self.assert_read_off_rows(rec)
 
 
+class TestStepWork:
+    def test_lambda_calibration_sees_only_the_sign_rows(self, monkeypatch):
+        """In a switch-suite-style batch each momentum row passes through
+        the lambda calibration (its inner product <sign m, g>) once per
+        sign step, min(K, ceil(t_switch)) times, not once per step."""
+        rows = []
+
+        def counting(a, b):
+            rows.append(len(a))
+            return inner(a, b)
+
+        monkeypatch.setattr(optimizers, "inner", counting)
+        K, grid, seeds = 40, (25.0, 2.5, 60.0, 25.0), (0, 1)
+        base = quad_cfg(run={"steps": K})
+        cfgs = [replace(base, optimizer=OptimizerSpec(**opt)) for opt in (
+            [{"algorithm": "hybrid", "t_switch": t} for t in grid]
+            + [{"algorithm": "signsgdm"}, {"algorithm": "sgd"}])]
+        run_seeds(cfgs, seeds)
+        # signsgdm never switches, and sgd never takes a sign step
+        sign_steps = [min(K, math.ceil(t)) for t in grid] + [K, 0]
+        assert sum(rows) == len(seeds) * sum(sign_steps)
+
+
 class TestSuites:
     def test_switch_suite_runs_one_batch(self, monkeypatch):
         calls = []
@@ -627,6 +650,18 @@ class TestSuites:
         assert [e["t_switch"] for e in report["entries"]] == [5, 2.5, 30]
         # the run ends at step 29, before the switch at 30
         assert math.isnan(report["entries"][2]["median_lambda_at_switch"])
+
+    def test_switch_suite_keeps_an_unsorted_grid_in_order(self):
+        # the batch steps its rows in switch order; the report does not
+        cfg = quad_cfg(optimizer={"algorithm": "hybrid"}, run={"steps": 30})
+        grid, seeds = (20, 5, 20, 0), (0, 1)
+        report = run_switch_suite(cfg, grid, seeds)
+        assert [e["t_switch"] for e in report["entries"]] == list(grid)
+        for entry, t in zip(report["entries"], grid):
+            alone = run_switch_suite(cfg, (t,), seeds)
+            assert repr(entry) == repr(alone["entries"][0])
+            for key in ("signsgdm_median_final_f", "sgd_median_final_f"):
+                assert repr(report[key]) == repr(alone[key])
 
     def test_switch_suite_reports_nan_when_no_run_switches(self):
         # every hybrid run diverges before its switch
