@@ -16,8 +16,8 @@ from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec, RunSpec,
                      parse_config, serialize_config)
 from .core import RngStream, STREAM_MC, sign_vec
 from .dither import expected_dithered_sign, mc_dithered_sign
-from .harness import (emit_csv, load_csv, run_seeds, run_switch_suite,
-                      run_theorem_suite)
+from .harness import (cell_diverged, emit_csv, load_csv, run_seeds,
+                      run_switch_suite, run_theorem_suite)
 from .optimizers import lambda_project
 from .problems import NoiseSpec, make_logistic, make_mlp
 from .theory import (GAUSS_SPLIT, gauss_bound, mc_sign_failure,
@@ -98,19 +98,19 @@ def check_relaxation_inequality() -> CheckResult:
 # -- 3 & 4 ------------------------------------------------------------------
 
 def check_theorem_rate() -> tuple:
-    """Both rate bounds hold in every (K, n) cell; returns the phi-bound
-    and l1-bound results separately."""
-    report = run_theorem_suite(_theorem_base_config(1.0), THEOREM_SEEDS,
-                               THEOREM_K_GRID, THEOREM_N_GRID)
-    phi_ok = all(c["avg_phi"] <= c["rhs_phi"] for c in report["cells"])
-    l1_ok = all(c["avg_l1"] <= c["rhs_l1"] for c in report["cells"])
-    phi_margin = min(c["rhs_phi"] / c["avg_phi"] for c in report["cells"])
-    l1_margin = min(c["rhs_l1"] / c["avg_l1"] for c in report["cells"])
-    res_phi = CheckResult("theorem-rate-phi", phi_ok,
-                          f"min rhs/lhs ratio {phi_margin:.3f}")
-    res_l1 = CheckResult("theorem-rate-l1", l1_ok,
-                         f"min rhs/lhs ratio {l1_margin:.3f}")
-    return res_phi, res_l1
+    """Both rate bounds hold in every (K, n) cell and no run diverged;
+    returns the phi-bound and l1-bound results separately."""
+    cells = run_theorem_suite(_theorem_base_config(1.0), THEOREM_SEEDS,
+                              THEOREM_K_GRID, THEOREM_N_GRID)["cells"]
+    diverged = any(map(cell_diverged, cells))
+    note = "; a run diverged" if diverged else ""
+    results = []
+    for name in ("phi", "l1"):
+        ok = all(c[f"avg_{name}"] <= c[f"rhs_{name}"] for c in cells)
+        margin = min(c[f"rhs_{name}"] / c[f"avg_{name}"] for c in cells)
+        results.append(CheckResult(f"theorem-rate-{name}", ok and not diverged,
+                                   f"min rhs/lhs ratio {margin:.3f}{note}"))
+    return tuple(results)
 
 
 def check_decay_exponent() -> CheckResult:

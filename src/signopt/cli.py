@@ -16,7 +16,8 @@ from .checks import (MC_TRIALS, check_dither_statistics,
                      check_gauss_bound_validity, check_relaxation_inequality,
                      run_all)
 from .config import ConfigError, load_config
-from .harness import emit_csv, emit_json, run_single, run_summary
+from .harness import (cell_diverged, emit_csv, emit_json, run_single,
+                      run_summary)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,9 +106,10 @@ def cmd_theorem_suite(args) -> int:
     report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
         mark = "PASS" if cell["passed"] else "FAIL"
+        reason = "  (a run diverged)" if cell_diverged(cell) else ""
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
-              f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}")
+              f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}{reason}")
     if out is not None:
         _write(emit_json, report, out / "theorem_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

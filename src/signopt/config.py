@@ -1,4 +1,5 @@
-"""Flat `section.key = value` experiment configuration.
+"""Flat `section.key = value` experiment configuration, validated in one
+place: every section raises `ConfigError` when it is built.
 
 The format is deliberately line-oriented: every value serializes to one
 line, floats with 17 significant digits, so parse(serialize(cfg)) == cfg
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .optimizers import OptimizerConfig
+from .dither import DEFAULT_GAMMA
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, mlp_depth_factor,
                        mlp_n_params)
@@ -33,8 +34,8 @@ class ConfigError(ValueError):
     """Malformed configuration text or inconsistent field values."""
 
 
-# Each section validates itself on construction, and ExperimentConfig checks
-# the rules that span sections. Comparisons are written so that NaN fails.
+# Each section raises ConfigError at the rule it breaks, and ExperimentConfig
+# checks the rules that span sections. Comparisons are written so NaN fails.
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -51,47 +52,47 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem.kind {self.kind!r}")
+            raise ConfigError(f"unknown problem.kind {self.kind!r}")
         if self.noise_family not in NOISE_FAMILIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown problem.noise_family {self.noise_family!r}")
         if not (self.dim >= 1 and self.n_points >= 1):
-            raise ValueError("problem.dim and problem.n_points must be >= 1")
+            raise ConfigError("problem.dim and problem.n_points must be >= 1")
         if not 0 <= self.dataset_seed < _SEED_LIMIT:
-            raise ValueError("problem.dataset_seed must be in [0, 2^64)")
+            raise ConfigError("problem.dataset_seed must be in [0, 2^64)")
         widths = self.layer_widths
         if self.kind == "mlp" and not (len(widths) >= 3 and widths[-1] == 1
                                        and all(w >= 1 for w in widths)):
-            raise ValueError("problem.layer_widths needs >= 3 entries, "
-                             "each >= 1, ending in 1")
+            raise ConfigError("problem.layer_widths needs >= 3 entries, "
+                              "each >= 1, ending in 1")
         if self.kind == "mlp":
             try:
                 mlp_depth_factor(len(widths) - 1)
             except OverflowError:
-                raise ValueError(f"problem.layer_widths: {len(widths) - 1} "
-                                 f"layers overflow the MLP's curvature "
-                                 f"estimate") from None
+                raise ConfigError(f"problem.layer_widths: {len(widths) - 1} "
+                                  f"layers overflow the MLP's curvature "
+                                  f"estimate") from None
         n = self.n_params
         if n > _MAX_VECTOR:
-            raise ValueError(f"problem has {n} parameters; numpy's largest "
-                             f"float64 array holds {_MAX_VECTOR}")
+            raise ConfigError(f"problem has {n} parameters; numpy's largest "
+                              f"float64 array holds {_MAX_VECTOR}")
         if self.kind != "quadratic":
             # logistic's (n_points, dim) data, or the MLP's activations of
             # its widest layer, one row per point
             width = self.dim if self.kind == "logistic" else max(widths)
             if self.n_points * width > _MAX_VECTOR:
-                raise ValueError(f"problem.n_points * {width} exceeds "
-                                 f"numpy's largest float64 array "
-                                 f"({_MAX_VECTOR})")
+                raise ConfigError(f"problem.n_points * {width} exceeds "
+                                  f"numpy's largest float64 array "
+                                  f"({_MAX_VECTOR})")
         for name in ("lipschitz", "x_opt", "x0", "sigma"):
             vec = getattr(self, name)
             if len(vec) not in (1, n):
-                raise ValueError(f"problem.{name} needs 1 or {n} entries, "
-                                 f"got {len(vec)}")
+                raise ConfigError(f"problem.{name} needs 1 or {n} entries, "
+                                  f"got {len(vec)}")
             if not all(math.isfinite(v) for v in vec):
-                raise ValueError(f"problem.{name} must be finite")
+                raise ConfigError(f"problem.{name} must be finite")
             if name in ("lipschitz", "sigma") and not all(v >= 0 for v in vec):
-                raise ValueError(f"problem.{name} must be >= 0")
+                raise ConfigError(f"problem.{name} must be >= 0")
 
     @property
     def n_params(self) -> int:
@@ -102,7 +103,72 @@ class ProblemSpec:
         return mlp_n_params(self.layer_widths)
 
 
-OptimizerSpec = OptimizerConfig  # the `optimizer.*` section
+# What each algorithm name fixes of the one step rule: its switch point
+# (None: the config's t_switch), whether it steps on the momentum, whether
+# it dithers under the config's dither_mode, and whether it tracks the EMA.
+# So SGD is the hybrid at t_switch = 0 stepping by lr, SignSGD-M and the
+# dithered variants are the hybrid at t_switch = inf without the EMA, and
+# SignSGD is SignSGD-M without momentum. SGD never takes a sign step; its
+# momentum flag matches the others so that a batch of SGD and
+# sign-momentum rows shares it.
+PRESETS = {
+    "sgd": (0.0, True, False, False),
+    "signsgd": (math.inf, False, False, False),
+    "signsgdm": (math.inf, True, False, False),
+    "dithered": (math.inf, True, True, False),
+    "hybrid": (None, True, True, True),
+}
+DITHER_MODES = ("none", "pre", "post")
+
+
+@dataclass(frozen=True)
+class OptimizerSpec:
+    """The `optimizer.*` section. Every float must be finite except
+    `t_switch`, where inf means never switch."""
+
+    algorithm: str = "signsgdm"
+    delta: float = 0.01          # sign-phase learning rate
+    beta: float = 0.9            # momentum decay
+    alpha: float = 0.0           # dither scale (0 disables dithering)
+    gamma: float = DEFAULT_GAMMA  # dither annealing exponent
+    eta: float = 0.99            # EMA decay for the calibrated stepsize
+    epsilon: float = 1e-12       # projection stabilizer
+    t_switch: float = math.inf   # step index at which the hybrid switches
+    dither_mode: str = "none"
+    lambda_bias_correction: bool = False  # divide the frozen EMA by 1-eta^k
+    lr: float = 0.01              # plain-SGD learning rate
+    lambda_init: float = 0.0      # pre-seeded EMA value
+
+    def __post_init__(self):
+        if self.algorithm not in PRESETS:
+            raise ConfigError(f"unknown optimizer.algorithm {self.algorithm!r}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("optimizer.delta must be finite and > 0")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError("optimizer.lr must be finite and >= 0")
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError("optimizer.beta must be in (0, 1)")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError("optimizer.alpha must be finite and >= 0")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError("optimizer.gamma must be finite and > 0")
+        if not 0.0 < self.eta < 1.0:
+            raise ConfigError("optimizer.eta must be in (0, 1)")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("optimizer.epsilon must be finite and > 0")
+        if not self.t_switch >= 0:  # inf: never switch
+            raise ConfigError("optimizer.t_switch must be >= 0")
+        if not 0 <= self.lambda_init < math.inf:
+            raise ConfigError("optimizer.lambda_init must be finite and >= 0")
+        if self.dither_mode not in DITHER_MODES:
+            raise ConfigError(f"unknown optimizer.dither_mode {self.dither_mode!r}")
+        if self.algorithm == "dithered" and self.dither_mode == "none":
+            raise ConfigError("optimizer.algorithm 'dithered' needs "
+                              "optimizer.dither_mode 'pre' or 'post'")
+        if self.lambda_bias_correction and self.lambda_init != 0:
+            # 1 - eta^n is the bias of an EMA that starts at zero
+            raise ConfigError("optimizer.lambda_bias_correction needs "
+                              "optimizer.lambda_init = 0")
 
 
 @dataclass(frozen=True)
@@ -117,18 +183,18 @@ class RunSpec:
 
     def __post_init__(self):
         if not (self.steps >= 1 and self.batch_size >= 1):
-            raise ValueError("run.steps and run.batch_size must be >= 1")
+            raise ConfigError("run.steps and run.batch_size must be >= 1")
         if self.steps > sys.float_info.max:
-            raise ValueError(f"run.steps must be <= "
-                             f"{sys.float_info.max:.4g}, the largest float")
+            raise ConfigError(f"run.steps must be <= "
+                              f"{sys.float_info.max:.4g}, the largest float")
         if not (self.seeds and all(0 <= s < _SEED_LIMIT for s in self.seeds)):
-            raise ValueError("run.seeds needs at least one seed, "
-                             "each in [0, 2^64)")
+            raise ConfigError("run.seeds needs at least one seed, "
+                              "each in [0, 2^64)")
         if not (self.record_stride >= 0 and self.decay_every >= 0):
-            raise ValueError("run.record_stride and run.decay_every "
-                             "must be >= 0")
+            raise ConfigError("run.record_stride and run.decay_every "
+                              "must be >= 0")
         if not 0 < self.decay_factor < math.inf:
-            raise ValueError("run.decay_factor must be finite and > 0")
+            raise ConfigError("run.decay_factor must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -139,8 +205,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         opt, run = self.optimizer, self.run
-        # ConfigError, not ValueError: the theorem suite builds its cells
-        # with replace(), and the CLI maps only ConfigError to exit 2.
         # A step draws batch_size noise vectors in one array.
         if run.batch_size * self.problem.n_params > _MAX_VECTOR:
             raise ConfigError(f"run.batch_size * {self.problem.n_params} "
@@ -168,9 +232,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.17g}"
+        return f"{value:.17g}"  # inf is "inf"
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -181,17 +243,13 @@ def _parse_scalar(text: str, kind: type):
         if text not in ("true", "false"):
             raise ConfigError(f"expected true/false, got {text!r}")
         return text == "true"
-    if kind is float:
-        return float(text)
-    if kind is int:
-        return int(text)
-    return text
+    return text if kind is str else kind(text)
 
 
 def _parse_value(text: str, template, where: str):
     try:
         if isinstance(template, tuple):
-            elem = type(template[0]) if template else float
+            elem = type(template[0])
             if text == "":
                 return ()
             return tuple(_parse_scalar(t.strip(), elem)
@@ -242,11 +300,8 @@ def parse_config(text: str) -> ExperimentConfig:
         values[section][name] = _parse_value(
             val, _TEMPLATES[section][name],
             f"line {lineno}: bad value for {key}")
-    try:
-        return ExperimentConfig(**{name: cls(**values[name])
-                                   for name, cls in _SECTIONS.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{name: cls(**values[name])
+                               for name, cls in _SECTIONS.items()})
 
 
 def load_config(path) -> ExperimentConfig:

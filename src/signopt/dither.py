@@ -16,12 +16,13 @@ import numpy as np
 from .core import RngStream
 
 if TYPE_CHECKING:
-    from .optimizers import OptimizerConfig, StepParams
+    from .config import OptimizerSpec
+    from .optimizers import StepParams
 
 DEFAULT_GAMMA = 0.55
 
 
-def dither_sigma_sq(k: int, cfg: OptimizerConfig | StepParams):
+def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
     """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
     alpha and gamma from the (validated) optimizer config or from step
     parameters, where either may be one value per row."""

@@ -395,6 +395,13 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
             "l1_lipschitz": l1_L, "l1_sigma": l1_sigma}
 
 
+def cell_diverged(cell: dict) -> bool:
+    """Whether a `run_theorem_suite` cell failed because a run diverged:
+    it failed, yet both of its inequalities hold."""
+    return not cell["passed"] and (cell["avg_phi"] <= cell["rhs_phi"]
+                                   and cell["avg_l1"] <= cell["rhs_l1"])
+
+
 def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
     baselines with matched step budgets, all in one `run_seeds` batch."""

@@ -3,8 +3,8 @@
 One rule covers plain SGD, SignSGD, SignSGD with momentum, pre-/post-sign
 dithered variants, the projection-based learning-rate calibration, and
 the hybrid sign-to-SGD switcher that freezes the calibrated stepsize at
-the switch. The algorithm names are presets: `preset` turns an
-`OptimizerConfig` into the rule's `StepParams`.
+the switch. The algorithm names are presets: `preset` turns the
+`config.OptimizerSpec` section, validated there, into `StepParams`.
 
 The rule works row by row, and each row is bitwise the trajectory of that
 row alone. Each parameter is one value for every row or one per row
@@ -28,80 +28,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import PRESETS, OptimizerSpec
 from .core import RngStream, inner, l2_norm_sq, sample_gaussian, sign_vec
-from .dither import DEFAULT_GAMMA, dither_sigma_sq
+from .dither import dither_sigma_sq
 
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
-
-# What each algorithm name fixes of the one step rule: its switch point
-# (None: the config's t_switch), whether it steps on the momentum, whether
-# it dithers under the config's dither_mode, and whether it tracks the EMA.
-# So SGD is the hybrid at t_switch = 0 stepping by lr, SignSGD-M and the
-# dithered variants are the hybrid at t_switch = inf without the EMA, and
-# SignSGD is SignSGD-M without momentum. SGD never takes a sign step; its
-# momentum flag matches the others so that a batch of SGD and
-# sign-momentum rows shares it.
-PRESETS = {
-    "sgd": (0.0, True, False, False),
-    "signsgd": (math.inf, False, False, False),
-    "signsgdm": (math.inf, True, False, False),
-    "dithered": (math.inf, True, True, False),
-    "hybrid": (None, True, True, True),
-}
-DITHER_MODES = ("none", "pre", "post")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """The optimizer's parameters (the `optimizer.*` config section),
-    validated on construction. Every float must be finite except
-    `t_switch`, where inf means never switch; comparisons are written so
-    that NaN fails them."""
-
-    algorithm: str = "signsgdm"
-    delta: float = 0.01          # sign-phase learning rate
-    beta: float = 0.9            # momentum decay
-    alpha: float = 0.0           # dither scale (0 disables dithering)
-    gamma: float = DEFAULT_GAMMA  # dither annealing exponent
-    eta: float = 0.99            # EMA decay for the calibrated stepsize
-    epsilon: float = 1e-12       # projection stabilizer
-    t_switch: float = math.inf   # step index at which the hybrid switches
-    dither_mode: str = "none"
-    lambda_bias_correction: bool = False  # divide the frozen EMA by 1-eta^k
-    lr: float = 0.01              # plain-SGD learning rate
-    lambda_init: float = 0.0      # pre-seeded EMA value
-
-    def __post_init__(self):
-        if self.algorithm not in PRESETS:
-            raise ValueError(f"unknown optimizer.algorithm {self.algorithm!r}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("optimizer.delta must be finite and > 0")
-        if not 0 <= self.lr < math.inf:
-            raise ValueError("optimizer.lr must be finite and >= 0")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("optimizer.beta must be in (0, 1)")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("optimizer.alpha must be finite and >= 0")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("optimizer.gamma must be finite and > 0")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("optimizer.eta must be in (0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("optimizer.epsilon must be finite and > 0")
-        if not self.t_switch >= 0:  # inf: never switch
-            raise ValueError("optimizer.t_switch must be >= 0")
-        if not 0 <= self.lambda_init < math.inf:
-            raise ValueError("optimizer.lambda_init must be finite and >= 0")
-        if self.dither_mode not in DITHER_MODES:
-            raise ValueError(f"unknown optimizer.dither_mode {self.dither_mode!r}")
-        if self.algorithm == "dithered" and self.dither_mode == "none":
-            raise ValueError("optimizer.algorithm 'dithered' needs "
-                             "optimizer.dither_mode 'pre' or 'post'")
-        if self.lambda_bias_correction and self.lambda_init != 0:
-            # 1 - eta^n is the bias of an EMA that starts at zero
-            raise ValueError("optimizer.lambda_bias_correction needs "
-                             "optimizer.lambda_init = 0")
 
 
 @dataclass(frozen=True)
@@ -149,7 +81,7 @@ class StepParams:
     lr: float
 
 
-def preset(cfg: OptimizerConfig) -> StepParams:
+def preset(cfg: OptimizerSpec) -> StepParams:
     """The parameters with which `step` runs `cfg.algorithm` (`PRESETS`)."""
     t_switch, momentum, dithers, track_ema = PRESETS[cfg.algorithm]
     if t_switch is None:
@@ -441,24 +373,24 @@ def _rescaled_lambda(sign_m: np.ndarray, grad: np.ndarray, delta):
 # The algorithms one at a time, as presets of `step`.
 
 def sgd_step(state: OptimizerState, g: np.ndarray, lr) -> OptimizerState:
-    return step(state, g, preset(OptimizerConfig(algorithm="sgd", lr=lr)))
+    return step(state, g, preset(OptimizerSpec(algorithm="sgd", lr=lr)))
 
 
 def signsgd_step(state: OptimizerState, g: np.ndarray,
-                 cfg: OptimizerConfig) -> OptimizerState:
+                 cfg: OptimizerSpec) -> OptimizerState:
     return step(state, g, preset(replace(cfg, algorithm="signsgd")))
 
 
 def signsgdm_step(state: OptimizerState, g: np.ndarray,
-                  cfg: OptimizerConfig) -> OptimizerState:
+                  cfg: OptimizerSpec) -> OptimizerState:
     return step(state, g, preset(replace(cfg, algorithm="signsgdm")))
 
 
 def dithered_step(state: OptimizerState, g: np.ndarray,
-                  cfg: OptimizerConfig, rng: RngStream) -> OptimizerState:
+                  cfg: OptimizerSpec, rng: RngStream) -> OptimizerState:
     return step(state, g, preset(replace(cfg, algorithm="dithered")), rng)
 
 
 def hybrid_step(state: OptimizerState, g: np.ndarray,
-                cfg: OptimizerConfig, rng: RngStream) -> OptimizerState:
+                cfg: OptimizerSpec, rng: RngStream) -> OptimizerState:
     return step(state, g, preset(replace(cfg, algorithm="hybrid")), rng)

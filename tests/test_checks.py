@@ -84,3 +84,14 @@ def test_sign_phase_geometry_catches_an_off_grid_step(monkeypatch, record):
     calls = _nudge(monkeypatch, record, step=150)
     assert not checks.check_sign_phase_geometry().passed
     assert len(calls) == 1
+
+
+def test_theorem_rate_fails_both_lines_when_a_run_diverged(monkeypatch):
+    # a cell the suite failed though both inequalities hold
+    cell = {"K": 50, "n": 1, "avg_phi": 1.0, "rhs_phi": 2.0, "avg_l1": 1.0,
+            "rhs_l1": 2.0, "passed": False}
+    monkeypatch.setattr(checks, "run_theorem_suite",
+                        lambda *args: {"cells": [cell], "passed": False})
+    for result in checks.check_theorem_rate():
+        assert not result.passed
+        assert result.detail == "min rhs/lhs ratio 2.000; a run diverged"

@@ -418,6 +418,17 @@ def test_exit_code_contract_holds_for_random_input(text, command, flags):
     assert "Traceback" not in err.getvalue(), (argv, text)
 
 
+def test_theorem_suite_says_a_run_diverged(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(SGD_DIVERGES)
+    assert main(["theorem-suite", "--seeds", "2", "--k-grid", "10,50",
+                 "--n-grid", "1", "--config", str(config)]) == 1
+    held, diverged = capsys.readouterr().out.splitlines()
+    assert held.startswith("[PASS] K=10 ") and "diverged" not in held
+    assert diverged.startswith("[FAIL] K=50 ")
+    assert diverged.endswith("  (a run diverged)")
+
+
 @pytest.mark.parametrize("text, argv, code, err", [
     (OVERFLOW_IN_PHI, ["run"], 0, ""),
     (OVERFLOW_IN_SIGN_STEP, ["run"], 3, "run diverged at step 1\n"),

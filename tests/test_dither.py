@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream
 from signopt.dither import (correct_sign_prob, dither_sigma_sq,
                             expected_dithered_sign, mc_dithered_sign,
                             normal_cdf)
-from signopt.optimizers import OptimizerConfig
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 

@@ -807,6 +807,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             replace(cfg, run=spec)
 
+    @pytest.mark.parametrize("key, value", [
+        ("problem.dim", 0), ("optimizer.beta", 1.5), ("run.steps", 0),
+        ("run.batch_size", 2**62),  # an ExperimentConfig rule
+    ], ids=["problem", "optimizer", "run", "experiment"])
+    def test_replace_fails_as_the_parser_does(self, key, value):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(f"{key} = {value}\n")
+        section, name = key.split(".")
+        cfg = ExperimentConfig()
+        with pytest.raises(ConfigError) as replaced:
+            spec = replace(getattr(cfg, section), **{name: value})
+            replace(cfg, **{section: spec})
+        assert str(replaced.value) == str(parsed.value)
+
     def test_n_params_counts_mlp_weights_and_biases(self):
         spec = ProblemSpec(kind="mlp", layer_widths=(2, 8, 1))
         assert spec.n_params == 2 * 8 + 8 + 8 * 1 + 1

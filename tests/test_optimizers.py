@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream, sign_vec
 from signopt.dither import dither_sigma_sq, normal_cdf
-from signopt.optimizers import (PRESETS, OptimizerConfig, OptimizerState,
-                                column_of, dithered_step, hybrid_step,
-                                init_state, lambda_project, preset,
-                                sgd_step, signsgd_step, signsgdm_step,
-                                stack_params, step)
+from signopt.optimizers import (PRESETS, OptimizerState, column_of,
+                                dithered_step, hybrid_step, init_state,
+                                lambda_project, preset, sgd_step,
+                                signsgd_step, signsgdm_step, stack_params,
+                                step)
 
 
 def gs(values):
