@@ -16,6 +16,7 @@ from .checks import (MC_TRIALS, check_dither_statistics,
                      check_gauss_bound_validity, check_relaxation_inequality,
                      run_all)
 from .config import ConfigError, load_config
+from .core import MAX_VECTOR, SEED_LIMIT
 from .harness import (cell_diverged, emit_csv, emit_json, run_single,
                       run_summary)
 
@@ -80,6 +81,10 @@ def _int_list_at_least(minimum: int):
             raise argparse.ArgumentTypeError("expected at least one integer")
         return values
     return integers
+
+
+# --seeds and --trials size arrays, so they share the config's size bound
+_count = _int_at_least(1, below=MAX_VECTOR + 1)
 
 
 def cmd_run(args) -> int:
@@ -161,13 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_int_at_least(0, below=2**64), default=0)
+    p.add_argument("--seed", type=_int_at_least(0, below=SEED_LIMIT),
+                   default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("theorem-suite", help="rate-bound verification grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--seeds", type=_count, default=20)
     p.add_argument("--k-grid", type=_int_list_at_least(1),
                    default="100,1000,10000")
     p.add_argument("--n-grid", type=_int_list_at_least(1), default="1,4,16")
@@ -176,18 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("switch-suite", help="hybrid switch-point sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--seeds", type=_count, default=20)
     p.add_argument("--t-grid", type=_int_list_at_least(0),
                    default="500,1000,2000")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_switch_suite)
 
     p = sub.add_parser("dither-verify", help="dithered-sign MC grid")
-    p.add_argument("--trials", type=_int_at_least(1), default=MC_TRIALS)
+    p.add_argument("--trials", type=_count, default=MC_TRIALS)
     p.set_defaults(func=cmd_dither_verify)
 
     p = sub.add_parser("bound-verify", help="sign-failure bound grids")
-    p.add_argument("--trials", type=_int_at_least(1), default=MC_TRIALS)
+    p.add_argument("--trials", type=_count, default=MC_TRIALS)
     p.set_defaults(func=cmd_bound_verify)
 
     p = sub.add_parser("selftest", help="full verification battery")

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .core import MAX_VECTOR, SEED_LIMIT
 from .dither import DEFAULT_GAMMA
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, mlp_depth_factor,
                        mlp_n_params)
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
-
-_SEED_LIMIT = 2**64  # seeds are 64-bit unsigned Philox keys
-# numpy's largest array, in float64 entries
-_MAX_VECTOR = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # natural logs of the normal float range; a decayed stepsize must stay in it
 _LOG_MIN = math.log(sys.float_info.min)
@@ -58,7 +55,7 @@ class ProblemSpec:
                 f"unknown problem.noise_family {self.noise_family!r}")
         if not (self.dim >= 1 and self.n_points >= 1):
             raise ConfigError("problem.dim and problem.n_points must be >= 1")
-        if not 0 <= self.dataset_seed < _SEED_LIMIT:
+        if not 0 <= self.dataset_seed < SEED_LIMIT:
             raise ConfigError("problem.dataset_seed must be in [0, 2^64)")
         widths = self.layer_widths
         if self.kind == "mlp" and not (len(widths) >= 3 and widths[-1] == 1
@@ -73,17 +70,17 @@ class ProblemSpec:
                                   f"layers overflow the MLP's curvature "
                                   f"estimate") from None
         n = self.n_params
-        if n > _MAX_VECTOR:
+        if n > MAX_VECTOR:
             raise ConfigError(f"problem has {n} parameters; numpy's largest "
-                              f"float64 array holds {_MAX_VECTOR}")
+                              f"float64 array holds {MAX_VECTOR}")
         if self.kind != "quadratic":
             # logistic's (n_points, dim) data, or the MLP's activations of
             # its widest layer, one row per point
             width = self.dim if self.kind == "logistic" else max(widths)
-            if self.n_points * width > _MAX_VECTOR:
+            if self.n_points * width > MAX_VECTOR:
                 raise ConfigError(f"problem.n_points * {width} exceeds "
                                   f"numpy's largest float64 array "
-                                  f"({_MAX_VECTOR})")
+                                  f"({MAX_VECTOR})")
         for name in ("lipschitz", "x_opt", "x0", "sigma"):
             vec = getattr(self, name)
             if len(vec) not in (1, n):
@@ -187,7 +184,7 @@ class RunSpec:
         if self.steps > sys.float_info.max:
             raise ConfigError(f"run.steps must be <= "
                               f"{sys.float_info.max:.4g}, the largest float")
-        if not (self.seeds and all(0 <= s < _SEED_LIMIT for s in self.seeds)):
+        if not (self.seeds and all(0 <= s < SEED_LIMIT for s in self.seeds)):
             raise ConfigError("run.seeds needs at least one seed, "
                               "each in [0, 2^64)")
         if not (self.record_stride >= 0 and self.decay_every >= 0):
@@ -206,10 +203,10 @@ class ExperimentConfig:
     def __post_init__(self):
         opt, run = self.optimizer, self.run
         # A step draws batch_size noise vectors in one array.
-        if run.batch_size * self.problem.n_params > _MAX_VECTOR:
+        if run.batch_size * self.problem.n_params > MAX_VECTOR:
             raise ConfigError(f"run.batch_size * {self.problem.n_params} "
                               f"parameters exceeds numpy's largest float64 "
-                              f"array ({_MAX_VECTOR})")
+                              f"array ({MAX_VECTOR})")
         if not run.decay_every:
             return
         if run.theorem_mode:

@@ -16,6 +16,17 @@ STREAM_DITHER = 2
 STREAM_DATA = 3
 STREAM_MC = 4
 
+SEED_LIMIT = 2**64  # seeds and stream ids are 64-bit unsigned Philox keys
+# numpy's largest array, in float64 entries: the bound of every size
+MAX_VECTOR = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def run_errstate():
+    """A run's floating-point policy: `over` and `invalid` pass silently,
+    because an overflow is the divergence signal and reaches f by the next
+    step, which cuts the row; `divide` and `under` keep numpy's default."""
+    return np.errstate(over="ignore", invalid="ignore")
+
 
 def _mix64(a: int, b: int) -> int:
     """SplitMix64-style finalizer combining two 64-bit values."""
@@ -33,7 +44,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed < 2**64) or not (0 <= stream_id < 2**64):
+        if not (0 <= seed < SEED_LIMIT and 0 <= stream_id < SEED_LIMIT):
             raise ValueError("seed and stream_id must be 64-bit unsigned")
         self.seed = seed
         self.stream_id = stream_id

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm
+from .core import (RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm,
+                   run_errstate)
 from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
 from .dither import dither_sigma_sq
@@ -90,13 +91,6 @@ class RunRecord:
         """Every field but the per-step lists, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name not in ("rows", "iterates")}
-
-
-def _run_errstate():
-    """A run's floating-point policy: `over` and `invalid` pass silently,
-    because an overflow is the divergence signal and reaches f by the next
-    step, which cuts the row; `divide` and `under` keep numpy's default."""
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def theorem_delta(problem: Problem, steps: int) -> float:
@@ -295,7 +289,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         if track and j >= rule.p:
             rec.lambda_at_switch = float(rule.ema[j])
 
-    with _run_errstate():
+    with run_errstate():
         for k in range(K):
             f, g_true = problem.eval_fg(rule.x)
             finite = np.isfinite(f)
@@ -363,7 +357,7 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     from .theory import TheoremInputs, theorem_rhs_l1, theorem_rhs_phi
 
     problem = build_problem(cfg_base)
-    with _run_errstate():
+    with run_errstate():
         f0 = problem.eval_f(initial_point(cfg_base, problem))
     if not math.isfinite(f0):
         raise ConfigError(f"the theorem suite needs a finite f(x0), got {f0}")

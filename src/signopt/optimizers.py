@@ -29,7 +29,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import PRESETS, OptimizerSpec
-from .core import RngStream, inner, l2_norm_sq, sample_gaussian, sign_vec
+from .core import (RngStream, inner, l2_norm_sq, run_errstate,
+                   sample_gaussian, sign_vec)
 from .dither import dither_sigma_sq
 
 PHASE_SIGN = "sign"
@@ -335,8 +336,8 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
                                     epsilon)[0])
     if _uniform(epsilon) and epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    # the run loop calls _calibration under its own errstate
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the run loop calls _calibration under the same policy
+    with run_errstate():
         return _calibration(sign_vec(m_next), grad, delta, epsilon)
 
 

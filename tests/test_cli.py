@@ -166,6 +166,10 @@ OUT_IS_FILE = object()
     pytest.param("optimizer.lambda_init = inf\n", id="lambda-init-inf"),
     pytest.param("run.record_stride = -1\n", id="record-stride-negative"),
     pytest.param("run.seeds = -1\n", id="seed-negative"),
+    pytest.param("run.seeds =\n", id="seeds-empty"),
+    pytest.param("run.theorem_mode = yes\n", id="theorem-mode-not-bool"),
+    pytest.param("problem.kind = cubic\n", id="kind-unknown"),
+    pytest.param("problem.noise_family = cauchy\n", id="noise-family-unknown"),
     pytest.param("run.steps = 10\nrun.steps = 20\n", id="duplicate-key"),
     pytest.param("run.theorem_mode = true\nrun.decay_every = 10\n"
                  "run.decay_factor = 0.5\n", id="theorem-mode-with-decay"),
@@ -302,6 +306,11 @@ def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     ["theorem-suite", "--k-grid", "1" + "0" * 400],
     ["theorem-suite", "--n-grid", "4,1" + "0" * 400],
     ["run", "--seed", str(2**64)],
+    ["theorem-suite", "--seeds", str(2**63)],
+    ["switch-suite", "--seeds", str(2**63)],
+    ["dither-verify", "--trials", str(10**19)],
+    ["bound-verify", "--trials", str(2**62)],
+    ["theorem-suite", "--k-grid", ","],
 ])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, argv):
     cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")

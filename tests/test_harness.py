@@ -719,6 +719,12 @@ class TestSerialization:
         assert rows == rec.rows
         assert {r.phase for r in rows} == {"sign", "sgd"}
 
+    def test_wrong_header_is_named(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("k,f\n0,1\n")
+        with pytest.raises(ValueError, match="^unexpected CSV header: 'k,f'$"):
+            load_csv(path)
+
     @pytest.mark.parametrize("row", ["0,1.0,2.0",
                                      "0,1,2,3,4,5,6,sign,7"])
     def test_row_with_wrong_field_count_names_its_line(self, tmp_path, row):
