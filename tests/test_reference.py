@@ -256,3 +256,16 @@ class TestReferenceStepper:
         hybrid = recs[3:6]
         assert [r.diverged for r in hybrid] == [True, False, True]
         assert [r.oracle_calls for r in hybrid] == [14, 60, 24]
+
+    def test_dither_variance_that_underflows(self):
+        # 0.2 * (1 + k)^-gamma is 0.0 from k = 1 for both gammas, so every
+        # step after the first applies no dither: alone the variance is one
+        # float, batched with the other gamma it is one per row
+        base = quadratic("gaussian", batch_size=2)
+        pre = with_optimizer(base, algorithm="dithered", dither_mode="pre",
+                             alpha=0.2, gamma=1100.0)
+        post = with_optimizer(base, algorithm="dithered",
+                              dither_mode="post", alpha=0.2, gamma=1200.0)
+        assert 0.2 * 2.0 ** -1100.0 == 0.0 == 0.2 * 2.0 ** -1200.0
+        assert_matches_reference([pre], (0, 5))
+        assert_matches_reference([pre, post], (0, 5))
