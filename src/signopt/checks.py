@@ -34,6 +34,7 @@ DITHER_RATIO_GRID = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 THEOREM_K_GRID = (100, 1000, 10000)
 THEOREM_N_GRID = (1, 4, 16)
 THEOREM_SEEDS = tuple(range(20))
+SWITCH_T_GRID = (500, 1000, 2000)
 
 
 @dataclass
@@ -287,7 +288,7 @@ def check_switching_benefit() -> CheckResult:
         run=RunSpec(steps=4000, batch_size=1, seeds=THEOREM_SEEDS,
                     record_stride=400),
     )
-    report = run_switch_suite(cfg, (500, 1000, 2000), THEOREM_SEEDS)
+    report = run_switch_suite(cfg, SWITCH_T_GRID, THEOREM_SEEDS)
     best = report["best"]
     return CheckResult(
         "switching-benefit", report["passed"],

@@ -12,7 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .checks import (MC_TRIALS, check_dither_statistics,
+from .checks import (MC_TRIALS, SWITCH_T_GRID, THEOREM_K_GRID,
+                     THEOREM_N_GRID, THEOREM_SEEDS, check_dither_statistics,
                      check_gauss_bound_validity, check_relaxation_inequality,
                      run_all)
 from .config import ConfigError, load_config
@@ -173,18 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-suite", help="rate-bound verification grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=_count, default=20)
+    # the suites default to the battery's grids and seeds (--seeds n runs
+    # seeds 0 .. n-1)
+    p.add_argument("--seeds", type=_count, default=len(THEOREM_SEEDS))
     p.add_argument("--k-grid", type=_int_list_at_least(1),
-                   default="100,1000,10000")
-    p.add_argument("--n-grid", type=_int_list_at_least(1), default="1,4,16")
+                   default=list(THEOREM_K_GRID))
+    p.add_argument("--n-grid", type=_int_list_at_least(1),
+                   default=list(THEOREM_N_GRID))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_theorem_suite)
 
     p = sub.add_parser("switch-suite", help="hybrid switch-point sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=_count, default=20)
+    p.add_argument("--seeds", type=_count, default=len(THEOREM_SEEDS))
     p.add_argument("--t-grid", type=_int_list_at_least(0),
-                   default="500,1000,2000")
+                   default=list(SWITCH_T_GRID))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_switch_suite)
 

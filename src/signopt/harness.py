@@ -46,7 +46,8 @@ from .optimizers import (PHASE_SGD, PHASE_SIGN, RowStepper, dithered_step,
                          signsgd_step, signsgdm_step, stack_params)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
-from .theory import SnrProfile, phi_measure
+from .theory import (SnrProfile, TheoremInputs, phi_measure, theorem_rhs_l1,
+                     theorem_rhs_phi)
 
 CSV_HEADER = "k,f,l1_grad,phi,lambda,lambda_ema,sigma_dither_sq,phase"
 
@@ -220,7 +221,9 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     block of steps at a time, so every record is bitwise the one the seed
     gives alone under its config.
     A row whose f overflows stops at that step and leaves the batch. Each
-    record's `wall_time` is the elapsed time of the whole batch.
+    record's `wall_time` is the elapsed time of the whole batch. A
+    recorded row's lambda and phase, and a record's `lambda_at_switch`,
+    are the step rule's (`RowStepper.recorded` and `switch_lambda`).
     """
     t0 = time.perf_counter()
     cfgs = [cfg] if isinstance(cfg, ExperimentConfig) else list(cfg)
@@ -274,20 +277,14 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
 
     def finish(j, steps, f_j):
         """Close the record of live row j after `steps` steps from the
-        loop's arrays as they are now. A row that tracks the EMA and last
-        took an SGD step (it is past the sign rows) has held the EMA frozen
-        since its first one: that is the lambda it switched at."""
+        loop's arrays and the step rule as they are now."""
         rec = recs[live[j]]
         rec.oracle_calls = steps
         rec.final_f = f_j
         rec.diverged = not math.isfinite(f_j)
         if steps:  # else the averages keep RunRecord's NaN
             rec.avg_phi, rec.avg_l1 = (v / steps for v in diag.sums(j))
-        track = rule.params.track_ema
-        if isinstance(track, np.ndarray):
-            track = track[j]
-        if track and j >= rule.p:
-            rec.lambda_at_switch = float(rule.ema[j])
+        rec.lambda_at_switch = rule.switch_lambda(j)
 
     with run_errstate():
         for k in range(K):
@@ -313,21 +310,18 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                 rule.decay(run.decay_factor)
 
             g = g_true if noise is None else g_true + noise.normal()
-            lam = rule.step(g, k, dither)
+            rule.step(g, k, dither)
 
             if k % stride == 0 or k == K - 1:
-                # the rows past the sign rows took an SGD step, lambda 0
-                p, rest = rule.p, live.size - rule.p
-                lams = [0.0] * p if lam is None else lam.tolist()
                 # the schedule is recorded whenever the config names a
                 # dither mode, also on steps that apply none
                 sig2 = [dither_sigma_sq(k, opt) if on else 0.0
                         for opt, on in zip(opts, dithered)]
+                lams, phases = rule.recorded()
                 new = []
                 for i, f_i, lam_i, ema, phase in zip(
-                        live.tolist(), f.tolist(), lams + [0.0] * rest,
-                        rule.ema.tolist(),
-                        [PHASE_SIGN] * p + [PHASE_SGD] * rest):
+                        live.tolist(), f.tolist(), lams, rule.ema.tolist(),
+                        phases):
                     row = Row(k, f_i, math.nan, math.nan, lam_i, ema,
                               sig2[i // n_seeds], phase)
                     recs[i].rows.append(row)
@@ -354,8 +348,6 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
 def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict:
     """Average the per-step diagnostics over seeds for each (K, n) cell and
     compare against the closed-form rate bounds."""
-    from .theory import TheoremInputs, theorem_rhs_l1, theorem_rhs_phi
-
     problem = build_problem(cfg_base)
     with run_errstate():
         f0 = problem.eval_f(initial_point(cfg_base, problem))

@@ -149,6 +149,11 @@ class RowStepper:
     are one value on each slice, and the SGD rate, which reads the EMA
     that the SGD phase holds frozen. Each operation is the one the rule
     takes on a row alone, so every row is bitwise its row alone.
+
+    It also states once what a row records: `recorded` gives each row's
+    lambda and phase from the last step, and `switch_lambda` the frozen
+    EMA of a row that tracks it and has switched. Its callers (`step`,
+    `harness.run_seeds`) read both and build neither from p.
     """
 
     def __init__(self, x, m, ema, params: StepParams):
@@ -163,11 +168,11 @@ class RowStepper:
         self._t = np.broadcast_to(self.params.t_switch, (rows,)).tolist()
         self._buf = np.empty_like(self.x)
         self.p = rows  # before the first step every row is in the sign phase
+        self._lam = None
         self._resolve()
 
-    def step(self, g: np.ndarray, k: int, dither=None):
-        """Advance every row by step k on its gradient row of g; return the
-        lambda of the sign rows [:p] (None when none computes one). `dither`
+    def step(self, g: np.ndarray, k: int, dither=None) -> None:
+        """Advance every row by step k on its gradient row of g. `dither`
         is read only by sign rows with alpha > 0, and a step with such rows
         needs it."""
         p, t = self.p, self._t
@@ -176,11 +181,28 @@ class RowStepper:
         if p != self.p:
             self.p = p
             self._resolve()
-        lam = self._sign_step(g[:p], k, dither) if p else None
+        # the lambda of the sign rows [:p], None where none computes one
+        self._lam = self._sign_step(g[:p], k, dither) if p else None
         if p < len(t):
             np.multiply(g[p:], self._rate, out=self._sgd_buf)
             np.subtract(self._sgd_x, self._sgd_buf, out=self._sgd_x)
-        return lam
+
+    def recorded(self) -> tuple:
+        """Each row's lambda and phase from the last step, as two lists in
+        row order. A sign row records its lambda, 0 without momentum; a row
+        past them took an SGD step and records lambda 0."""
+        p, rest = self.p, len(self._t) - self.p
+        lams = [0.0] * p if self._lam is None else self._lam.tolist()
+        return lams + [0.0] * rest, [PHASE_SIGN] * p + [PHASE_SGD] * rest
+
+    def switch_lambda(self, j: int) -> float:
+        """Row j's switch lambda, NaN if it has none. A row that tracks the
+        EMA and last took an SGD step has held the EMA frozen since its
+        first one: that is the lambda it switched at."""
+        track = self.params.track_ema
+        if not _uniform(track):
+            track = track[j]
+        return float(self.ema[j]) if track and j >= self.p else math.nan
 
     def decay(self, factor: float) -> None:
         """Scale delta and lr; the hybrid's frozen EMA is not decayed."""
@@ -269,20 +291,17 @@ def step(state: OptimizerState, g: np.ndarray, params: StepParams,
     order = stepper.order
     if dither is not None:
         dither = _Reordered(dither, order)
-    lam = stepper.step(np.atleast_2d(g)[order], state.k, dither)
-    p, back = stepper.p, np.argsort(order)
-    last = np.zeros(rows)
-    if lam is not None:
-        last[:p] = lam
-    phase = PHASE_SIGN if p == rows else PHASE_SGD if p == 0 else np.array(
-        [PHASE_SIGN] * p + [PHASE_SGD] * (rows - p))[back]
+    stepper.step(np.atleast_2d(g)[order], state.k, dither)
+    lams, phases = stepper.recorded()
+    back = np.argsort(order)
+    phase = phases[0] if len(set(phases)) == 1 else np.array(phases)[back]
     if state.x.ndim == 1:
         return OptimizerState(x=stepper.x[0], m=stepper.m[0], k=state.k + 1,
                               lambda_ema=float(stepper.ema[0]), phase=phase,
-                              last_lambda=float(last[0]))
+                              last_lambda=lams[0])
     return OptimizerState(x=stepper.x[back], m=stepper.m[back],
                           k=state.k + 1, lambda_ema=stepper.ema[back],
-                          phase=phase, last_lambda=last[back])
+                          phase=phase, last_lambda=np.array(lams)[back])
 
 
 class _Reordered:
@@ -300,24 +319,23 @@ class _Reordered:
 def _direction(src: np.ndarray, sign: np.ndarray, k: int, p: StepParams,
                dither) -> np.ndarray:
     """sign = sign(src), with the step's dither added before or after the
-    sign, as a new array. sigma_k = 0 draws nothing, so the alpha = 0
-    trajectory is bitwise equal to the clean one on the same streams. In a
-    batch where other rows dither, a row with sigma_k = 0 gets a dither of
-    exactly +0.0, which leaves its direction bitwise sign(src): np.sign
-    returns +0.0 for both zeros."""
+    sign, as a new array. alpha = 0 draws nothing, so the alpha = 0
+    trajectory is bitwise equal to the clean one on the same streams.
+
+    This is the one place that handles a variance sigma_k^2 of 0, which
+    alpha * (1+k)^(-gamma) reaches when it underflows. A float sigma_k = 0
+    draws nothing either: `sample_gaussian` returns the constant 0.0. A
+    row's own sigma_k = 0 in a per-row column gives it a dither of exactly
+    +0.0, which leaves its direction bitwise sign(src): np.sign returns
+    +0.0 for both zeros. A per-row step in which every row's sigma_k is 0
+    still draws, and discards the draw; the schedule only decreases, so
+    no later step of those rows reads its stream again."""
     if _uniform(p.alpha) and p.alpha == 0.0:
         return sign
     if dither is None:
         raise ValueError("a step with alpha > 0 needs a dither stream")
     s2 = dither_sigma_sq(k, p)
-    if _uniform(s2):
-        if s2 == 0.0:
-            return sign
-        std = math.sqrt(s2)
-    elif s2.any():
-        std = np.sqrt(s2)[:, None]
-    else:
-        return sign
+    std = math.sqrt(s2) if _uniform(s2) else np.sqrt(s2)[:, None]
     xi = sample_gaussian(src.shape, 0.0, std, dither)
     if p.pre is True:
         return sign_vec(src + xi)

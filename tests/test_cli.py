@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from signopt.checks import CheckResult
-from signopt.cli import main
+from signopt.checks import (SWITCH_T_GRID, THEOREM_K_GRID, THEOREM_N_GRID,
+                            THEOREM_SEEDS, CheckResult)
+from signopt.cli import build_parser, main
 from signopt.config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                             RunSpec, save_config)
 
@@ -134,6 +135,17 @@ def test_switch_suite_command(tmp_path):
     code = main(["switch-suite", "--config", str(cfg_path),
                  "--seeds", "4", "--t-grid", "50,100"])
     assert code in (0, 1)  # benefit is not guaranteed at this tiny budget
+
+
+def test_suite_defaults_are_the_battery_grids():
+    parser = build_parser()
+    theorem = parser.parse_args(["theorem-suite", "--config", "c"])
+    switch = parser.parse_args(["switch-suite", "--config", "c"])
+    assert tuple(range(theorem.seeds)) == THEOREM_SEEDS
+    assert tuple(theorem.k_grid) == THEOREM_K_GRID
+    assert tuple(theorem.n_grid) == THEOREM_N_GRID
+    assert tuple(range(switch.seeds)) == THEOREM_SEEDS
+    assert tuple(switch.t_grid) == SWITCH_T_GRID
 
 
 # file cases: the config path is a directory, or --out names a file

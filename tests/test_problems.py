@@ -232,6 +232,23 @@ class TestNoise:
             assert np.array_equal(row, (unit * spec.sigma).mean(axis=0))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_logistic(11, 5, 0, noiseless(5)), "n_points"),
+    (lambda: make_mlp(1, (2, 1), noiseless(1)), "hidden layer"),
+    (lambda: make_mlp(1, (2, 4, 2), noiseless(1)), "output layer"),
+    (lambda: make_quadratic([1.0, 2.0], [0.0], noiseless(2)), "mismatch"),
+    (lambda: NoiseSpec("gaussian", np.array([1.0, -0.5])), "noise scales"),
+    (lambda: stochastic_grad(make_quadratic([1.0], [0.0], noiseless(1)),
+                             np.zeros(1), 0, RngStream(0, 1)), "batch size"),
+], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
+        "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero"])
+def test_direct_callers_get_value_errors(make, message):
+    # the problem makers check their own arguments for callers that skip
+    # the config's validation
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestStochasticGrad:
     def test_noiseless_is_exact(self):
         p = make_quadratic([1.0, 2.0], [0.0, 0.0], noiseless(2))
