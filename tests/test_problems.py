@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from signopt.core import RngStream
-from signopt.problems import (NOISE_FAMILIES, NoiseSpec, batch_noise,
-                              make_logistic, make_mlp, make_quadratic,
-                              sample_unit_noise, stochastic_grad)
+from signopt.core import STREAM_DATA, RngStream, l2_norm_sq, per_row
+from signopt.problems import (LOGISTIC_REG, NOISE_FAMILIES, NoiseSpec,
+                              _layout, batch_noise, make_logistic, make_mlp,
+                              make_quadratic, sample_unit_noise,
+                              stochastic_grad)
 
 
 def fd_gradient(f, x, h):
@@ -190,6 +191,119 @@ class TestFusedOracle:
         # W1 (5, 3), b1, W2 (4, 5), b2, W3 (3, 4), b3, W4 (1, 3), b4
         dim = 15 + 5 + 20 + 4 + 12 + 3 + 3 + 1
         assert FUSED_PROBLEMS["mlp-3-hidden"].dim == dim
+
+
+def reference_logistic_fg(dataset_seed, dim, n_points):
+    """The logistic oracle as first written: the dataset of make_logistic
+    and a plain eval_fg that resolves nothing ahead of the call."""
+    data_rng = RngStream(dataset_seed, STREAM_DATA)
+    w_true = data_rng.normal(dim)
+    w_true /= np.linalg.norm(w_true)
+    A = data_rng.normal((n_points, dim))
+    margins = A @ w_true + 0.1 * data_rng.normal(n_points)
+    y = np.where(margins >= 0, 1.0, -1.0)
+    reg = LOGISTIC_REG
+
+    def eval_fg(x):
+        z = -y * np.matmul(A, x[..., None])[..., 0]
+        loss = np.logaddexp(0.0, z).sum(axis=-1) / n_points
+        s = 1.0 / (1.0 + np.exp(-z))
+        return (per_row(loss + 0.5 * reg * l2_norm_sq(x)),
+                np.matmul(A.T, (-y * s)[..., None])[..., 0] / n_points
+                + reg * x)
+
+    return eval_fg
+
+
+def reference_mlp_fg(dataset_seed, widths, n_points):
+    """The MLP oracle as first written: the dataset of make_mlp and a plain
+    eval_fg with a per-call layout, list of blocks and concatenate."""
+    data_rng = RngStream(dataset_seed, STREAM_DATA)
+    d_in = widths[0]
+    half = n_points // 2
+    mu = np.full(d_in, 1.5)
+    X = np.vstack([
+        mu + data_rng.normal((half, d_in)),
+        -mu + data_rng.normal((n_points - half, d_in)),
+    ])
+    y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
+    layout = list(_layout(widths))
+    n_layers = len(widths) - 1
+
+    def eval_fg(x):
+        lead = x.shape[:-1]
+        params = [x[..., sl].reshape(lead + shape) for sl, shape in layout]
+        acts = [X.T]
+        for l in range(n_layers):
+            W, b = params[2 * l], params[2 * l + 1]
+            pre = W @ acts[-1] + b[..., None]
+            acts.append(pre if l == n_layers - 1 else np.tanh(pre))
+        logits = acts[-1][..., 0, :]
+        f = per_row(np.logaddexp(0.0, -y * logits).sum(axis=-1) / n_points)
+        dlogit = (-y / (1.0 + np.exp(y * logits))) / n_points
+        delta = dlogit[..., None, :]
+        grads = [None] * (2 * n_layers)
+        for l in range(n_layers - 1, -1, -1):
+            W = params[2 * l]
+            grads[2 * l] = delta @ np.swapaxes(acts[l], -1, -2)
+            grads[2 * l + 1] = delta.sum(axis=-1)
+            if l > 0:
+                delta = ((np.swapaxes(W, -1, -2) @ delta)
+                         * (1.0 - acts[l] * acts[l]))
+        return f, np.concatenate([g.reshape(lead + (-1,)) for g in grads],
+                                 axis=-1)
+
+    return eval_fg
+
+
+# a point: (rows, seed, decade), rows None for one vector or 1-5 stacked rows
+POINTS = st.tuples(st.one_of(st.none(), st.integers(1, 5)),
+                   st.integers(0, 2**32 - 1), st.integers(-3, 2))
+
+
+def scaled_point(dim, rows, seed, decade):
+    """Normal coordinates times 10**decade, from 1e-3 to 1e2; at 1e2 the
+    oracles' exp overflows on some data points."""
+    shape = (dim,) if rows is None else (rows, dim)
+    return RngStream(seed, 0).normal(shape) * 10.0 ** decade
+
+
+class TestOracleReference:
+    """The logistic and MLP oracles are bitwise their plain first form, an
+    independent formula for f and the gradient, on random datasets,
+    architectures, row counts and scales. Each explicit example overflows
+    exp, where a residual of 0 must keep its sign."""
+
+    @staticmethod
+    def assert_same(fg, ref_fg, x):
+        with np.errstate(all="ignore"):
+            f, g = fg(x)
+            f_ref, g_ref = ref_fg(x)
+        assert type(f) is type(f_ref) and type(g) is type(g_ref)
+        assert np.shape(f) == np.shape(f_ref) and g.shape == g_ref.shape
+        assert bits(f) == bits(f_ref) and bits(g) == bits(g_ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 30),
+           n_points=st.integers(1, 120), point=POINTS)
+    @example(seed=1, dim=30, n_points=120, point=(None, 0, 2))
+    @example(seed=1, dim=30, n_points=120, point=(3, 0, 2))
+    def test_logistic(self, seed, dim, n_points, point):
+        p = make_logistic(seed, dim, n_points, noiseless(dim))
+        self.assert_same(p.eval_fg, reference_logistic_fg(seed, dim, n_points),
+                         scaled_point(dim, *point))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d_in=st.integers(1, 4),
+           hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           n_points=st.integers(1, 120), point=POINTS)
+    @example(seed=1, d_in=4, hidden=[8], n_points=120, point=(None, 2, 2))
+    @example(seed=1, d_in=4, hidden=[8, 8], n_points=120, point=(3, 6, 2))
+    def test_mlp(self, seed, d_in, hidden, n_points, point):
+        widths = (d_in, *hidden, 1)
+        p = make_mlp(seed, widths, noiseless(1), n_points)
+        self.assert_same(p.eval_fg, reference_mlp_fg(seed, widths, n_points),
+                         scaled_point(p.dim, *point))
 
 
 class TestNoise:
