@@ -457,9 +457,23 @@ def load_csv(path) -> list:
     return rows
 
 
+def _strict_json(value):
+    """`value` with every NaN or infinite float as None, since strict JSON
+    has no token for them (jq, JSON.parse and serde reject NaN)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def emit_json(summary: dict, path) -> None:
+    """Write `summary` as strict JSON: a non-finite float is null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -112,6 +112,8 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
 
     The coordinate Lipschitz vector of this f is exactly `lipschitz` and
     f_star = 0, which makes it the sharpest substrate for rate checks.
+    L and x* are resolved to vectors once; the oracle sums with
+    `np.add.reduce`, the reduce `ndarray.sum` runs behind a wrapper.
     """
     L = as_vector(lipschitz)
     x_opt = as_vector(x_opt)
@@ -123,7 +125,7 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     def eval_fg(x):
         d = x - x_opt
         grad = L * d
-        return per_row(0.5 * (grad * d).sum(axis=-1)), grad
+        return per_row(0.5 * np.add.reduce(grad * d, axis=-1)), grad
 
     return _problem(eval_fg, dim=L.size, lipschitz=L, f_star=0.0, noise=noise)
 
@@ -136,6 +138,11 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     (1/4) mean_j a_{j,i}^2, so L_i = (1/4) mean_j a_{j,i}^2 + reg is a valid
     coordinate Lipschitz bound; f_star = 0 is a valid lower bound because
     both loss terms are nonnegative.
+
+    The oracle resolves `-y` and `A.T` once, and turns each call's fresh
+    margins into the residual in place. Its two GEMVs keep the operand
+    shapes and layout of `A @ x` and `A.T @ r` run per row, since BLAS
+    picks its kernel, and so the bits, by those.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -148,17 +155,23 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
 
     reg = LOGISTIC_REG
     L = 0.25 * np.mean(A * A, axis=0) + reg
+    neg_y, A_T, half_reg = -y, A.T, 0.5 * reg
 
     def eval_fg(x):
         # a stacked matmul runs the GEMV of `A @ x` on each row; a mean is
         # a sum / n_points, the bits of np.mean
-        z = -y * np.matmul(A, x[..., None])[..., 0]
+        z = neg_y * np.matmul(A, x[..., None])[..., 0]
         # log(1 + e^z) computed stably
-        loss = np.logaddexp(0.0, z).sum(axis=-1) / n_points
-        s = 1.0 / (1.0 + np.exp(-z))  # sigmoid(z)
-        return (per_row(loss + 0.5 * reg * l2_norm_sq(x)),
-                np.matmul(A.T, (-y * s)[..., None])[..., 0] / n_points
-                + reg * x)
+        loss = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / n_points
+        # z becomes the residual -y * sigmoid(z), as -y / (1 + e^-z): with
+        # y = +-1 that is bitwise -y * (1 / (1 + e^-z))
+        r = np.exp(np.negative(z, out=z), out=z)
+        r += 1.0
+        np.divide(neg_y, r, out=r)
+        grad = np.matmul(A_T, r[..., None])[..., 0]
+        grad /= n_points
+        grad += reg * x
+        return per_row(loss + half_reg * l2_norm_sq(x)), grad
 
     return _problem(eval_fg, dim=dim, lipschitz=L, f_star=0.0, noise=noise)
 
@@ -198,6 +211,13 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     trust-region estimate (curvature of the logistic head times a bound on
     squared activation magnitudes, assuming weights stay within +-B); it is
     deliberately conservative and is never used for rate verification.
+
+    The oracle resolves the parameter layout, `X.T` and `-y` once. Per call
+    it applies tanh in place on each fresh pre-activation and writes every
+    gradient block into one preallocated (..., dim) array. Each matmul
+    keeps the operand shapes and layout of the plain backpropagation, and
+    writes a fresh result rather than a strided `out=`, since numpy and
+    BLAS pick their kernel, and so the bits, by those.
     """
     widths = list(layer_widths)
     if len(widths) < 3:
@@ -215,33 +235,44 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     ])
     y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
 
-    layout = list(_layout(widths))
     dim = mlp_n_params(widths)
     n_layers = len(widths) - 1
+    # per layer: the weight's slice and shape, and the bias's slice
+    layout = list(_layout(widths))
+    layers = [(w_sl, w_shape, b_sl)
+              for (w_sl, w_shape), (b_sl, _) in zip(layout[::2], layout[1::2])]
+    X_T, neg_y = X.T, -y  # X_T is (width, n_points), column-per-sample
 
     def eval_fg(x):
         lead = x.shape[:-1]  # the row axes, carried by every array below
-        params = [x[..., sl].reshape(lead + shape) for sl, shape in layout]
-        acts = [X.T]  # (width, n_points) column-per-sample
-        for l in range(n_layers):
-            W, b = params[2 * l], params[2 * l + 1]
-            pre = W @ acts[-1] + b[..., None]
-            acts.append(pre if l == n_layers - 1 else np.tanh(pre))
+        Ws = [x[..., w_sl].reshape(lead + w_shape)
+              for w_sl, w_shape, _ in layers]
+        acts = [X_T]
+        for l, (_, _, b_sl) in enumerate(layers):
+            pre = Ws[l] @ acts[-1]
+            pre += x[..., b_sl, None]
+            acts.append(pre if l == n_layers - 1 else np.tanh(pre, out=pre))
         logits = acts[-1][..., 0, :]
-        f = per_row(np.logaddexp(0.0, -y * logits).sum(axis=-1) / n_points)
+        f = per_row(np.add.reduce(np.logaddexp(0.0, neg_y * logits),
+                                  axis=-1) / n_points)
         # d loss / d logit = -y * sigmoid(-y z), averaged over samples
-        dlogit = (-y / (1.0 + np.exp(y * logits))) / n_points
+        dlogit = np.exp(y * logits)
+        dlogit += 1.0
+        np.divide(neg_y, dlogit, out=dlogit)
+        dlogit /= n_points
         delta = dlogit[..., None, :]
-        grads = [None] * (2 * n_layers)
+        grad = np.empty(lead + (dim,))
         for l in range(n_layers - 1, -1, -1):
-            W = params[2 * l]
-            grads[2 * l] = delta @ np.swapaxes(acts[l], -1, -2)
-            grads[2 * l + 1] = delta.sum(axis=-1)
+            w_sl, _, b_sl = layers[l]
+            grad[..., w_sl] = (delta @ acts[l].swapaxes(-1, -2)).reshape(
+                lead + (-1,))
+            grad[..., b_sl] = np.add.reduce(delta, axis=-1)
             if l > 0:
-                delta = ((np.swapaxes(W, -1, -2) @ delta)
-                         * (1.0 - acts[l] * acts[l]))
-        return f, np.concatenate([g.reshape(lead + (-1,)) for g in grads],
-                                 axis=-1)
+                slope = acts[l] * acts[l]
+                np.subtract(1.0, slope, out=slope)
+                delta = Ws[l].swapaxes(-1, -2) @ delta
+                delta *= slope
+        return f, grad
 
     # Coarse curvature bound: logistic head curvature 1/4, activations
     # bounded by max(|X|, 1) through tanh, weights assumed within +-B.

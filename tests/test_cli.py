@@ -287,6 +287,33 @@ def test_out_under_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch,
     assert (tmp_path / "out").read_text() == ""
 
 
+# each suite command, the harness function it runs and a canned report
+SUITE_RUNNERS = {
+    "theorem-suite": ("run_theorem_suite", {"cells": [], "passed": True}),
+    "switch-suite": ("run_switch_suite", {
+        "entries": [], "signsgdm_median_final_f": 1.0,
+        "sgd_median_final_f": 1.0, "passed": True}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_RUNNERS))
+def test_suite_command_calls_the_runner_on_harness(tmp_path, monkeypatch,
+                                                   command):
+    """A suite command finds its runner on `harness` at call time, so a
+    wrapper set there (a tracer's span) sees every CLI suite call."""
+    name, report = SUITE_RUNNERS[command]
+    calls = []
+
+    def runner(*args):
+        calls.append(args)
+        return report
+
+    monkeypatch.setattr(f"signopt.harness.{name}", runner)
+    cfg_path = write_cfg(tmp_path / "exp.cfg", algorithm="signsgd")
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["run", "theorem-suite", "switch-suite"])
 def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             command):

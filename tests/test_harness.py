@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import statistics
 import tracemalloc
@@ -760,6 +761,30 @@ class TestSerialization:
         assert loaded["seed"] == 1
         assert loaded["final_f"] == rec.final_f
         assert parse_config(loaded["config"]) == cfg
+
+    def test_json_is_strict(self, tmp_path):
+        """A run that never switches has a NaN lambda_at_switch; the summary
+        writes it as null, so a strict parser reads the file."""
+        cfg = quad_cfg(optimizer={"algorithm": "signsgdm"})
+        rec = run_single(cfg, 1)
+        assert math.isnan(rec.lambda_at_switch)
+        out = tmp_path / "summary.json"
+        emit_json(run_summary(cfg, rec), out)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        loaded = json.loads(out.read_text(), parse_constant=reject)
+        assert loaded["lambda_at_switch"] is None
+        assert loaded["final_f"] == rec.final_f
+
+    def test_json_nests_non_finite_as_null(self, tmp_path):
+        out = tmp_path / "report.json"
+        emit_json({"cells": [{"avg": math.inf, "rhs": (1.5, -math.inf)}],
+                   "median": math.nan, "passed": True}, out)
+        assert json.loads(out.read_text(), parse_constant=float) == {
+            "cells": [{"avg": None, "rhs": [1.5, None]}], "median": None,
+            "passed": True}
 
 
 class TestConfigParsing:
