@@ -113,10 +113,10 @@ def sample_gaussian(dim, mean: float, std, rng) -> np.ndarray:
     consuming any random state. `rng` is anything with RngStream's
     `normal`."""
     if isinstance(std, np.ndarray):
-        if (std < 0).any():
+        if not (std >= 0).all():  # written so that NaN fails
             raise ValueError("negative std")
         return mean + std * rng.normal(dim)
-    if std < 0:
+    if not std >= 0:
         raise ValueError(f"negative std: {std}")
     if std == 0.0:
         return np.full(dim, float(mean))

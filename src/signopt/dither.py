@@ -43,7 +43,7 @@ def normal_cdf(x: float) -> float:
 
 def correct_sign_prob(m: float, sigma: float) -> float:
     """Probability that sign(m + xi) matches sign(m), xi ~ N(0, sigma^2)."""
-    if sigma < 0:
+    if not sigma >= 0:  # written so that NaN fails
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         if m == 0.0:
@@ -55,7 +55,7 @@ def correct_sign_prob(m: float, sigma: float) -> float:
 def expected_dithered_sign(m: float, sigma: float) -> float:
     """E[sign(m + xi)] = 2*Phi(m/sigma) - 1; the deterministic sign(m) in
     the sigma -> 0 limit."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return float(np.sign(m))
@@ -65,6 +65,8 @@ def expected_dithered_sign(m: float, sigma: float) -> float:
 
 def mc_dithered_sign(m: float, sigma: float, trials: int, rng: RngStream):
     """Monte Carlo estimate (mean, std_err) of E[sign(m + xi)]."""
+    if not sigma >= 0:
+        raise ValueError("sigma must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if sigma == 0.0:

@@ -19,9 +19,9 @@ phi left NaN, and the flush of its block fills them in.
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
 `optimizers.RowStepper` steps each phase on its own slice of the rows,
-in place. The per-row seed streams and `live`, which maps each row to its
-record, are put in that order once, and the records come back in config
-then seed order.
+in place. The stepper's `order` maps each row to its record through every
+cut; the per-row seed streams are put in that order once, and the records
+come back in config then seed order.
 """
 
 from __future__ import annotations
@@ -100,6 +100,15 @@ def theorem_delta(problem: Problem, steps: int) -> float:
     if not 0 < l1_k < math.inf:
         raise ConfigError(f"theorem mode needs 0 < L1 * K < inf, got {l1_k}")
     return 1.0 / math.sqrt(l1_k)
+
+
+def _nonempty(name: str, values) -> tuple:
+    """`values` as a tuple; a run or suite over none of them would check
+    nothing, so that raises `ValueError` naming the argument."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"{name} is empty")
+    return values
 
 
 def run_single(cfg: ExperimentConfig, seed: int,
@@ -220,13 +229,18 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     row draws from its seed's own Philox gradient and dither streams, a
     block of steps at a time, so every record is bitwise the one the seed
     gives alone under its config.
-    A row whose f overflows stops at that step and leaves the batch. Each
-    record's `wall_time` is the elapsed time of the whole batch. A
-    recorded row's lambda and phase, and a record's `lambda_at_switch`,
-    are the step rule's (`RowStepper.recorded` and `switch_lambda`).
+    A row whose f overflows stops at that step and leaves the batch: the
+    step rule, the diagnostics and the seed streams each cut their rows
+    with one `keep`, and the rule's `order` maps each row left to its
+    record. Each record's `wall_time` is the elapsed time of the whole
+    batch. A recorded row's lambda and phase, and a record's
+    `lambda_at_switch`, are the step rule's (`RowStepper.recorded` and
+    `switch_lambda`). An empty list of configs raises `ValueError`; no
+    seeds give no records.
     """
     t0 = time.perf_counter()
-    cfgs = [cfg] if isinstance(cfg, ExperimentConfig) else list(cfg)
+    cfgs = ((cfg,) if isinstance(cfg, ExperimentConfig)
+            else _nonempty("cfg", cfg))
     base = cfgs[0]
     if any(c.problem != base.problem or c.run != base.run for c in cfgs):
         raise ValueError("configs run together must share their problem "
@@ -257,13 +271,12 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     rule = RowStepper(np.tile(x0, (S, 1)), np.zeros((S, d)),
                       np.repeat([opt.lambda_init for opt in opts], n_seeds),
                       stack_params([preset(opt) for opt in opts], n_seeds))
-    live = rule.order  # the record of each row
     if collect_iterates:
         for rec in recs:
             rec.iterates.append(x0.copy())
     block = max(1, BLOCK_BYTES // (8 * d * max(n, S)))
     noise = dither = None
-    row_seeds = [seeds[i % n_seeds] for i in live.tolist()]
+    row_seeds = [seeds[i % n_seeds] for i in rule.order.tolist()]
     if np.any(problem.noise.sigma > 0):
         noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in row_seeds],
                             lambda r, c: batch_noise(problem.noise, n, c, r),
@@ -276,9 +289,9 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                              S, d)
 
     def finish(j, steps, f_j):
-        """Close the record of live row j after `steps` steps from the
-        loop's arrays and the step rule as they are now."""
-        rec = recs[live[j]]
+        """Close the record of row j after `steps` steps from the loop's
+        arrays and the step rule as they are now."""
+        rec = recs[rule.order[j]]
         rec.oracle_calls = steps
         rec.final_f = f_j
         rec.diverged = not math.isfinite(f_j)
@@ -295,14 +308,11 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                 diag.flush()
                 for j in np.flatnonzero(~finite):
                     finish(j, k, float(f[j]))
-                live = live[finite]
-                rule.keep(finite)
+                for part in (rule, diag, noise, dither):
+                    if part is not None:
+                        part.keep(finite)
                 g_true, f = g_true[finite], f[finite]
-                diag.keep(finite)
-                for streams in (noise, dither):
-                    if streams is not None:
-                        streams.keep(finite)
-                if not live.size:
+                if not finite.any():
                     break
             diag.add(g_true)
 
@@ -320,21 +330,21 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                 lams, phases = rule.recorded()
                 new = []
                 for i, f_i, lam_i, ema, phase in zip(
-                        live.tolist(), f.tolist(), lams, rule.ema.tolist(),
-                        phases):
+                        rule.order.tolist(), f.tolist(), lams,
+                        rule.ema.tolist(), phases):
                     row = Row(k, f_i, math.nan, math.nan, lam_i, ema,
                               sig2[i // n_seeds], phase)
                     recs[i].rows.append(row)
                     new.append(row)
                 diag.record(new)
             if collect_iterates:
-                for i, x in zip(live, rule.x):
+                for i, x in zip(rule.order, rule.x):
                     recs[i].iterates.append(x.copy())
 
-        if live.size:
+        if rule.order.size:
             diag.flush()
             f = problem.eval_f(rule.x)
-            for j in range(live.size):
+            for j in range(rule.order.size):
                 finish(j, K, float(f[j]))
     wall_time = time.perf_counter() - t0
     for rec in recs:
@@ -347,7 +357,10 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
 
 def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict:
     """Average the per-step diagnostics over seeds for each (K, n) cell and
-    compare against the closed-form rate bounds."""
+    compare against the closed-form rate bounds. Each of the seeds and
+    the two grids must be nonempty."""
+    seeds = _nonempty("seeds", seeds)
+    k_grid, n_grid = _nonempty("k_grid", k_grid), _nonempty("n_grid", n_grid)
     problem = build_problem(cfg_base)
     with run_errstate():
         f0 = problem.eval_f(initial_point(cfg_base, problem))
@@ -390,8 +403,10 @@ def cell_diverged(cell: dict) -> bool:
 
 def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
-    baselines with matched step budgets, all in one `run_seeds` batch."""
-    t_switch_grid, seeds = tuple(t_switch_grid), tuple(seeds)
+    baselines with matched step budgets, all in one `run_seeds` batch.
+    The grid and the seeds must be nonempty."""
+    t_switch_grid = _nonempty("t_switch_grid", t_switch_grid)
+    seeds = _nonempty("seeds", seeds)
 
     def variant(**changes):
         return replace(cfg_base,

@@ -141,7 +141,8 @@ class RowStepper:
     place: x and m are (S, d), the EMA is (S,).
 
     The rows are kept in switch order, by t_switch, descending and stable;
-    `order[j]` is the input row of row j. The rows in the sign phase at
+    `order[j]` is the input row of row j, and `keep` cuts it with the
+    rows, so it stays true through every cut. The rows in the sign phase at
     step k, those with k < t_switch, are then the leading slice [:p], and
     p never grows. A step runs the sign step on [:p] and the SGD step on
     [p:]. What depends only on the parameters and on p is resolved when p
@@ -153,21 +154,21 @@ class RowStepper:
     It also states once what a row records: `recorded` gives each row's
     lambda and phase from the last step, and `switch_lambda` the frozen
     EMA of a row that tracks it and has switched. Its callers (`step`,
-    `harness.run_seeds`) read both and build neither from p.
+    `harness.run_seeds`) read both and build neither from p, and
+    `run_seeds` keeps no row order of its own: it reads `order`.
     """
 
     def __init__(self, x, m, ema, params: StepParams):
-        rows = len(x)
-        t_switch = params.t_switch
-        self.order = (np.arange(rows) if _uniform(t_switch)
-                      else np.argsort(-t_switch, kind="stable"))
+        t_switch = np.broadcast_to(params.t_switch, (len(x),))
+        # a t_switch shared by every row sorts to arange
+        self.order = np.argsort(-t_switch, kind="stable")
         self.x = np.asarray(x, dtype=np.float64)[self.order]
         self.m = np.asarray(m, dtype=np.float64)[self.order]
         self.ema = np.asarray(ema, dtype=np.float64)[self.order]
         self.params = _take_rows(params, self.order)
-        self._t = np.broadcast_to(self.params.t_switch, (rows,)).tolist()
+        self._t = t_switch[self.order].tolist()
         self._buf = np.empty_like(self.x)
-        self.p = rows  # before the first step every row is in the sign phase
+        self.p = len(x)  # before the first step every row is in the sign phase
         self._lam = None
         self._resolve()
 
@@ -199,9 +200,7 @@ class RowStepper:
         """Row j's switch lambda, NaN if it has none. A row that tracks the
         EMA and last took an SGD step has held the EMA frozen since its
         first one: that is the lambda it switched at."""
-        track = self.params.track_ema
-        if not _uniform(track):
-            track = track[j]
+        track = _rows(self.params.track_ema, j)
         return float(self.ema[j]) if track and j >= self.p else math.nan
 
     def decay(self, factor: float) -> None:
@@ -211,8 +210,9 @@ class RowStepper:
         self._resolve()
 
     def keep(self, rows: np.ndarray) -> None:
-        """Cut the rows to those of the boolean mask `rows`."""
+        """Cut the rows, and `order`, to those of the boolean mask `rows`."""
         self.p = int(np.count_nonzero(rows[:self.p]))
+        self.order = self.order[rows]
         self.x, self.m, self.ema = self.x[rows], self.m[rows], self.ema[rows]
         self.params = _take_rows(self.params, rows)
         self._t = [t for t, kept in zip(self._t, rows.tolist()) if kept]
@@ -229,17 +229,11 @@ class RowStepper:
         self._sign_x, self._sign_m = self.x[:p], self.m[:p]
         self._sign_ema, self._sign_buf = self.ema[:p], self._buf[:p]
         self._sgd_x, self._sgd_buf = self.x[p:], self._buf[p:]
-        if p == len(self.x):
-            return
         rest = _take_rows(self.params, slice(p, None))
-        rate = rest.lr
-        if rest.track_ema is not False:
-            # the EMA that the SGD phase holds frozen, bias-corrected (a
-            # divisor of 1 is exact)
-            frozen = self.ema[p:] / rest.ema_divisor
-            rate = (frozen if rest.track_ema is True
-                    else np.where(rest.track_ema, frozen, rate))
-        self._rate = _column(rate)
+        # lr, or the EMA that the SGD phase holds frozen, bias-corrected (a
+        # divisor of 1 is exact)
+        self._rate = np.where(rest.track_ema, self.ema[p:] / rest.ema_divisor,
+                              rest.lr)[:, None]
 
     def _sign_step(self, g: np.ndarray, k: int, dither):
         """The sign step of rows [:p]: momentum, one sign of the momentum
@@ -352,7 +346,7 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
     if m_next.ndim == 1:  # one vector: a float, from its one row
         return float(lambda_project(m_next[None], grad[None], delta,
                                     epsilon)[0])
-    if _uniform(epsilon) and epsilon <= 0:
+    if not np.greater(epsilon, 0).all():  # one or per row; NaN fails
         raise ValueError("epsilon must be > 0")
     # the run loop calls _calibration under the same policy
     with run_errstate():

@@ -35,7 +35,7 @@ class NoiseSpec:
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family: {self.family!r}")
         object.__setattr__(self, "sigma", as_vector(self.sigma))
-        if np.any(self.sigma < 0):
+        if not np.all(self.sigma >= 0):  # written so that NaN fails
             raise ValueError("noise scales must be >= 0")
 
 
@@ -117,7 +117,7 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     """
     L = as_vector(lipschitz)
     x_opt = as_vector(x_opt)
-    if np.any(L < 0):
+    if not np.all(L >= 0):
         raise ValueError("Lipschitz constants must be >= 0")
     if L.shape != x_opt.shape:
         raise ValueError("lipschitz and x_opt dimension mismatch")

@@ -32,7 +32,7 @@ class SnrProfile:
         object.__setattr__(self, "s", as_vector(self.s))
         if self.g.ndim not in (1, 2) or self.g.shape[-1:] != self.s.shape:
             raise ValueError("gradient / noise dimension mismatch")
-        if np.any(self.s < 0):
+        if not np.all(self.s >= 0):  # written so that NaN fails
             raise ValueError("noise scales must be >= 0")
 
 
@@ -46,11 +46,11 @@ class TheoremInputs:
     n: int
 
     def __post_init__(self):
-        if self.l1_lipschitz <= 0:
+        if not self.l1_lipschitz > 0:
             raise ValueError("l1_lipschitz must be > 0")
-        if self.K < 1 or self.n < 1:
+        if not (self.K >= 1 and self.n >= 1):
             raise ValueError("K and n must be >= 1")
-        if self.f0 < self.f_star:
+        if not self.f0 >= self.f_star:
             raise ValueError("f0 must be >= f_star")
 
 
@@ -71,7 +71,7 @@ def gauss_bound(S: float) -> float:
     """Upper bound on the sign-failure probability at SNR S for zero-mean
     unimodal symmetric noise: 2/(9 S^2) beyond the split point, the linear
     ramp 1/2 - S/(2 sqrt(3)) below it."""
-    if S < 0:
+    if not S >= 0:
         raise ValueError("S must be >= 0")
     if S > GAUSS_SPLIT:
         return 2.0 / (9.0 * S * S)
@@ -81,7 +81,7 @@ def gauss_bound(S: float) -> float:
 def sign_agreement_lower_bound(S: float) -> float:
     """(1/3) min(1, S), a valid lower bound on 1 - 2p in both branches of
     gauss_bound."""
-    if S < 0:
+    if not S >= 0:
         raise ValueError("S must be >= 0")
     return min(1.0, S) / 3.0
 
@@ -113,7 +113,7 @@ def mc_sign_failure(family: str, S: float, trials: int, rng: RngStream):
     """
     if family not in NOISE_FAMILIES:
         raise ValueError(f"unknown noise family: {family!r}")
-    if S < 0 or trials < 1:
+    if not S >= 0 or trials < 1:
         raise ValueError("need S >= 0 and trials >= 1")
     noisy = S + sample_unit_noise(family, trials, rng)
     p_hat = float(np.mean(noisy <= 0))

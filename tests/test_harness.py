@@ -697,6 +697,24 @@ class TestSuites:
         with pytest.raises(ConfigError, match=r"finite f\(x0\), got inf"):
             run_theorem_suite(cfg, (0, 1), (5,), (1,))
 
+    @pytest.mark.parametrize("run, name", [
+        (lambda cfg: run_seeds([]), "cfg"),
+        (lambda cfg: run_theorem_suite(cfg, (), (5,), (1,)), "seeds"),
+        (lambda cfg: run_theorem_suite(cfg, (0,), (), (1,)), "k_grid"),
+        (lambda cfg: run_theorem_suite(cfg, (0,), (5,), ()), "n_grid"),
+        (lambda cfg: run_switch_suite(cfg, (), (0,)), "t_switch_grid"),
+        (lambda cfg: run_switch_suite(cfg, (5,), ()), "seeds"),
+    ], ids=["run-seeds-no-configs", "theorem-no-seeds", "theorem-no-k",
+            "theorem-no-n", "switch-no-grid", "switch-no-seeds"])
+    def test_entry_points_reject_empty_input(self, run, name):
+        # a suite over nothing would pass having checked nothing
+        with pytest.raises(ValueError, match=f"^{name} is empty$"):
+            run(quad_cfg(optimizer={"algorithm": "hybrid"},
+                         run={"steps": 10}))
+
+    def test_no_seeds_give_no_records(self):
+        assert run_seeds(quad_cfg(), ()) == []
+
     def test_theorem_mode_rejects_zero_lipschitz_sum(self):
         cfg = replace(quad_cfg(run={"theorem_mode": True}),
                       problem=ProblemSpec(lipschitz=(0.0,)))

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream, sign_vec
 from signopt.dither import dither_sigma_sq, normal_cdf
-from signopt.optimizers import (PRESETS, OptimizerState, column_of,
-                                dithered_step, hybrid_step, init_state,
-                                lambda_project, preset, sgd_step,
+from signopt.optimizers import (PRESETS, OptimizerState, RowStepper,
+                                column_of, dithered_step, hybrid_step,
+                                init_state, lambda_project, preset, sgd_step,
                                 signsgd_step, signsgdm_step, stack_params,
                                 step)
 
@@ -470,6 +470,21 @@ class TestMixedRows:
                      preset(cfgs[0]))
         assert both.x[0].tobytes() == alone.x[0].tobytes()
         assert np.signbit(alone.x[0, 0])
+
+    def test_keep_cuts_the_order_with_the_rows(self):
+        # `order[j]` is the input row of row j after every cut
+        n = len(self.CONFIGS)
+        x, ema = np.arange(3.0 * n).reshape(n, 3), np.arange(1.0, n + 1)
+        params = stack_params([preset(c) for c in self.CONFIGS], 1)
+        rule = RowStepper(x, np.zeros((n, 3)), ema, params)
+        assert rule.order.tolist() != list(range(n))
+        for mask in ([True, False] * (n // 2), [False, True, True, True]):
+            rule.keep(np.array(mask))
+            assert len(rule.order) == len(rule.x) == sum(mask)
+            assert np.array_equal(rule.x, x[rule.order])
+            assert np.array_equal(rule.ema, ema[rule.order])
+            t = params.t_switch[rule.order]
+            assert np.array_equal(t, np.sort(t)[::-1])
 
     def test_gamma_per_row_matches_each_row(self):
         p = stack_params([preset(c) for c in self.CONFIGS], 2)

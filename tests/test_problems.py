@@ -6,11 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from signopt.core import STREAM_DATA, RngStream, l2_norm_sq, per_row
+from signopt.core import (STREAM_DATA, RngStream, as_vector, l2_norm_sq,
+                          per_row, sample_gaussian)
+from signopt.dither import (correct_sign_prob, expected_dithered_sign,
+                            mc_dithered_sign)
+from signopt.optimizers import lambda_project
 from signopt.problems import (LOGISTIC_REG, NOISE_FAMILIES, NoiseSpec,
                               _layout, batch_noise, make_logistic, make_mlp,
                               make_quadratic, sample_unit_noise,
                               stochastic_grad)
+from signopt.theory import (SnrProfile, TheoremInputs, gauss_bound,
+                            mc_sign_failure, sign_agreement_lower_bound)
 
 
 def fd_gradient(f, x, h):
@@ -354,10 +360,62 @@ class TestNoise:
     (lambda: NoiseSpec("gaussian", np.array([1.0, -0.5])), "noise scales"),
     (lambda: stochastic_grad(make_quadratic([1.0], [0.0], noiseless(1)),
                              np.zeros(1), 0, RngStream(0, 1)), "batch size"),
+    (lambda: RngStream(-1), "64-bit unsigned"),
+    (lambda: as_vector(np.zeros((2, 2))), "1-D vector"),
+    (lambda: sample_gaussian((2, 1), 0.0, np.array([[1.0], [-1.0]]),
+                             RngStream(0)), "negative std"),
+    (lambda: sample_unit_noise("cauchy", 3, RngStream(0)), "noise family"),
+    (lambda: correct_sign_prob(1.0, -1.0), "sigma must be"),
+    (lambda: expected_dithered_sign(1.0, -1.0), "sigma must be"),
+    (lambda: mc_dithered_sign(1.0, 1.0, 0, RngStream(0)), "trials"),
+    (lambda: mc_dithered_sign(1.0, -1.0, 10, RngStream(0)), "sigma must be"),
+    (lambda: SnrProfile(np.zeros(3), np.ones(2)), "dimension mismatch"),
+    (lambda: SnrProfile(np.zeros(2), [1.0, -1.0]), "noise scales"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=0, n=1), "K and n"),
+    (lambda: gauss_bound(-1.0), "S must be"),
+    (lambda: sign_agreement_lower_bound(-1.0), "S must be"),
+    (lambda: mc_sign_failure("gaussian", -1.0, 10, RngStream(0)), "S >= 0"),
+    # NaN fails every check, as it fails the config's
+    (lambda: sample_gaussian(3, 0.0, math.nan, RngStream(0)), "negative std"),
+    (lambda: sample_gaussian((2, 1), 0.0, np.array([[1.0], [math.nan]]),
+                             RngStream(0)), "negative std"),
+    (lambda: NoiseSpec("gaussian", np.array([1.0, math.nan])),
+     "noise scales"),
+    (lambda: make_quadratic([1.0, math.nan], [0.0, 0.0], noiseless(2)),
+     "Lipschitz"),
+    (lambda: correct_sign_prob(1.0, math.nan), "sigma must be"),
+    (lambda: expected_dithered_sign(1.0, math.nan), "sigma must be"),
+    (lambda: mc_dithered_sign(1.0, math.nan, 10, RngStream(0)),
+     "sigma must be"),
+    (lambda: SnrProfile(np.zeros(2), [1.0, math.nan]), "noise scales"),
+    (lambda: TheoremInputs(l1_lipschitz=math.nan, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=10, n=1), "l1_lipschitz"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=math.nan,
+                           f_star=0.0, K=10, n=1), "f0"),
+    (lambda: gauss_bound(math.nan), "S must be"),
+    (lambda: sign_agreement_lower_bound(math.nan), "S must be"),
+    (lambda: mc_sign_failure("gaussian", math.nan, 10, RngStream(0)),
+     "S >= 0"),
+    (lambda: lambda_project(np.ones(2), np.ones(2), 0.1, math.nan),
+     "epsilon"),
+    (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)), 0.1,
+                            np.array([1e-12, 0.0])), "epsilon"),
 ], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
-        "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero"])
+        "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero",
+        "stream-negative-seed", "vector-shape", "gaussian-negative-std-row",
+        "unit-noise-family", "sign-prob-negative-sigma",
+        "dithered-mean-negative-sigma", "mc-dithered-no-trials",
+        "mc-dithered-negative-sigma", "snr-shapes", "snr-negative-scale",
+        "theorem-no-steps", "gauss-negative-s", "agreement-negative-s",
+        "mc-failure-negative-s", "gaussian-nan-std", "gaussian-nan-std-row",
+        "noise-nan-sigma", "quadratic-nan-lipschitz", "sign-prob-nan-sigma",
+        "dithered-mean-nan-sigma", "mc-dithered-nan-sigma", "snr-nan-scale",
+        "theorem-nan-lipschitz", "theorem-nan-f0", "gauss-nan-s",
+        "agreement-nan-s", "mc-failure-nan-s", "project-nan-epsilon",
+        "project-zero-epsilon-row"])
 def test_direct_callers_get_value_errors(make, message):
-    # the problem makers check their own arguments for callers that skip
+    # the public functions check their own arguments for callers that skip
     # the config's validation
     with pytest.raises(ValueError, match=message):
         make()
