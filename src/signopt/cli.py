@@ -18,8 +18,7 @@ from .checks import (MC_TRIALS, SWITCH_T_GRID, THEOREM_K_GRID,
                      run_all)
 from .config import ConfigError, load_config
 from .core import MAX_VECTOR, SEED_LIMIT
-from .harness import (cell_diverged, emit_csv, emit_json, run_single,
-                      run_summary)
+from .harness import emit_csv, emit_json, run_single, run_summary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,7 +114,7 @@ def cmd_theorem_suite(args) -> int:
     report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
         mark = "PASS" if cell["passed"] else "FAIL"
-        reason = "  (a run diverged)" if cell_diverged(cell) else ""
+        reason = "  (a run diverged)" if cell["diverged"] else ""
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
               f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}{reason}")

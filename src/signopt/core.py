@@ -21,6 +21,11 @@ SEED_LIMIT = 2**64  # seeds and stream ids are 64-bit unsigned Philox keys
 MAX_VECTOR = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_errstate():
     """A run's floating-point policy: `over` and `invalid` pass silently,
     because an overflow is the divergence signal and reaches f by the next
@@ -44,8 +49,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed < SEED_LIMIT and 0 <= stream_id < SEED_LIMIT):
-            raise ValueError("seed and stream_id must be 64-bit unsigned")
+        if not all(is_integer(v) and 0 <= v < SEED_LIMIT
+                   for v in (seed, stream_id)):
+            raise ValueError("seed and stream_id must be 64-bit unsigned ints")
         self.seed = seed
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, is_integer
 
 if TYPE_CHECKING:
     from .config import OptimizerSpec
@@ -67,8 +67,8 @@ def mc_dithered_sign(m: float, sigma: float, trials: int, rng: RngStream):
     """Monte Carlo estimate (mean, std_err) of E[sign(m + xi)]."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (is_integer(trials) and trials >= 1):
+        raise ValueError("trials must be an integer >= 1")
     if sigma == 0.0:
         return float(np.sign(m)), 0.0
     s = np.sign(m + sigma * rng.normal(trials))

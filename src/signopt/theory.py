@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, per_row
+from .core import RngStream, as_vector, is_integer, per_row
 from .problems import NOISE_FAMILIES, sample_unit_noise
 
 # Split point between the tail and central branches of the unimodal
@@ -38,6 +38,10 @@ class SnrProfile:
 
 @dataclass(frozen=True)
 class TheoremInputs:
+    """The inputs of the rate bounds. Every value must be finite, since an
+    infinite one makes a bound every average meets; each check is written
+    so that NaN fails it."""
+
     l1_lipschitz: float  # sum_i L_i
     l1_sigma: float      # sum_i sigma_i
     f0: float
@@ -46,12 +50,14 @@ class TheoremInputs:
     n: int
 
     def __post_init__(self):
-        if not self.l1_lipschitz > 0:
-            raise ValueError("l1_lipschitz must be > 0")
-        if not (self.K >= 1 and self.n >= 1):
-            raise ValueError("K and n must be >= 1")
-        if not self.f0 >= self.f_star:
-            raise ValueError("f0 must be >= f_star")
+        if not 0 < self.l1_lipschitz < math.inf:
+            raise ValueError("l1_lipschitz must be finite and > 0")
+        if not 0 <= self.l1_sigma < math.inf:
+            raise ValueError("l1_sigma must be finite and >= 0")
+        if not all(is_integer(v) and v >= 1 for v in (self.K, self.n)):
+            raise ValueError("K and n must be integers >= 1")
+        if not math.inf > self.f0 >= self.f_star > -math.inf:
+            raise ValueError("f0 and f_star must be finite, f0 >= f_star")
 
 
 def phi_measure(p: SnrProfile, g: np.ndarray | None = None):
@@ -113,8 +119,8 @@ def mc_sign_failure(family: str, S: float, trials: int, rng: RngStream):
     """
     if family not in NOISE_FAMILIES:
         raise ValueError(f"unknown noise family: {family!r}")
-    if not S >= 0 or trials < 1:
-        raise ValueError("need S >= 0 and trials >= 1")
+    if not (S >= 0 and is_integer(trials) and trials >= 1):
+        raise ValueError("need S >= 0 and an integer trials >= 1")
     noisy = S + sample_unit_noise(family, trials, rng)
     p_hat = float(np.mean(noisy <= 0))
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)

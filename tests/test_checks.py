@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from signopt import checks
+from signopt import checks, cli, harness
+from signopt.config import save_config
 from signopt.core import STREAM_MC, RngStream
 
 
@@ -89,9 +90,75 @@ def test_sign_phase_geometry_catches_an_off_grid_step(monkeypatch, record):
 def test_theorem_rate_fails_both_lines_when_a_run_diverged(monkeypatch):
     # a cell the suite failed though both inequalities hold
     cell = {"K": 50, "n": 1, "avg_phi": 1.0, "rhs_phi": 2.0, "avg_l1": 1.0,
-            "rhs_l1": 2.0, "passed": False}
+            "rhs_l1": 2.0, "diverged": 1, "passed": False}
     monkeypatch.setattr(checks, "run_theorem_suite",
                         lambda *args: {"cells": [cell], "passed": False})
     for result in checks.check_theorem_rate():
         assert not result.passed
         assert result.detail == "min rhs/lhs ratio 2.000; a run diverged"
+
+
+def test_a_diverged_cell_that_broke_a_bound_still_says_so(monkeypatch,
+                                                          tmp_path, capsys):
+    # a run diverged, and the l1 bound is broken as well
+    cell = {"K": 50, "n": 1, "avg_phi": 1.0, "rhs_phi": 2.0, "avg_l1": 3.0,
+            "rhs_l1": 2.0, "diverged": 1, "passed": False}
+    report = {"cells": [cell], "passed": False}
+    monkeypatch.setattr(checks, "run_theorem_suite", lambda *args: report)
+    phi, l1 = checks.check_theorem_rate()
+    assert not phi.passed and not l1.passed
+    assert phi.detail == "min rhs/lhs ratio 2.000; a run diverged"
+    assert l1.detail == "min rhs/lhs ratio 0.667; a run diverged"
+
+    monkeypatch.setattr(harness, "run_theorem_suite", lambda *args: report)
+    config = tmp_path / "exp.cfg"
+    save_config(checks._theorem_base_config(1.0), config)
+    assert cli.main(["theorem-suite", "--config", str(config)]) == 1
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("[FAIL] K=50 ")
+    assert line.endswith("  (a run diverged)")
+
+
+def test_projection_calibration_catches_a_negative_lambda(monkeypatch):
+    lambda_project = checks.lambda_project
+    calls = []
+
+    def negated(*args):
+        calls.append(1)
+        return -lambda_project(*args) - 1e-300
+
+    monkeypatch.setattr(checks, "lambda_project", negated)
+    assert not checks.check_projection_calibration().passed
+    # the first triple stops the loop; the two worked values still run
+    assert len(calls) == 3
+
+
+def test_projection_calibration_catches_a_broken_identity(monkeypatch):
+    lambda_project = checks.lambda_project
+    calls = []
+
+    def scaled(*args):
+        calls.append(1)
+        return lambda_project(*args) * (1.0 + 1e-12)
+
+    monkeypatch.setattr(checks, "lambda_project", scaled)
+    assert not checks.check_projection_calibration().passed
+    assert len(calls) == 3
+
+
+def test_scale_invariance_catches_a_lambda_off_by_more_than_4_ulps(
+        monkeypatch):
+    run_seeds = checks.run_seeds
+    calls = []
+
+    def shifted(*args, **kwargs):
+        calls.append(1)
+        recs = run_seeds(*args, **kwargs)
+        if len(calls) == 2:  # the scaled problem's run
+            recs[0].rows[-1].lam *= 1.0 + 1e-14  # about 45 ulps
+        return recs
+
+    monkeypatch.setattr(checks, "run_seeds", shifted)
+    result = checks.check_scale_invariance()
+    assert not result.passed
+    assert len(calls) == 2

@@ -73,6 +73,23 @@ def test_rng_reproducibility_bitwise():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed, stream_id", [
+    (np.int64(12345), 7), (12345, np.uint64(7)), (np.uint32(12345), np.int8(7)),
+])
+def test_rng_takes_numpy_integers(seed, stream_id):
+    a = RngStream(seed, stream_id).normal(10)
+    assert np.array_equal(a, RngStream(12345, 7).normal(10))
+
+
+@pytest.mark.parametrize("seed, stream_id", [
+    (1.5, 0), (1.0, 0), (True, 0), (np.bool_(True), 0), ("1", 0),
+    (1, 0.0), (1, False),
+])
+def test_rng_rejects_non_integer_keys(seed, stream_id):
+    with pytest.raises(ValueError, match="64-bit unsigned ints"):
+        RngStream(seed, stream_id)
+
+
 def test_rng_derive_independent_and_deterministic():
     s = RngStream(99, 1)
     d1 = s.derive(5)

@@ -601,7 +601,7 @@ SUITE_GOLDEN = {
     'switch-suite-grid-edges': 'b3c59a9d7ff89620a5ee91cf7650350eb887c44bb86fb4ec5b5e977bb4259ad0',
     'switch-suite-logistic': '5b7adfbc7d96b8f178608ef1e920726fb032628d4af423570ef8dfbe01e0e197',
     'switch-suite-pre-bias-corrected': '1c23b8404abf2630a455dd278062a769cbe6e3894309ded6c40771c4929b0cc1',
-    'theorem-suite': '7872679882975587b753ebfbce27a5af6d86e6e09cdcf3b04eb77e87504646ad',
+    'theorem-suite': '387a3e06a8ce810849f65f4ad47e004ca9d02d951f620ae58064fb7533f2978e',
 }
 
 

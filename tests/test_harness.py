@@ -691,6 +691,21 @@ class TestSuites:
         assert cell["avg_l1"] <= cell["rhs_l1"]
         assert not cell["passed"] and not report["passed"]
 
+    def test_theorem_cells_count_their_diverged_runs(self):
+        cfg = quad_cfg(sigma=(0.0,), optimizer={"algorithm": "sgd",
+                                                "lr": 1.0})
+        cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e150,)))
+        report = run_theorem_suite(cfg, (0, 1, 2), (5, 50), (1,))
+        held, diverged = report["cells"]
+        assert held["diverged"] == 0 and held["passed"]
+        assert diverged["diverged"] == 3 and not diverged["passed"]
+
+    def test_theorem_suite_rejects_an_overflowing_sigma_sum(self):
+        cfg = quad_cfg(sigma=(1e308,))
+        with pytest.raises(ConfigError,
+                           match="finite sum of sigma, got inf"):
+            run_theorem_suite(cfg, (0,), (5,), (1,))
+
     def test_theorem_suite_rejects_non_finite_f0(self):
         cfg = quad_cfg()
         cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e300,)))

@@ -401,6 +401,35 @@ class TestNoise:
      "epsilon"),
     (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)), 0.1,
                             np.array([1e-12, 0.0])), "epsilon"),
+    # the noise sum bounds the l1 rate; counts are integers, not bools
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=math.nan, f0=1.0,
+                           f_star=0.0, K=10, n=1), "l1_sigma"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=math.inf, f0=1.0,
+                           f_star=0.0, K=10, n=1), "l1_sigma"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=-5.0, f0=1.0,
+                           f_star=0.0, K=10, n=1), "l1_sigma"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=2.5, n=1), "K and n"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=10, n=1.0), "K and n"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=True, n=1), "K and n"),
+    # an infinite input makes an infinite bound, which every average meets
+    (lambda: TheoremInputs(l1_lipschitz=math.inf, l1_sigma=1.0, f0=1.0,
+                           f_star=0.0, K=10, n=1), "l1_lipschitz"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=math.inf,
+                           f_star=0.0, K=10, n=1), "f0"),
+    (lambda: TheoremInputs(l1_lipschitz=1.0, l1_sigma=1.0, f0=1.0,
+                           f_star=-math.inf, K=10, n=1), "f_star"),
+    (lambda: RngStream(1.5), "64-bit unsigned"),
+    (lambda: RngStream(True), "64-bit unsigned"),
+    (lambda: RngStream(np.float64(1.0)), "64-bit unsigned"),
+    (lambda: RngStream(2, 2.5), "64-bit unsigned"),
+    (lambda: RngStream(2, np.True_), "64-bit unsigned"),
+    (lambda: mc_sign_failure("gaussian", 1.0, 2.5, RngStream(0)), "trials"),
+    (lambda: mc_sign_failure("gaussian", 1.0, True, RngStream(0)), "trials"),
+    (lambda: mc_dithered_sign(1.0, 1.0, 2.5, RngStream(0)), "trials"),
+    (lambda: mc_dithered_sign(1.0, 1.0, True, RngStream(0)), "trials"),
 ], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
         "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero",
         "stream-negative-seed", "vector-shape", "gaussian-negative-std-row",
@@ -413,7 +442,15 @@ class TestNoise:
         "dithered-mean-nan-sigma", "mc-dithered-nan-sigma", "snr-nan-scale",
         "theorem-nan-lipschitz", "theorem-nan-f0", "gauss-nan-s",
         "agreement-nan-s", "mc-failure-nan-s", "project-nan-epsilon",
-        "project-zero-epsilon-row"])
+        "project-zero-epsilon-row", "theorem-nan-sigma",
+        "theorem-infinite-sigma", "theorem-negative-sigma",
+        "theorem-fractional-k", "theorem-float-n", "theorem-bool-k",
+        "theorem-infinite-lipschitz", "theorem-infinite-f0",
+        "theorem-infinite-f-star",
+        "stream-fractional-seed", "stream-bool-seed", "stream-float64-seed",
+        "stream-fractional-id", "stream-numpy-bool-id",
+        "mc-failure-fractional-trials", "mc-failure-bool-trials",
+        "mc-dithered-fractional-trials", "mc-dithered-bool-trials"])
 def test_direct_callers_get_value_errors(make, message):
     # the public functions check their own arguments for callers that skip
     # the config's validation
