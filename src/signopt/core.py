@@ -92,16 +92,12 @@ def per_row(v):
     return float(v) if v.ndim == 0 else v
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    # a stacked matmul runs the BLAS dot of `a @ b` on each row; einsum and
-    # (a * b).sum() sum in another order
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def inner(a: np.ndarray, b: np.ndarray):
-    if a.shape != b.shape:
+    if a.shape != b.shape:  # vecdot would broadcast a mismatch
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return per_row(_dot(a, b))
+    # each row's vecdot is bitwise its `a @ b`, a BLAS dot; einsum and
+    # (a * b).sum() sum in another order
+    return per_row(np.vecdot(a, b))
 
 
 def l1_norm(v: np.ndarray):
@@ -109,7 +105,7 @@ def l1_norm(v: np.ndarray):
 
 
 def l2_norm_sq(v: np.ndarray):
-    return per_row(_dot(v, v))
+    return per_row(np.vecdot(v, v))
 
 
 def sample_gaussian(dim, mean: float, std, rng) -> np.ndarray:

@@ -26,8 +26,8 @@ def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
     """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
     alpha and gamma from the (validated) optimizer config or from step
     parameters, where either may be one value per row."""
-    if k < 0:
-        raise ValueError("step must be >= 0")
+    if not (is_integer(k) and k >= 0):  # NaN and 2.5 are not steps
+        raise ValueError("step must be an integer >= 0")
     if isinstance(cfg.gamma, np.ndarray):
         # Python's pow for each row, as for the row alone: numpy's power
         # may differ from it in the last bit

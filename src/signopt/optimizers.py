@@ -348,6 +348,8 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
                                     epsilon)[0])
     if not np.greater(epsilon, 0).all():  # one or per row; NaN fails
         raise ValueError("epsilon must be > 0")
+    if not (np.greater_equal(delta, 0) & np.isfinite(delta)).all():
+        raise ValueError("delta must be finite and >= 0")
     # the run loop calls _calibration under the same policy
     with run_errstate():
         return _calibration(sign_vec(m_next), grad, delta, epsilon)

@@ -158,9 +158,8 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     neg_y, A_T, half_reg = -y, A.T, 0.5 * reg
 
     def eval_fg(x):
-        # a stacked matmul runs the GEMV of `A @ x` on each row; a mean is
-        # a sum / n_points, the bits of np.mean
-        z = neg_y * np.matmul(A, x[..., None])[..., 0]
+        # a mean is a sum / n_points, the bits of np.mean
+        z = neg_y * np.matvec(A, x)
         # log(1 + e^z) computed stably
         loss = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / n_points
         # z becomes the residual -y * sigmoid(z), as -y / (1 + e^-z): with
@@ -168,7 +167,7 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
         r = np.exp(np.negative(z, out=z), out=z)
         r += 1.0
         np.divide(neg_y, r, out=r)
-        grad = np.matmul(A_T, r[..., None])[..., 0]
+        grad = np.matvec(A_T, r)
         grad /= n_points
         grad += reg * x
         return per_row(loss + half_reg * l2_norm_sq(x)), grad

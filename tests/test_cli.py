@@ -183,6 +183,7 @@ OUT_IS_FILE = object()
     pytest.param("problem.kind = cubic\n", id="kind-unknown"),
     pytest.param("problem.noise_family = cauchy\n", id="noise-family-unknown"),
     pytest.param("run.steps = 10\nrun.steps = 20\n", id="duplicate-key"),
+    pytest.param("steps = 5\n", id="key-without-section"),
     pytest.param("run.theorem_mode = true\nrun.decay_every = 10\n"
                  "run.decay_factor = 0.5\n", id="theorem-mode-with-decay"),
     pytest.param("optimizer.lambda_bias_correction = true\n"

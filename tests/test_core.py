@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from signopt.core import (RngStream, inner, l1_norm, l2_norm_sq,
                           sample_gaussian, sign_vec)
@@ -36,6 +36,33 @@ def test_reductions_on_rows_match_each_row():
         assert l2_norm_sq(a).tolist() == [float(x @ x) for x in a]
         assert l1_norm(a).tolist() == [float(np.sum(np.abs(x))) for x in a]
         assert type(inner(a[0], b[0])) is float
+
+
+def stacked_dot(a, b):
+    """The rows' dot products as a stacked matmul: `a @ b` on each row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+@settings(deadline=None)
+@given(S=st.integers(1, 25), d=st.integers(1, 10001),
+       seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["rows", "strided", "vector"]))
+def test_reductions_are_bitwise_the_stacked_matmul(S, d, seed, layout):
+    # the engine's bits were pinned with this form; np.vecdot is not
+    # documented to keep them, so each layout is checked here
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((S, 2 * d))
+            * 10.0 ** rng.uniform(-300, 300, (S, 1)) for _ in range(2))
+    if layout == "strided":
+        a, b = a[:, ::2], b[:, 1::2]
+    elif layout == "vector":
+        a, b = a[0, :d], b[0, :d]
+    else:
+        a, b = a[:, :d].copy(), b[:, :d].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in ((inner(a, b), stacked_dot(a, b)),
+                          (l2_norm_sq(a), stacked_dot(a, a))):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_inner_examples():

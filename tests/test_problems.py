@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from signopt.config import OptimizerSpec
 from signopt.core import (STREAM_DATA, RngStream, as_vector, l2_norm_sq,
                           per_row, sample_gaussian)
-from signopt.dither import (correct_sign_prob, expected_dithered_sign,
-                            mc_dithered_sign)
+from signopt.dither import (correct_sign_prob, dither_sigma_sq,
+                            expected_dithered_sign, mc_dithered_sign)
 from signopt.optimizers import lambda_project
 from signopt.problems import (LOGISTIC_REG, NOISE_FAMILIES, NoiseSpec,
                               _layout, batch_noise, make_logistic, make_mlp,
@@ -430,6 +431,22 @@ class TestNoise:
     (lambda: mc_sign_failure("gaussian", 1.0, True, RngStream(0)), "trials"),
     (lambda: mc_dithered_sign(1.0, 1.0, 2.5, RngStream(0)), "trials"),
     (lambda: mc_dithered_sign(1.0, 1.0, True, RngStream(0)), "trials"),
+    # a step is an integer count; delta, one or per row, scales a length
+    (lambda: dither_sigma_sq(math.nan, OptimizerSpec(alpha=0.1)), "step"),
+    (lambda: dither_sigma_sq(2.5, OptimizerSpec(alpha=0.1)), "step"),
+    (lambda: dither_sigma_sq(True, OptimizerSpec(alpha=0.1)), "step"),
+    (lambda: lambda_project(np.array([1.0, -1.0]), np.array([2.0, -1.0]),
+                            -1.0, 1e-12), "delta"),
+    (lambda: lambda_project(np.ones(2), np.ones(2), math.nan, 1e-12),
+     "delta"),
+    (lambda: lambda_project(np.ones(2), np.ones(2), math.inf, 1e-12),
+     "delta"),
+    (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)),
+                            np.array([0.1, -1.0]), 1e-12), "delta"),
+    (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)),
+                            np.array([0.1, math.nan]), 1e-12), "delta"),
+    (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)),
+                            np.array([math.inf, 0.1]), 1e-12), "delta"),
 ], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
         "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero",
         "stream-negative-seed", "vector-shape", "gaussian-negative-std-row",
@@ -450,7 +467,11 @@ class TestNoise:
         "stream-fractional-seed", "stream-bool-seed", "stream-float64-seed",
         "stream-fractional-id", "stream-numpy-bool-id",
         "mc-failure-fractional-trials", "mc-failure-bool-trials",
-        "mc-dithered-fractional-trials", "mc-dithered-bool-trials"])
+        "mc-dithered-fractional-trials", "mc-dithered-bool-trials",
+        "sigma-sq-nan-step", "sigma-sq-fractional-step", "sigma-sq-bool-step",
+        "project-negative-delta", "project-nan-delta",
+        "project-infinite-delta", "project-negative-delta-row",
+        "project-nan-delta-row", "project-infinite-delta-row"])
 def test_direct_callers_get_value_errors(make, message):
     # the public functions check their own arguments for callers that skip
     # the config's validation
