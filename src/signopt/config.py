@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import MAX_VECTOR, SEED_LIMIT
+from .core import MAX_VECTOR, is_count, is_seed
 from .dither import DEFAULT_GAMMA
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, mlp_depth_factor,
@@ -53,15 +53,17 @@ class ProblemSpec:
         if self.noise_family not in NOISE_FAMILIES:
             raise ConfigError(
                 f"unknown problem.noise_family {self.noise_family!r}")
-        if not (self.dim >= 1 and self.n_points >= 1):
-            raise ConfigError("problem.dim and problem.n_points must be >= 1")
-        if not 0 <= self.dataset_seed < SEED_LIMIT:
-            raise ConfigError("problem.dataset_seed must be in [0, 2^64)")
+        if not (is_count(self.dim) and is_count(self.n_points)):
+            raise ConfigError("problem.dim and problem.n_points must be "
+                              "integers >= 1")
+        if not is_seed(self.dataset_seed):
+            raise ConfigError("problem.dataset_seed must be an integer in "
+                              "[0, 2^64)")
         widths = self.layer_widths
         if self.kind == "mlp" and not (len(widths) >= 3 and widths[-1] == 1
-                                       and all(w >= 1 for w in widths)):
+                                       and all(map(is_count, widths))):
             raise ConfigError("problem.layer_widths needs >= 3 entries, "
-                              "each >= 1, ending in 1")
+                              "each an integer >= 1, ending in 1")
         if self.kind == "mlp":
             try:
                 mlp_depth_factor(len(widths) - 1)
@@ -179,17 +181,19 @@ class RunSpec:
     decay_factor: float = 1.0
 
     def __post_init__(self):
-        if not (self.steps >= 1 and self.batch_size >= 1):
-            raise ConfigError("run.steps and run.batch_size must be >= 1")
+        if not (is_count(self.steps) and is_count(self.batch_size)):
+            raise ConfigError("run.steps and run.batch_size must be "
+                              "integers >= 1")
         if self.steps > sys.float_info.max:
             raise ConfigError(f"run.steps must be <= "
                               f"{sys.float_info.max:.4g}, the largest float")
-        if not (self.seeds and all(0 <= s < SEED_LIMIT for s in self.seeds)):
+        if not (self.seeds and all(map(is_seed, self.seeds))):
             raise ConfigError("run.seeds needs at least one seed, "
-                              "each in [0, 2^64)")
-        if not (self.record_stride >= 0 and self.decay_every >= 0):
+                              "each an integer in [0, 2^64)")
+        if not (is_count(self.record_stride, 0)
+                and is_count(self.decay_every, 0)):
             raise ConfigError("run.record_stride and run.decay_every "
-                              "must be >= 0")
+                              "must be integers >= 0")
         if not 0 < self.decay_factor < math.inf:
             raise ConfigError("run.decay_factor must be finite and > 0")
 

@@ -21,9 +21,16 @@ SEED_LIMIT = 2**64  # seeds and stream ids are 64-bit unsigned Philox keys
 MAX_VECTOR = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
-def is_integer(value) -> bool:
-    """Whether `value` is an integer: a Python or numpy int, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def is_count(value, minimum: int = 1) -> bool:
+    """Whether `value` is a count of at least `minimum`: a Python or numpy
+    int, never a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= minimum)
+
+
+def is_seed(value) -> bool:
+    """Whether `value` is a seed or stream id: a count in [0, SEED_LIMIT)."""
+    return is_count(value, 0) and value < SEED_LIMIT
 
 
 def run_errstate():
@@ -49,12 +56,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not all(is_integer(v) and 0 <= v < SEED_LIMIT
-                   for v in (seed, stream_id)):
+        if not (is_seed(seed) and is_seed(stream_id)):
             raise ValueError("seed and stream_id must be 64-bit unsigned ints")
-        self.seed = seed
-        self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+        # a numpy int keys the stream its Python int does
+        self.seed, self.stream_id = key = [int(seed), int(stream_id)]
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, tag: int) -> "RngStream":
         """A fresh independent stream determined by (seed, stream_id, tag)."""

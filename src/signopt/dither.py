@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RngStream, is_integer
+from .core import RngStream, is_count
 
 if TYPE_CHECKING:
     from .config import OptimizerSpec
@@ -26,7 +26,7 @@ def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
     """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
     alpha and gamma from the (validated) optimizer config or from step
     parameters, where either may be one value per row."""
-    if not (is_integer(k) and k >= 0):  # NaN and 2.5 are not steps
+    if not is_count(k, 0):  # NaN and 2.5 are not steps
         raise ValueError("step must be an integer >= 0")
     if isinstance(cfg.gamma, np.ndarray):
         # Python's pow for each row, as for the row alone: numpy's power
@@ -67,7 +67,7 @@ def mc_dithered_sign(m: float, sigma: float, trials: int, rng: RngStream):
     """Monte Carlo estimate (mean, std_err) of E[sign(m + xi)]."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    if not (is_integer(trials) and trials >= 1):
+    if not is_count(trials):
         raise ValueError("trials must be an integer >= 1")
     if sigma == 0.0:
         return float(np.sign(m)), 0.0

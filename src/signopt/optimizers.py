@@ -346,8 +346,8 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
     if m_next.ndim == 1:  # one vector: a float, from its one row
         return float(lambda_project(m_next[None], grad[None], delta,
                                     epsilon)[0])
-    if not np.greater(epsilon, 0).all():  # one or per row; NaN fails
-        raise ValueError("epsilon must be > 0")
+    if not (np.greater(epsilon, 0) & np.isfinite(epsilon)).all():
+        raise ValueError("epsilon must be finite and > 0")
     if not (np.greater_equal(delta, 0) & np.isfinite(delta)).all():
         raise ValueError("delta must be finite and >= 0")
     # the run loop calls _calibration under the same policy

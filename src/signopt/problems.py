@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import RngStream, STREAM_DATA, as_vector, l2_norm_sq, per_row
+from .core import (RngStream, STREAM_DATA, as_vector, is_count, l2_norm_sq,
+                   per_row)
 
 NOISE_FAMILIES = ("gaussian", "uniform", "laplace", "asymmetric-bimodal")
 
@@ -29,14 +30,14 @@ LOGISTIC_REG = 1e-2
 @dataclass(frozen=True)
 class NoiseSpec:
     family: str
-    sigma: np.ndarray  # per-coordinate oracle std, >= 0
+    sigma: np.ndarray  # per-coordinate oracle std, finite and >= 0
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family: {self.family!r}")
         object.__setattr__(self, "sigma", as_vector(self.sigma))
-        if not np.all(self.sigma >= 0):  # written so that NaN fails
-            raise ValueError("noise scales must be >= 0")
+        if not np.all((self.sigma >= 0) & (self.sigma < math.inf)):
+            raise ValueError("noise scales must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream) -> np.ndarr
     """The noise of `steps` successive batch-n gradients, shape (steps, dim),
     in one draw: row i is bitwise the noise the i-th of `steps` calls of
     `stochastic_grad` on the same stream adds."""
+    if not is_count(n):
+        raise ValueError("batch size must be an integer >= 1")
     unit = sample_unit_noise(spec.family, (steps, n, spec.sigma.size), rng)
     # scaled before the mean; sum / n is numpy's mean without its wrapper
     return (unit * spec.sigma).sum(axis=1) / n
@@ -99,8 +102,8 @@ def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream) -> np.ndarr
 def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSample:
     """Mini-batch gradient: exact gradient plus the mean of n oracle-noise
     draws, so Var = sigma_i^2 / n exactly for unit-variance families."""
-    if n < 1:
-        raise ValueError("batch size must be >= 1")
+    if not is_count(n):
+        raise ValueError("batch size must be an integer >= 1")
     g = p.eval_grad(x)
     if np.any(p.noise.sigma > 0):
         g = g + batch_noise(p.noise, n, 1, rng)[0]
@@ -117,8 +120,10 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     """
     L = as_vector(lipschitz)
     x_opt = as_vector(x_opt)
-    if not np.all(L >= 0):
-        raise ValueError("Lipschitz constants must be >= 0")
+    if not np.all((L >= 0) & (L < math.inf)):
+        raise ValueError("Lipschitz constants must be finite and >= 0")
+    if not np.isfinite(x_opt).all():
+        raise ValueError("x_opt must be finite")
     if L.shape != x_opt.shape:
         raise ValueError("lipschitz and x_opt dimension mismatch")
 
@@ -144,8 +149,8 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     shapes and layout of `A @ x` and `A.T @ r` run per row, since BLAS
     picks its kernel, and so the bits, by those.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    if not (is_count(dim) and is_count(n_points)):
+        raise ValueError("dim and n_points must be integers >= 1")
     data_rng = RngStream(dataset_seed, STREAM_DATA)
     w_true = data_rng.normal(dim)
     w_true /= np.linalg.norm(w_true)
@@ -219,10 +224,13 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     BLAS pick their kernel, and so the bits, by those.
     """
     widths = list(layer_widths)
-    if len(widths) < 3:
-        raise ValueError("need at least one hidden layer")
+    if not (len(widths) >= 3 and all(map(is_count, widths))):
+        raise ValueError("need at least one hidden layer, and every width "
+                         "an integer >= 1")
     if widths[-1] != 1:
         raise ValueError("output layer width must be 1 (scalar logit)")
+    if not is_count(n_points):
+        raise ValueError("n_points must be an integer >= 1")
 
     data_rng = RngStream(dataset_seed, STREAM_DATA)
     d_in = widths[0]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_vector, is_integer, per_row
-from .problems import NOISE_FAMILIES, sample_unit_noise
+from .core import RngStream, as_vector, is_count, per_row
+from .problems import sample_unit_noise
 
 # Split point between the tail and central branches of the unimodal
 # symmetric sign-failure bound.
@@ -54,7 +54,7 @@ class TheoremInputs:
             raise ValueError("l1_lipschitz must be finite and > 0")
         if not 0 <= self.l1_sigma < math.inf:
             raise ValueError("l1_sigma must be finite and >= 0")
-        if not all(is_integer(v) and v >= 1 for v in (self.K, self.n)):
+        if not (is_count(self.K) and is_count(self.n)):
             raise ValueError("K and n must be integers >= 1")
         if not math.inf > self.f0 >= self.f_star > -math.inf:
             raise ValueError("f0 and f_star must be finite, f0 >= f_star")
@@ -117,9 +117,7 @@ def mc_sign_failure(family: str, S: float, trials: int, rng: RngStream):
     A zero noisy gradient counts as a failure, so p_hat is upper-biased and
     bound-validity checks against it remain sound.
     """
-    if family not in NOISE_FAMILIES:
-        raise ValueError(f"unknown noise family: {family!r}")
-    if not (S >= 0 and is_integer(trials) and trials >= 1):
+    if not (S >= 0 and is_count(trials)):
         raise ValueError("need S >= 0 and an integer trials >= 1")
     noisy = S + sample_unit_noise(family, trials, rng)
     p_hat = float(np.mean(noisy <= 0))

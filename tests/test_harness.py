@@ -900,3 +900,46 @@ class TestConfigParsing:
         cfg = parse_config(block)
         assert cfg.optimizer.algorithm == "hybrid"
         assert len(build_problem(cfg).lipschitz) == cfg.problem.dim
+
+    @pytest.mark.parametrize("make", [
+        lambda: RunSpec(steps=2.5),
+        lambda: RunSpec(steps=True),
+        lambda: RunSpec(batch_size=2.0),
+        # at 12 steps a stride of 1.5 recorded k = 0, 3, 6, 9, 11, and a
+        # decay every 2.5 steps decayed at k = 5 and 10
+        lambda: RunSpec(record_stride=1.5),
+        lambda: RunSpec(decay_every=2.5),
+        lambda: RunSpec(seeds=(1.5,)),
+        lambda: RunSpec(seeds=(True,)),
+        lambda: ProblemSpec(dim=2.5),
+        lambda: ProblemSpec(n_points=True),
+        lambda: ProblemSpec(dataset_seed=1.5),
+        lambda: ProblemSpec(kind="mlp", layer_widths=(2, 8.0, 1)),
+    ], ids=["steps-fractional", "steps-bool", "batch-size-float",
+            "record-stride-fractional", "decay-every-fractional",
+            "seed-fractional", "seed-bool", "dim-fractional",
+            "n-points-bool", "dataset-seed-fractional", "width-float"])
+    def test_counts_and_seeds_are_integers(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_numpy_counts_and_seeds_run_as_python_ints(self):
+        def cfg(count, seed):
+            return ExperimentConfig(
+                problem=ProblemSpec(kind="logistic", dim=count(5),
+                                    n_points=count(30),
+                                    dataset_seed=seed(7), x0=(0.0,),
+                                    sigma=(0.5,)),
+                optimizer=OptimizerSpec(algorithm="hybrid", alpha=0.1,
+                                        dither_mode="pre", t_switch=20.0),
+                run=RunSpec(steps=count(60), batch_size=count(3),
+                            seeds=(seed(3), seed(2**60 + 1)),
+                            record_stride=count(2), decay_every=count(25),
+                            decay_factor=0.9))
+
+        python = run_seeds(cfg(int, int), collect_iterates=True)
+        numpy = run_seeds(cfg(np.int64, np.uint64), collect_iterates=True)
+        for rec in numpy:  # sums over a numpy step count: numpy floats
+            rec.avg_phi, rec.avg_l1 = float(rec.avg_phi), float(rec.avg_l1)
+        assert ([record_key(r) for r in numpy]
+                == [record_key(r) for r in python])

@@ -447,6 +447,22 @@ class TestNoise:
                             np.array([0.1, math.nan]), 1e-12), "delta"),
     (lambda: lambda_project(np.ones((2, 2)), np.ones((2, 2)),
                             np.array([math.inf, 0.1]), 1e-12), "delta"),
+    # an infinite epsilon would read as an overflowed ||g||^2 and be dropped
+    (lambda: lambda_project(np.ones(3), np.ones(3), 0.1, math.inf),
+     "epsilon"),
+    (lambda: lambda_project(np.ones((2, 3)), np.ones((2, 3)), 0.1,
+                            np.array([1e-12, math.inf])), "epsilon"),
+    (lambda: mc_sign_failure("cauchy", 1.0, 10, RngStream(0)),
+     "noise family"),
+    # the makers check what the config's problem section checks
+    (lambda: make_logistic(0, 0, 10, noiseless(0)), "n_points"),
+    (lambda: make_mlp(0, (2, 0, 1), noiseless(1)), "hidden layer"),
+    (lambda: make_mlp(0, (2, 2, 1), noiseless(9), n_points=0), "n_points"),
+    (lambda: NoiseSpec("gaussian", [math.inf]), "noise scales"),
+    (lambda: make_quadratic([math.inf], [0.0], noiseless(1)), "Lipschitz"),
+    (lambda: make_quadratic([1.0], [math.nan], noiseless(1)), "x_opt"),
+    (lambda: batch_noise(NoiseSpec("gaussian", [1.0]), 0, 1, RngStream(0)),
+     "batch size"),
 ], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
         "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero",
         "stream-negative-seed", "vector-shape", "gaussian-negative-std-row",
@@ -471,7 +487,12 @@ class TestNoise:
         "sigma-sq-nan-step", "sigma-sq-fractional-step", "sigma-sq-bool-step",
         "project-negative-delta", "project-nan-delta",
         "project-infinite-delta", "project-negative-delta-row",
-        "project-nan-delta-row", "project-infinite-delta-row"])
+        "project-nan-delta-row", "project-infinite-delta-row",
+        "project-infinite-epsilon", "project-infinite-epsilon-row",
+        "mc-failure-unknown-family", "logistic-zero-dim", "mlp-zero-width",
+        "mlp-no-points", "noise-infinite-sigma",
+        "quadratic-infinite-lipschitz", "quadratic-nan-x-opt",
+        "batch-noise-zero"])
 def test_direct_callers_get_value_errors(make, message):
     # the public functions check their own arguments for callers that skip
     # the config's validation
