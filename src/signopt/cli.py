@@ -12,6 +12,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import harness
 from .checks import (MC_TRIALS, SWITCH_T_GRID, THEOREM_K_GRID,
                      THEOREM_N_GRID, THEOREM_SEEDS, check_dither_statistics,
                      check_gauss_bound_validity, check_relaxation_inequality,
@@ -103,15 +104,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_theorem_suite(args) -> int:
-    # imported here, not at the top, so that the name is looked up at
-    # call time: perfbench/tracing.py wraps harness.run_theorem_suite
-    # with a span, and only a call-time lookup reaches the wrapper
-    from .harness import run_theorem_suite
-
     cfg = load_config(args.config)
     out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
-    report = run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
+    report = harness.run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
         mark = "PASS" if cell["passed"] else "FAIL"
         reason = "  (a run diverged)" if cell["diverged"] else ""
@@ -124,15 +120,10 @@ def cmd_theorem_suite(args) -> int:
 
 
 def cmd_switch_suite(args) -> int:
-    # imported here, not at the top, so that the name is looked up at
-    # call time: perfbench/tracing.py wraps harness.run_switch_suite
-    # with a span, and only a call-time lookup reaches the wrapper
-    from .harness import run_switch_suite
-
     cfg = load_config(args.config)
     out = _out_dir(args.out) if args.out else None
     seeds = list(range(args.seeds))
-    report = run_switch_suite(cfg, args.t_grid, seeds)
+    report = harness.run_switch_suite(cfg, args.t_grid, seeds)
     for e in report["entries"]:
         print(f"T_switch={e['t_switch']:<6} median final f "
               f"{e['median_final_f']:.6g}  median lambda-at-switch "

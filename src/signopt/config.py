@@ -17,8 +17,7 @@ import numpy as np
 from .core import MAX_VECTOR, is_count, is_seed
 from .dither import DEFAULT_GAMMA
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
-                       make_mlp, make_quadratic, mlp_depth_factor,
-                       mlp_n_params)
+                       make_mlp, make_quadratic, mlp_n_params)
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")
 
@@ -59,26 +58,18 @@ class ProblemSpec:
         if not is_seed(self.dataset_seed):
             raise ConfigError("problem.dataset_seed must be an integer in "
                               "[0, 2^64)")
-        widths = self.layer_widths
-        if self.kind == "mlp" and not (len(widths) >= 3 and widths[-1] == 1
-                                       and all(map(is_count, widths))):
-            raise ConfigError("problem.layer_widths needs >= 3 entries, "
-                              "each an integer >= 1, ending in 1")
-        if self.kind == "mlp":
-            try:
-                mlp_depth_factor(len(widths) - 1)
-            except OverflowError:
-                raise ConfigError(f"problem.layer_widths: {len(widths) - 1} "
-                                  f"layers overflow the MLP's curvature "
-                                  f"estimate") from None
-        n = self.n_params
+        try:
+            n = self.n_params
+        except ValueError as exc:  # the MLP's width and depth rule
+            raise ConfigError(f"problem.layer_widths: {exc}") from None
         if n > MAX_VECTOR:
             raise ConfigError(f"problem has {n} parameters; numpy's largest "
                               f"float64 array holds {MAX_VECTOR}")
         if self.kind != "quadratic":
             # logistic's (n_points, dim) data, or the MLP's activations of
             # its widest layer, one row per point
-            width = self.dim if self.kind == "logistic" else max(widths)
+            width = (self.dim if self.kind == "logistic"
+                     else max(self.layer_widths))
             if self.n_points * width > MAX_VECTOR:
                 raise ConfigError(f"problem.n_points * {width} exceeds "
                                   f"numpy's largest float64 array "
@@ -196,6 +187,11 @@ class RunSpec:
                               "must be integers >= 0")
         if not 0 < self.decay_factor < math.inf:
             raise ConfigError("run.decay_factor must be finite and > 0")
+        # a numpy count or seed is kept as its Python int, so that records
+        # and reports carry Python numbers
+        for name in ("steps", "batch_size", "record_stride", "decay_every"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ a single step. The running sums take the block's values in step order
 through `np.add.accumulate`, never `np.add.reduce`, which sums a
 contiguous block pairwise and so differs in the last bits. A row whose f
 overflows flushes the block before it leaves the batch, so its sums stop
-at its last finite step. A row is recorded at its step with its l1 and
-phi left NaN, and the flush of its block fills them in.
+at its last finite step. The flush also builds the rows recorded in the
+block, each once, with its measured l1 and phi.
 
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (RngStream, STREAM_DITHER, STREAM_GRAD, l1_norm,
+from .core import (RngStream, STREAM_DITHER, STREAM_GRAD, is_seed, l1_norm,
                    run_errstate)
 from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
@@ -159,9 +159,9 @@ class _BlockDiagnostics:
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
     flushing it first when it is full. A flush measures the buffered
     steps with one `l1_norm` and one `phi_measure` call, adds them to the
-    sums in step order and fills in the l1 and phi of the rows recorded in
-    the block. The buffer's rows are the batch's, which is cut only right
-    after a flush."""
+    sums in step order and appends the rows recorded in the block to their
+    records. The buffer's rows are the batch's, which is cut only right
+    after a flush, so each record takes its rows in step order."""
 
     def __init__(self, snr: SnrProfile, size: int, rows: int, dim: int):
         self.snr = snr
@@ -171,7 +171,7 @@ class _BlockDiagnostics:
         # would sum one seed's contiguous column pairwise.
         self.acc = np.zeros((2, size + 1, rows))
         self.used = 0
-        self.pending = []   # (step in block, its rows) per recorded step
+        self.pending = []   # per recorded step, what `record` took
 
     def add(self, g: np.ndarray) -> None:
         if self.used == len(self.grads):
@@ -179,9 +179,11 @@ class _BlockDiagnostics:
         self.grads[self.used] = g
         self.used += 1
 
-    def record(self, rows: list) -> None:
-        """The last added step's rows, one per batch row, to fill in."""
-        self.pending.append((self.used - 1, rows))
+    def record(self, k: int, recs: list, *fields: list) -> None:
+        """Queue step k, the last added, for the flush to build its rows:
+        `recs` are their records and `fields` their f, lambda, EMA, dither
+        variance and phase, each a list in batch-row order."""
+        self.pending.append((self.used - 1, k, recs, *fields))
 
     def flush(self) -> None:
         used = self.used
@@ -199,9 +201,10 @@ class _BlockDiagnostics:
         if not self.pending:
             return
         l1s, phis = l1.tolist(), phi.tolist()
-        for pos, rows in self.pending:
-            for row, l1_i, phi_i in zip(rows, l1s[pos], phis[pos]):
-                row.l1_grad, row.phi = l1_i, phi_i
+        for pos, k, recs, fs, lams, emas, sig2s, phases in self.pending:
+            for rec, f, l1_i, phi_i, lam, ema, s2, phase in zip(
+                    recs, fs, l1s[pos], phis[pos], lams, emas, sig2s, phases):
+                rec.rows.append(Row(k, f, l1_i, phi_i, lam, ema, s2, phase))
         self.pending = []
 
     def sums(self, j: int) -> tuple:
@@ -235,8 +238,8 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     record. Each record's `wall_time` is the elapsed time of the whole
     batch. A recorded row's lambda and phase, and a record's
     `lambda_at_switch`, are the step rule's (`RowStepper.recorded` and
-    `switch_lambda`). An empty list of configs raises `ValueError`; no
-    seeds give no records.
+    `switch_lambda`). An empty list of configs, or a seed that is not an
+    integer in [0, 2^64), raises `ValueError`; no seeds give no records.
     """
     t0 = time.perf_counter()
     cfgs = ((cfg,) if isinstance(cfg, ExperimentConfig)
@@ -246,8 +249,11 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         raise ValueError("configs run together must share their problem "
                          "and run sections")
     seeds = tuple(base.run.seeds if seeds is None else seeds)
+    if not all(map(is_seed, seeds)):
+        raise ValueError("seeds must be integers in [0, 2^64)")
     if not seeds:
         return []
+    seeds = tuple(map(int, seeds))
     if problem is None:
         problem = build_problem(base)
     run = base.run
@@ -328,15 +334,10 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                 sig2 = [dither_sigma_sq(k, opt) if on else 0.0
                         for opt, on in zip(opts, dithered)]
                 lams, phases = rule.recorded()
-                new = []
-                for i, f_i, lam_i, ema, phase in zip(
-                        rule.order.tolist(), f.tolist(), lams,
-                        rule.ema.tolist(), phases):
-                    row = Row(k, f_i, math.nan, math.nan, lam_i, ema,
-                              sig2[i // n_seeds], phase)
-                    recs[i].rows.append(row)
-                    new.append(row)
-                diag.record(new)
+                order = rule.order.tolist()
+                diag.record(k, [recs[i] for i in order], f.tolist(), lams,
+                            rule.ema.tolist(),
+                            [sig2[i // n_seeds] for i in order], phases)
             if collect_iterates:
                 for i, x in zip(rule.order, rule.x):
                     recs[i].iterates.append(x.copy())
@@ -376,21 +377,21 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     cells = []
     for K in k_grid:
         for n in n_grid:
-            cfg = replace(cfg_base,
-                          run=replace(cfg_base.run, steps=K, batch_size=n,
-                                      theorem_mode=True,
-                                      record_stride=max(1, K // 10)))
-            recs = run_seeds(cfg, seeds, problem)
+            # the cell's run section holds K and n as Python ints
+            run = replace(cfg_base.run, steps=K, batch_size=n,
+                          theorem_mode=True, record_stride=max(1, K // 10))
+            recs = run_seeds(replace(cfg_base, run=run), seeds, problem)
             avg_phi = statistics.fmean(r.avg_phi for r in recs)
             avg_l1 = statistics.fmean(r.avg_l1 for r in recs)
-            t = TheoremInputs(l1_L, l1_sigma, f0, problem.f_star, K, n)
+            t = TheoremInputs(l1_L, l1_sigma, f0, problem.f_star, run.steps,
+                              run.batch_size)
             rhs_phi, rhs_l1 = theorem_rhs_phi(t), theorem_rhs_l1(t)
             diverged = sum(r.diverged for r in recs)
             ok = avg_phi <= rhs_phi and avg_l1 <= rhs_l1 and not diverged
-            cells.append({"K": K, "n": n, "avg_phi": avg_phi,
-                          "rhs_phi": rhs_phi, "avg_l1": avg_l1,
-                          "rhs_l1": rhs_l1, "diverged": diverged,
-                          "passed": ok})
+            cells.append({"K": run.steps, "n": run.batch_size,
+                          "avg_phi": avg_phi, "rhs_phi": rhs_phi,
+                          "avg_l1": avg_l1, "rhs_l1": rhs_l1,
+                          "diverged": diverged, "passed": ok})
     return {"cells": cells, "passed": all(c["passed"] for c in cells),
             "f0": f0, "l1_lipschitz": l1_L, "l1_sigma": l1_sigma}
 

@@ -120,8 +120,9 @@ def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     """
     L = as_vector(lipschitz)
     x_opt = as_vector(x_opt)
-    if not np.all((L >= 0) & (L < math.inf)):
-        raise ValueError("Lipschitz constants must be finite and >= 0")
+    if not (L.size and np.all((L >= 0) & (L < math.inf))):
+        raise ValueError("Lipschitz constants must be a nonempty vector, "
+                         "finite and >= 0")
     if not np.isfinite(x_opt).all():
         raise ValueError("x_opt must be finite")
     if L.shape != x_opt.shape:
@@ -191,11 +192,6 @@ def _layout(layer_widths: Sequence[int]):
             pos += size
 
 
-def mlp_n_params(layer_widths: Sequence[int]) -> int:
-    """Length of the MLP's flat parameter vector: its weights and biases."""
-    return max((sl.stop for sl, _ in _layout(layer_widths)), default=0)
-
-
 MLP_WEIGHT_BOUND = 4.0  # B, the assumed bound on the MLP's weights
 
 
@@ -203,6 +199,25 @@ def mlp_depth_factor(n_layers: int) -> float:
     """B^(2 (n_layers - 1)), the growth of the MLP's curvature estimate
     with depth; OverflowError past about 256 layers."""
     return MLP_WEIGHT_BOUND ** (2 * (n_layers - 1))
+
+
+def mlp_n_params(layer_widths: Sequence[int]) -> int:
+    """Length of the MLP's flat parameter vector: its weights and biases.
+    It states the MLP's width and depth rule: `ValueError` unless there is
+    a hidden layer, every width is an integer >= 1, the output width is 1
+    and `mlp_depth_factor` of the depth does not overflow."""
+    n_layers = len(layer_widths) - 1
+    if not (n_layers >= 2 and all(map(is_count, layer_widths))):
+        raise ValueError("need at least one hidden layer, and every width "
+                         "an integer >= 1")
+    if layer_widths[-1] != 1:
+        raise ValueError("output layer width must be 1 (scalar logit)")
+    try:
+        mlp_depth_factor(n_layers)
+    except OverflowError:
+        raise ValueError(f"{n_layers} layers overflow the MLP's curvature "
+                         f"estimate") from None
+    return max(sl.stop for sl, _ in _layout(layer_widths))
 
 
 def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
@@ -224,11 +239,7 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     BLAS pick their kernel, and so the bits, by those.
     """
     widths = list(layer_widths)
-    if not (len(widths) >= 3 and all(map(is_count, widths))):
-        raise ValueError("need at least one hidden layer, and every width "
-                         "an integer >= 1")
-    if widths[-1] != 1:
-        raise ValueError("output layer width must be 1 (scalar logit)")
+    dim = mlp_n_params(widths)  # checks the widths before any draw
     if not is_count(n_points):
         raise ValueError("n_points must be an integer >= 1")
 
@@ -242,7 +253,6 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     ])
     y = np.concatenate([np.ones(half), -np.ones(n_points - half)])
 
-    dim = mlp_n_params(widths)
     n_layers = len(widths) - 1
     # per layer: the weight's slice and shape, and the bias's slice
     layout = list(_layout(widths))

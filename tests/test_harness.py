@@ -730,6 +730,22 @@ class TestSuites:
     def test_no_seeds_give_no_records(self):
         assert run_seeds(quad_cfg(), ()) == []
 
+    @pytest.mark.parametrize("run", [
+        lambda cfg: run_seeds(cfg, (-1,)),
+        lambda cfg: run_seeds(cfg, (1.5,)),
+        lambda cfg: run_seeds(cfg, (True,)),
+        lambda cfg: run_seeds(cfg, (2**70,)),
+        lambda cfg: run_single(cfg, -1),
+        lambda cfg: run_switch_suite(cfg, (5,), (0, 1.5)),
+    ], ids=["negative", "fractional", "bool", "too-big", "run-single",
+            "switch-suite"])
+    def test_seeds_passed_directly_are_checked(self, run):
+        # noiseless and undithered: no random stream would see the seed
+        cfg = quad_cfg(sigma=(0.0,), optimizer={"algorithm": "hybrid"},
+                       run={"steps": 10})
+        with pytest.raises(ValueError, match="seeds"):
+            run(cfg)
+
     def test_theorem_mode_rejects_zero_lipschitz_sum(self):
         cfg = replace(quad_cfg(run={"theorem_mode": True}),
                       problem=ProblemSpec(lipschitz=(0.0,)))
@@ -943,3 +959,19 @@ class TestConfigParsing:
             rec.avg_phi, rec.avg_l1 = float(rec.avg_phi), float(rec.avg_l1)
         assert ([record_key(r) for r in numpy]
                 == [record_key(r) for r in python])
+
+    def test_numpy_counts_leave_python_numbers_in_records_and_reports(
+            self, tmp_path):
+        # so that a summary or a suite report serializes as JSON
+        cfg = ExperimentConfig(run=RunSpec(steps=np.int64(20),
+                                           seeds=(np.uint64(3),)))
+        for rec in run_seeds(cfg) + run_seeds(cfg, (np.uint64(4),)):
+            assert [type(v) for v in (rec.steps, rec.oracle_calls, rec.seed,
+                                      rec.avg_phi, rec.avg_l1)] == [
+                int, int, int, float, float]
+            emit_json(run_summary(cfg, rec), tmp_path / "run.json")
+        report = run_theorem_suite(cfg, (0,), (np.int64(10),),
+                                   (np.int64(1),))
+        [cell] = report["cells"]
+        assert type(cell["K"]) is int and type(cell["n"]) is int
+        json.dumps(report)

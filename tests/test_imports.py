@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "signopt"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 # perfbench/tracing.py wraps these under harness's names, though the run
 # engine no longer calls them; they go with the tracer's move to the
@@ -41,6 +42,17 @@ def test_tracer_only_imports_are_still_imported():
     for module, names in TRACER_ONLY.items():
         path = PACKAGE / f"{module}.py"
         assert names <= unused_imports(ast.parse(path.read_text("utf-8")))
+
+
+def test_tracer_only_imports_are_still_patched_by_the_tracer():
+    """Each allowed name is a string the tracer patches by, so a wrap that
+    goes takes its allowance and its dead import with it."""
+    strings = {node.value for node in ast.walk(ast.parse(
+        TRACER.read_text("utf-8"))) if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)}
+    for module, names in TRACER_ONLY.items():
+        assert names <= strings, (f"the tracer no longer patches "
+                                  f"{sorted(names - strings)} on {module}")
 
 
 def unused_private_names(tree: ast.Module) -> set:

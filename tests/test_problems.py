@@ -14,7 +14,7 @@ from signopt.dither import (correct_sign_prob, dither_sigma_sq,
 from signopt.optimizers import lambda_project
 from signopt.problems import (LOGISTIC_REG, NOISE_FAMILIES, NoiseSpec,
                               _layout, batch_noise, make_logistic, make_mlp,
-                              make_quadratic, sample_unit_noise,
+                              make_quadratic, mlp_n_params, sample_unit_noise,
                               stochastic_grad)
 from signopt.theory import (SnrProfile, TheoremInputs, gauss_bound,
                             mc_sign_failure, sign_agreement_lower_bound)
@@ -463,6 +463,12 @@ class TestNoise:
     (lambda: make_quadratic([1.0], [math.nan], noiseless(1)), "x_opt"),
     (lambda: batch_noise(NoiseSpec("gaussian", [1.0]), 0, 1, RngStream(0)),
      "batch size"),
+    (lambda: make_quadratic([], [], noiseless(0)), "Lipschitz"),
+    # mlp_n_params states the MLP's width and depth rule, for the config's
+    # problem section and for make_mlp, which calls it before any draw
+    (lambda: make_mlp(0, [1] * 600, noiseless(1)), "layers overflow"),
+    (lambda: mlp_n_params((2.5, 3, 1)), "hidden layer"),
+    (lambda: mlp_n_params((2,)), "hidden layer"),
 ], ids=["logistic-no-points", "mlp-no-hidden-layer", "mlp-wide-output",
         "quadratic-shapes", "noise-negative-sigma", "grad-batch-zero",
         "stream-negative-seed", "vector-shape", "gaussian-negative-std-row",
@@ -492,7 +498,8 @@ class TestNoise:
         "mc-failure-unknown-family", "logistic-zero-dim", "mlp-zero-width",
         "mlp-no-points", "noise-infinite-sigma",
         "quadratic-infinite-lipschitz", "quadratic-nan-x-opt",
-        "batch-noise-zero"])
+        "batch-noise-zero", "quadratic-empty", "mlp-too-deep",
+        "mlp-params-fractional-width", "mlp-params-no-hidden-layer"])
 def test_direct_callers_get_value_errors(make, message):
     # the public functions check their own arguments for callers that skip
     # the config's validation
