@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from .checks import (MC_TRIALS, SWITCH_T_GRID, THEOREM_K_GRID,
                      check_gauss_bound_validity, check_relaxation_inequality,
                      run_all)
 from .config import ConfigError, load_config
-from .core import MAX_VECTOR, SEED_LIMIT
+from .core import MAX_VECTOR, is_count, is_seed
 from .harness import emit_csv, emit_json, run_single, run_summary
 
 EXIT_OK = 0
@@ -53,28 +52,25 @@ def _write(emit, obj, path: Path) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _int_at_least(minimum: int, below: float = math.inf):
-    """argparse type: one integer >= minimum and < below that converts to
-    a float (grid values become stepsizes and switch points)."""
+def _integer(rule, bound: str):
+    """argparse type: one integer that `rule` accepts; `bound` says which."""
     # argparse names the function in its "invalid <name> value" message
     def integer(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if value >= below:
-            raise argparse.ArgumentTypeError(f"must be < {below}")
-        try:
-            float(value)
-        except OverflowError:
-            raise argparse.ArgumentTypeError(
-                "too large to convert to a float") from None
+        if not rule(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}")
         return value
     return integer
 
 
-def _int_list_at_least(minimum: int):
-    """argparse type: comma-separated integers, at least one, each >= minimum."""
-    integer = _int_at_least(minimum)
+def _grid(minimum: int):
+    """argparse type: comma-separated integers, at least one, each a count
+    >= minimum and at most the largest float: grid values become run
+    lengths, stepsizes and switch points, and `RunSpec` puts that bound on
+    `run.steps`."""
+    integer = _integer(
+        lambda v: is_count(v, minimum) and v <= sys.float_info.max,
+        f"an integer >= {minimum} and <= {sys.float_info.max:.4g}")
 
     def integers(text: str) -> list:
         values = [integer(t) for t in text.split(",") if t.strip()]
@@ -84,8 +80,10 @@ def _int_list_at_least(minimum: int):
     return integers
 
 
+_seed = _integer(is_seed, "a 64-bit unsigned integer")
 # --seeds and --trials size arrays, so they share the config's size bound
-_count = _int_at_least(1, below=MAX_VECTOR + 1)
+_count = _integer(lambda v: is_count(v) and v <= MAX_VECTOR,
+                  f"an integer >= 1 and <= {MAX_VECTOR}")
 
 
 def cmd_run(args) -> int:
@@ -163,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_int_at_least(0, below=SEED_LIMIT),
-                   default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -173,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the suites default to the battery's grids and seeds (--seeds n runs
     # seeds 0 .. n-1)
     p.add_argument("--seeds", type=_count, default=len(THEOREM_SEEDS))
-    p.add_argument("--k-grid", type=_int_list_at_least(1),
+    p.add_argument("--k-grid", type=_grid(1),
                    default=list(THEOREM_K_GRID))
-    p.add_argument("--n-grid", type=_int_list_at_least(1),
+    p.add_argument("--n-grid", type=_grid(1),
                    default=list(THEOREM_N_GRID))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_theorem_suite)
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switch-suite", help="hybrid switch-point sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=_count, default=len(THEOREM_SEEDS))
-    p.add_argument("--t-grid", type=_int_list_at_least(0),
+    p.add_argument("--t-grid", type=_grid(0),
                    default=list(SWITCH_T_GRID))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_switch_suite)

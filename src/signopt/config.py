@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import MAX_VECTOR, is_count, is_seed
-from .dither import DEFAULT_GAMMA
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, mlp_n_params)
 
@@ -120,7 +119,7 @@ class OptimizerSpec:
     delta: float = 0.01          # sign-phase learning rate
     beta: float = 0.9            # momentum decay
     alpha: float = 0.0           # dither scale (0 disables dithering)
-    gamma: float = DEFAULT_GAMMA  # dither annealing exponent
+    gamma: float = 0.55          # dither annealing exponent
     eta: float = 0.99            # EMA decay for the calibrated stepsize
     epsilon: float = 1e-12       # projection stabilizer
     t_switch: float = math.inf   # step index at which the hybrid switches
@@ -210,7 +209,8 @@ class ExperimentConfig:
         if not run.decay_every:
             return
         if run.theorem_mode:
-            raise ConfigError("run.theorem_mode fixes the stepsize at "
+            raise ConfigError("theorem mode (run.theorem_mode, or a theorem "
+                              "suite cell) fixes the stepsize at "
                               "1/sqrt(L1*K); run.decay_every must be 0")
         # The last step decays lr and delta n times. The check works in log
         # space so the power cannot overflow, and the normal-range margin
@@ -304,7 +304,9 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # drop the byte-order mark some editors write; utf-8-sig would
+            # too, but would count a bad byte's offset after the mark
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:

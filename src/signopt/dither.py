@@ -1,39 +1,21 @@
-"""Annealed dither schedule and the analytic statistics of a dithered sign.
+"""The analytic statistics of a dithered sign.
 
 Adding N(0, sigma^2) noise to a scalar m before taking its sign yields a
 random +-1 whose mean is 2*Phi(m/sigma) - 1, approximately
 m*sqrt(2/pi)/sigma for |m| << sigma: the average quantizer output becomes
-proportional to the magnitude the hard sign discards.
+proportional to the magnitude the hard sign discards. These statistics
+are what the battery and the tests check a dithered step against; the
+annealed variance schedule the step rule draws with is
+`optimizers.dither_sigma_sq`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import RngStream, is_count
-
-if TYPE_CHECKING:
-    from .config import OptimizerSpec
-    from .optimizers import StepParams
-
-DEFAULT_GAMMA = 0.55
-
-
-def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
-    """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
-    alpha and gamma from the (validated) optimizer config or from step
-    parameters, where either may be one value per row."""
-    if not is_count(k, 0):  # NaN and 2.5 are not steps
-        raise ValueError("step must be an integer >= 0")
-    if isinstance(cfg.gamma, np.ndarray):
-        # Python's pow for each row, as for the row alone: numpy's power
-        # may differ from it in the last bit
-        return cfg.alpha * np.array([(1.0 + k) ** (-g)
-                                     for g in cfg.gamma.tolist()])
-    return cfg.alpha * (1.0 + k) ** (-cfg.gamma)
 
 
 def normal_cdf(x: float) -> float:

@@ -38,12 +38,11 @@ from .core import (RngStream, STREAM_DITHER, STREAM_GRAD, is_seed, l1_norm,
                    run_errstate)
 from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
-from .dither import dither_sigma_sq
 # lambda_project and the five *_step presets are not called here;
 # perfbench/tracing.py wraps them under this module's name
-from .optimizers import (PHASE_SGD, PHASE_SIGN, RowStepper, dithered_step,
-                         hybrid_step, lambda_project, preset, sgd_step,
-                         signsgd_step, signsgdm_step, stack_params)
+from .optimizers import (PHASE_SGD, PHASE_SIGN, RowStepper, dither_sigma_sq,
+                         dithered_step, hybrid_step, lambda_project, preset,
+                         sgd_step, signsgd_step, signsgdm_step, stack_params)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import (SnrProfile, TheoremInputs, phi_measure, theorem_rhs_l1,
@@ -400,7 +399,9 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
     baselines with matched step budgets, all in one `run_seeds` batch.
     The grid and the seeds must be nonempty."""
-    t_switch_grid = _nonempty("t_switch_grid", t_switch_grid)
+    # a numpy scalar as its Python number, so the report serializes as JSON
+    t_switch_grid = [t.item() if isinstance(t, np.generic) else t
+                     for t in _nonempty("t_switch_grid", t_switch_grid)]
     seeds = _nonempty("seeds", seeds)
 
     def variant(**changes):

@@ -18,7 +18,9 @@ on [p:], and p never grows. `step` is the same rule as a pure state
 transition on an `OptimizerState`: it reorders a copy of the rows, runs
 one `RowStepper` step and returns the rows in their own order. A dither
 stream is anything with RngStream's `normal(shape)`; for rows it returns
-one draw per row, each from that row's own stream.
+one draw per row, each from that row's own stream. A step's dither has
+the annealed variance `dither_sigma_sq`, alpha * (1+k)^(-gamma), which
+`_direction` reads on every dithered step.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import PRESETS, OptimizerSpec
-from .core import (RngStream, inner, l2_norm_sq, run_errstate,
+from .core import (RngStream, inner, is_count, l2_norm_sq, run_errstate,
                    sample_gaussian, sign_vec)
-from .dither import dither_sigma_sq
 
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
@@ -308,6 +309,20 @@ class _Reordered:
     def normal(self, size):
         rows, d = size
         return self.stream.normal((len(self.order), d))[self.order][:rows]
+
+
+def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
+    """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
+    alpha and gamma from the (validated) optimizer config or from step
+    parameters, where either may be one value per row."""
+    if not is_count(k, 0):  # NaN and 2.5 are not steps
+        raise ValueError("step must be an integer >= 0")
+    if isinstance(cfg.gamma, np.ndarray):
+        # Python's pow for each row, as for the row alone: numpy's power
+        # may differ from it in the last bit
+        return cfg.alpha * np.array([(1.0 + k) ** (-g)
+                                     for g in cfg.gamma.tolist()])
+    return cfg.alpha * (1.0 + k) ** (-cfg.gamma)
 
 
 def _direction(src: np.ndarray, sign: np.ndarray, k: int, p: StepParams,

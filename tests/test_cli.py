@@ -12,6 +12,7 @@ from signopt.checks import (SWITCH_T_GRID, THEOREM_K_GRID, THEOREM_N_GRID,
 from signopt.cli import build_parser, main
 from signopt.config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                             RunSpec, save_config)
+from signopt.core import MAX_VECTOR
 
 
 def write_cfg(path, **opt):
@@ -231,6 +232,9 @@ def test_invalid_optimizer_value_exits_2_with_one_line(tmp_path, capsys, text):
     pytest.param("", ["theorem-suite", "--seeds", "2", "--k-grid", "100",
                       "--n-grid", str(2**60)],
                  id="theorem-suite-batch-too-big"),
+    # the suite sets theorem mode on each cell, so the error must say so
+    pytest.param("run.decay_every = 100\n", ["theorem-suite"],
+                 id="theorem-suite-decay"),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, text, argv):
     path = tmp_path / "bad.cfg"
@@ -360,6 +364,51 @@ def test_out_of_range_argument_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"signopt {argv[0]}: error: ")
+
+
+def test_theorem_suite_decay_error_names_the_suite(tmp_path, capsys):
+    path = tmp_path / "decay.cfg"
+    path.write_text("run.decay_every = 100\n")
+    assert main(["theorem-suite", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "theorem suite" in err and "run.decay_every must be 0" in err
+
+
+# Each integer flag at the edges of its rule: `core.is_seed` for --seed,
+# `core.is_count` up to MAX_VECTOR for --seeds and --trials, and for the
+# grids a count (>= 1, or >= 0 for --t-grid) at most the largest float.
+# Parsed only: a command run with --seeds MAX_VECTOR would list 2^60 seeds.
+@pytest.mark.parametrize("flags, value, accepted", [
+    (["run", "--seed"], 2**64 - 1, True),
+    (["run", "--seed"], 2**64, False),
+    (["run", "--seed"], -1, False),
+    *[(flags, value, value == MAX_VECTOR)
+      for flags in (["theorem-suite", "--seeds"], ["switch-suite", "--seeds"],
+                    ["dither-verify", "--trials"],
+                    ["bound-verify", "--trials"])
+      for value in (MAX_VECTOR, MAX_VECTOR + 1)],
+    (["switch-suite", "--t-grid"], 0, True),
+    (["theorem-suite", "--k-grid"], 0, False),
+    (["theorem-suite", "--n-grid"], 0, False),
+    *[(flags, value, value == 10**308)
+      for flags in (["theorem-suite", "--k-grid"],
+                    ["theorem-suite", "--n-grid"], ["switch-suite", "--t-grid"])
+      for value in (10**308, 10**309)],
+])
+def test_integer_flag_edges(capsys, flags, value, accepted):
+    argv = flags + [str(value)]
+    if flags[0] not in ("dither-verify", "bound-verify"):
+        argv += ["--config", "unused.cfg"]
+    if accepted:
+        args = vars(build_parser().parse_args(argv))
+        parsed = args[flags[1][2:].replace("-", "_")]
+        assert parsed == ([value] if flags[1].endswith("grid") else value)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"signopt {flags[0]}: error: ")
 
 
 # Exit-code contract under random input: every config text and argument

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream
-from signopt.dither import (correct_sign_prob, dither_sigma_sq,
-                            expected_dithered_sign, mc_dithered_sign,
-                            normal_cdf)
+from signopt.dither import (correct_sign_prob, expected_dithered_sign,
+                            mc_dithered_sign, normal_cdf)
+from signopt.optimizers import dither_sigma_sq
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 

@@ -15,14 +15,15 @@ from hypothesis import given, settings, strategies as st
 from signopt import harness, optimizers
 from signopt.checks import _theorem_base_config
 from signopt.core import STREAM_GRAD, RngStream, inner
-from signopt.dither import dither_sigma_sq
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
                             ProblemSpec, RunSpec, build_problem,
-                            initial_point, parse_config, serialize_config)
+                            initial_point, load_config, parse_config,
+                            serialize_config)
 from signopt.harness import (CSV_HEADER, emit_csv, emit_json, load_csv,
                              run_single, run_seeds, run_summary,
                              run_switch_suite, run_theorem_suite,
                              theorem_delta)
+from signopt.optimizers import dither_sigma_sq
 from signopt.problems import stochastic_grad
 from signopt.theory import SnrProfile, phi_measure
 
@@ -859,6 +860,22 @@ class TestConfigParsing:
         assert cfg.problem.dim == 3
         assert cfg.run.steps == 10
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "problem.dim = 3\nrun.steps = 10\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+        assert load_config(plain).problem.dim == 3
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_by_its_offset(
+            self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xef\xbb\xbfrun.steps = 10 # \xff\n")
+        with pytest.raises(ConfigError, match="at byte 20"):
+            load_config(path)
+
     def test_infinity_roundtrip(self):
         cfg = ExperimentConfig()
         text = serialize_config(cfg)
@@ -974,4 +991,8 @@ class TestConfigParsing:
                                    (np.int64(1),))
         [cell] = report["cells"]
         assert type(cell["K"]) is int and type(cell["n"]) is int
+        json.dumps(report)
+        report = run_switch_suite(cfg, (np.int64(5),), (0,))
+        assert [type(e["t_switch"]) for e in report["entries"]] == [int]
+        assert type(report["best"]["t_switch"]) is int
         json.dumps(report)

@@ -94,3 +94,40 @@ def test_unused_private_names_finds_an_orphan():
                      "def public(): return _used() + _b\n")
     assert unused_private_names(tree) == {"_orphan", "_Orphan", "_LIMIT",
                                           "_a"}
+
+
+# The package's modules, each importing only from those before it
+ORDER = ["core", "problems", "dither", "theory", "config", "optimizers",
+         "harness", "checks", "cli"]
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports, those in `TYPE_CHECKING`
+    blocks and function bodies included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module
+                         else [a.name for a in node.names])
+    return names
+
+
+def test_import_order_names_every_module():
+    stems = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(ORDER) == sorted(stems)
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_modules_import_only_earlier_modules(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text("utf-8"))
+    later = package_imports(tree) - set(ORDER[:ORDER.index(module)])
+    assert not later, f"{module} imports {sorted(later)}, not before it"
+
+
+def test_package_imports_sees_type_checking_blocks():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "from .core import is_count\n"
+                     "from . import harness\n"
+                     "if TYPE_CHECKING:\n"
+                     "    from .config import OptimizerSpec\n")
+    assert package_imports(tree) == {"core", "harness", "config"}

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream, sign_vec
-from signopt.dither import dither_sigma_sq, normal_cdf
+from signopt.dither import normal_cdf
 from signopt.optimizers import (PRESETS, OptimizerState, RowStepper,
-                                column_of, dithered_step, hybrid_step,
-                                init_state, lambda_project, preset, sgd_step,
-                                signsgd_step, signsgdm_step, stack_params,
-                                step)
+                                column_of, dither_sigma_sq, dithered_step,
+                                hybrid_step, init_state, lambda_project,
+                                preset, sgd_step, signsgd_step, signsgdm_step,
+                                stack_params, step)
 
 
 def gs(values):

@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 from signopt.config import OptimizerSpec
 from signopt.core import (STREAM_DATA, RngStream, as_vector, l2_norm_sq,
                           per_row, sample_gaussian)
-from signopt.dither import (correct_sign_prob, dither_sigma_sq,
-                            expected_dithered_sign, mc_dithered_sign)
-from signopt.optimizers import lambda_project
+from signopt.dither import (correct_sign_prob, expected_dithered_sign,
+                            mc_dithered_sign)
+from signopt.optimizers import dither_sigma_sq, lambda_project
 from signopt.problems import (LOGISTIC_REG, NOISE_FAMILIES, NoiseSpec,
                               _layout, batch_noise, make_logistic, make_mlp,
                               make_quadratic, mlp_n_params, sample_unit_noise,
