@@ -53,7 +53,7 @@ def _theorem_base_config(sigma: float = 1.0) -> ExperimentConfig:
     limit-cycle checks derive their configs from it."""
     return ExperimentConfig(
         problem=ProblemSpec(kind="quadratic", dim=10,
-                            lipschitz=tuple(np.linspace(0.5, 4.0, 10)),
+                            lipschitz=np.linspace(0.5, 4.0, 10),
                             x_opt=(0.0,), x0=(1.0,),
                             noise_family="gaussian", sigma=(sigma,)),
         optimizer=OptimizerSpec(algorithm="signsgd"),

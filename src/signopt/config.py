@@ -32,6 +32,39 @@ class ConfigError(ValueError):
 # Each section raises ConfigError at the rule it breaks, and ExperimentConfig
 # checks the rules that span sections. Comparisons are written so NaN fails.
 
+# The kinds of value a field takes, by the type of its default; a bool is
+# an int to Python, but never a count or a float here.
+_KINDS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,),
+          float: (int, float, np.integer, np.floating)}
+
+
+def _as_kind(value, default, key: str):
+    """`value` as `parse_config` gives a value of `default`'s kind: as that
+    Python type, and a list, a tuple or a 1-D array as a tuple."""
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) or (
+                isinstance(value, np.ndarray) and value.ndim == 1):
+            return tuple(_as_kind(v, default[0], key) for v in value)
+    elif isinstance(value, _KINDS[type(default)]) and not (
+            isinstance(value, bool) and type(default) is not bool):
+        try:
+            return type(default)(value)
+        except OverflowError:  # an int past the float range
+            return math.inf
+    raise ConfigError(f"{key}: expected a value like {default!r}, "
+                      f"got {value!r}")
+
+
+def _store_kinds(spec, section: str) -> None:
+    """Check each field of `spec` for its default's kind, before any rule
+    reads it, and store it as `parse_config` would give it. So a section
+    built in code serializes to text that parses back to it, and its run
+    is the parsed config's run."""
+    for f in fields(spec):
+        object.__setattr__(spec, f.name, _as_kind(
+            getattr(spec, f.name), f.default, f"{section}.{f.name}"))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     kind: str = "quadratic"
@@ -46,6 +79,7 @@ class ProblemSpec:
     layer_widths: tuple = (2, 8, 1)
 
     def __post_init__(self):
+        _store_kinds(self, "problem")
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem.kind {self.kind!r}")
         if self.noise_family not in NOISE_FAMILIES:
@@ -129,6 +163,7 @@ class OptimizerSpec:
     lambda_init: float = 0.0      # pre-seeded EMA value
 
     def __post_init__(self):
+        _store_kinds(self, "optimizer")
         if self.algorithm not in PRESETS:
             raise ConfigError(f"unknown optimizer.algorithm {self.algorithm!r}")
         if not 0 < self.delta < math.inf:
@@ -171,13 +206,14 @@ class RunSpec:
     decay_factor: float = 1.0
 
     def __post_init__(self):
+        _store_kinds(self, "run")
         if not (is_count(self.steps) and is_count(self.batch_size)):
             raise ConfigError("run.steps and run.batch_size must be "
                               "integers >= 1")
         if self.steps > sys.float_info.max:
             raise ConfigError(f"run.steps must be <= "
                               f"{sys.float_info.max:.4g}, the largest float")
-        if not (self.seeds and all(map(is_seed, self.seeds))):
+        if not (len(self.seeds) and all(map(is_seed, self.seeds))):
             raise ConfigError("run.seeds needs at least one seed, "
                               "each an integer in [0, 2^64)")
         if not (is_count(self.record_stride, 0)
@@ -186,11 +222,6 @@ class RunSpec:
                               "must be integers >= 0")
         if not 0 < self.decay_factor < math.inf:
             raise ConfigError("run.decay_factor must be finite and > 0")
-        # a numpy count or seed is kept as its Python int, so that records
-        # and reports carry Python numbers
-        for name in ("steps", "batch_size", "record_stride", "decay_every"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
 
 
 @dataclass(frozen=True)

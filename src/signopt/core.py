@@ -53,6 +53,13 @@ class RngStream:
 
     Identical (seed, stream_id) reproduces the exact same sample sequence;
     distinct stream ids give statistically independent streams (Philox keys).
+
+    A seed below 2^63 keys Philox with the list `[seed, stream_id]`, which
+    numpy rounds through float64 when the stream id is at least 2^63: such
+    ids within about 2^11 of each other draw the same stream, and one near
+    2^64 keys with a RuntimeWarning. `derive`'s ids are 64-bit hashes, so
+    it is unlikely to meet such a pair; keying them exactly would re-key
+    every derived stream. A seed at or above 2^63 keys exactly, as uint64.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -60,6 +67,8 @@ class RngStream:
             raise ValueError("seed and stream_id must be 64-bit unsigned ints")
         # a numpy int keys the stream its Python int does
         self.seed, self.stream_id = key = [int(seed), int(stream_id)]
+        if self.seed >= 2**63:  # past int64, where the list loses bits
+            key = np.array(key, dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, tag: int) -> "RngStream":

@@ -408,8 +408,7 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
         return replace(cfg_base,
                        optimizer=replace(cfg_base.optimizer, **changes))
 
-    cfgs = [variant(algorithm="hybrid", t_switch=float(t))
-            for t in t_switch_grid]
+    cfgs = [variant(algorithm="hybrid", t_switch=t) for t in t_switch_grid]
     cfgs += [variant(algorithm="signsgdm"), variant(algorithm="sgd")]
     recs = run_seeds(cfgs, seeds)
     runs = [recs[i:i + len(seeds)] for i in range(0, len(recs), len(seeds))]

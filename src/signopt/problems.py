@@ -110,6 +110,19 @@ def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSa
     return GradSample(grad=g, batch_size=n, coord_std=p.noise.sigma / math.sqrt(n))
 
 
+def _log_loss(neg_y: np.ndarray, z: np.ndarray):
+    """The log-loss head that the logistic and MLP oracles share. At the
+    margins z = -y * logit it returns the mean over the last axis of
+    log(1 + e^z), computed stably, and the residual -y * sigmoid(z),
+    written over z as -y / (1 + e^-z): with y = +-1 that is bitwise
+    -y * (1 / (1 + e^-z))."""
+    # a mean is a sum / n, the bits of np.mean
+    loss = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / z.shape[-1]
+    r = np.exp(np.negative(z, out=z), out=z)
+    r += 1.0
+    return loss, np.divide(neg_y, r, out=r)
+
+
 def make_quadratic(lipschitz, x_opt, noise: NoiseSpec) -> Problem:
     """Separable quadratic f(x) = 1/2 sum_i L_i (x_i - x*_i)^2.
 
@@ -145,10 +158,11 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     coordinate Lipschitz bound; f_star = 0 is a valid lower bound because
     both loss terms are nonnegative.
 
-    The oracle resolves `-y` and `A.T` once, and turns each call's fresh
-    margins into the residual in place. Its two GEMVs keep the operand
-    shapes and layout of `A @ x` and `A.T @ r` run per row, since BLAS
-    picks its kernel, and so the bits, by those.
+    The oracle resolves `-y` and `A.T` once, and hands each call's fresh
+    margins to `_log_loss`, the log-loss head it shares with `make_mlp`,
+    which turns them into the residual in place. Its two GEMVs keep the
+    operand shapes and layout of `A @ x` and `A.T @ r` run per row, since
+    BLAS picks its kernel, and so the bits, by those.
     """
     if not (is_count(dim) and is_count(n_points)):
         raise ValueError("dim and n_points must be integers >= 1")
@@ -164,15 +178,7 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
     neg_y, A_T, half_reg = -y, A.T, 0.5 * reg
 
     def eval_fg(x):
-        # a mean is a sum / n_points, the bits of np.mean
-        z = neg_y * np.matvec(A, x)
-        # log(1 + e^z) computed stably
-        loss = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / n_points
-        # z becomes the residual -y * sigmoid(z), as -y / (1 + e^-z): with
-        # y = +-1 that is bitwise -y * (1 / (1 + e^-z))
-        r = np.exp(np.negative(z, out=z), out=z)
-        r += 1.0
-        np.divide(neg_y, r, out=r)
+        loss, r = _log_loss(neg_y, neg_y * np.matvec(A, x))
         grad = np.matvec(A_T, r)
         grad /= n_points
         grad += reg * x
@@ -232,8 +238,10 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
     deliberately conservative and is never used for rate verification.
 
     The oracle resolves the parameter layout, `X.T` and `-y` once. Per call
-    it applies tanh in place on each fresh pre-activation and writes every
-    gradient block into one preallocated (..., dim) array. Each matmul
+    it applies tanh in place on each fresh pre-activation, takes the loss
+    and the logits' residual from `_log_loss`, the log-loss head it shares
+    with `make_logistic`, and writes every gradient block into one
+    preallocated (..., dim) array. Each matmul
     keeps the operand shapes and layout of the plain backpropagation, and
     writes a fresh result rather than a strided `out=`, since numpy and
     BLAS pick their kernel, and so the bits, by those.
@@ -269,14 +277,8 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
             pre = Ws[l] @ acts[-1]
             pre += x[..., b_sl, None]
             acts.append(pre if l == n_layers - 1 else np.tanh(pre, out=pre))
-        logits = acts[-1][..., 0, :]
-        f = per_row(np.add.reduce(np.logaddexp(0.0, neg_y * logits),
-                                  axis=-1) / n_points)
-        # d loss / d logit = -y * sigmoid(-y z), averaged over samples
-        dlogit = np.exp(y * logits)
-        dlogit += 1.0
-        np.divide(neg_y, dlogit, out=dlogit)
-        dlogit /= n_points
+        loss, dlogit = _log_loss(neg_y, neg_y * acts[-1][..., 0, :])
+        dlogit /= n_points  # d loss / d logit, averaged over samples
         delta = dlogit[..., None, :]
         grad = np.empty(lead + (dim,))
         for l in range(n_layers - 1, -1, -1):
@@ -289,7 +291,7 @@ def make_mlp(dataset_seed: int, layer_widths: Sequence[int], noise: NoiseSpec,
                 np.subtract(1.0, slope, out=slope)
                 delta = Ws[l].swapaxes(-1, -2) @ delta
                 delta *= slope
-        return f, grad
+        return per_row(loss), grad
 
     # Coarse curvature bound: logistic head curvature 1/4, activations
     # bounded by max(|X|, 1) through tanh, weights assumed within +-B.

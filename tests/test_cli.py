@@ -462,7 +462,10 @@ COMMANDS = {
 }
 extra_flags = st.lists(st.one_of(
     st.tuples(st.sampled_from(["--seeds", "--seed", "--trials"]),
-              st.sampled_from(["-1", "0", "1", "3", "x", ""])),
+              # 2^63 and 2^64 - 1: seeds to --seed, and past MAX_VECTOR,
+              # so --seeds and --trials reject them before any allocation
+              st.sampled_from(["-1", "0", "1", "3", "x", "", str(2**63),
+                               str(2**64 - 1)])),
     st.tuples(st.sampled_from(["--k-grid", "--n-grid", "--t-grid"]),
               st.sampled_from(["0", "1", "5,20", "-1", "", ",", "50"])),
     st.tuples(st.sampled_from(["--config", "--out"]),
@@ -496,6 +499,8 @@ SGD_DIVERGES = QUAD3 + ("problem.x0 = 1e150\nproblem.lipschitz = 3\n"
 @example(text=OVERFLOW_IN_SIGN_STEP, command="run", flags=[])
 @example(text=OVERFLOW_IN_SGD_STEP, command="run", flags=[])
 @example(text=INFINITE_F0, command="theorem-suite", flags=[])
+@example(text=QUAD3 + "run.steps = 20\n", command="run",
+         flags=[("--seed", str(2**64 - 1))])
 def test_exit_code_contract_holds_for_random_input(text, command, flags):
     with tempfile.TemporaryDirectory() as td:
         root = Path(td)

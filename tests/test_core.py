@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ def test_rng_takes_numpy_integers(seed, stream_id):
 def test_rng_rejects_non_integer_keys(seed, stream_id):
     with pytest.raises(ValueError, match="64-bit unsigned ints"):
         RngStream(seed, stream_id)
+
+
+def test_rng_seeds_past_int64_key_their_own_streams():
+    # numpy rounds a key list holding a value >= 2^63 through float64
+    a = RngStream(2**63, 1).normal(10)
+    assert not np.array_equal(a, RngStream(2**63 + 5, 1).normal(10))
+
+
+def test_rng_largest_seed_draws_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        RngStream(2**64 - 1, 1).derive(3).normal(10)
+
+
+@pytest.mark.parametrize("seed, stream_id", [
+    (0, 0), (12345, 7), (2**63 - 1, 2**63 - 1), (5, 2**63 + 12345),
+])
+def test_rng_seeds_below_2_63_keep_their_streams(seed, stream_id):
+    # the list key, a stream id rounded through float64 included
+    philox = np.random.Philox(key=[seed, stream_id])
+    assert np.array_equal(RngStream(seed, stream_id).normal(10),
+                          np.random.Generator(philox).standard_normal(10))
 
 
 def test_rng_derive_independent_and_deterministic():

@@ -1,10 +1,11 @@
 import functools
 import json
 import math
+import re
 import statistics
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -954,6 +955,56 @@ class TestConfigParsing:
             "n-points-bool", "dataset-seed-fractional", "width-float"])
     def test_counts_and_seeds_are_integers(self, make):
         with pytest.raises(ConfigError):
+            make()
+
+    @pytest.mark.parametrize("section, values", [
+        ("problem", {"dim": 2, "lipschitz": [1.0, 2.0]}),
+        ("problem", {"dim": 2, "lipschitz": np.array([1.0, 2.0])}),
+        ("problem", {"kind": "mlp", "layer_widths": [2, 3, 1]}),
+        ("optimizer", {"lambda_bias_correction": np.True_}),
+        ("optimizer", {"delta": np.float32(0.1)}),
+        ("run", {"seeds": np.array([1, 2])}),
+    ], ids=["list", "array", "width-list", "numpy-bool", "float32",
+            "seed-array"])
+    def test_sections_store_what_the_parser_gives(self, section, values):
+        base = ExperimentConfig(run=RunSpec(steps=20))
+        spec = replace(getattr(base, section), **values)
+        cfg = replace(base, **{section: spec})
+        parsed = parse_config(serialize_config(cfg))
+        assert parsed == cfg and hash(parsed) == hash(cfg)
+        for part in (cfg.problem, cfg.optimizer, cfg.run):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                assert type(value) is type(f.default), f.name
+                if isinstance(value, tuple):
+                    assert {type(v) for v in value} == {type(f.default[0])}
+        assert ([record_key(r) for r in run_seeds(cfg, collect_iterates=True)]
+                == [record_key(r)
+                    for r in run_seeds(parsed, collect_iterates=True)])
+
+    @pytest.mark.parametrize("key, make", [
+        ("run.theorem_mode", lambda: RunSpec(theorem_mode="false")),
+        ("optimizer.delta", lambda: OptimizerSpec(delta=True)),
+        ("optimizer.delta", lambda: OptimizerSpec(delta="0.1")),
+        # past the float range, so not finite
+        ("optimizer.delta", lambda: OptimizerSpec(delta=10**400)),
+        ("optimizer.t_switch", lambda: OptimizerSpec(t_switch=None)),
+        ("optimizer.lambda_bias_correction",
+         lambda: OptimizerSpec(lambda_bias_correction=1)),
+        ("problem.sigma", lambda: ProblemSpec(sigma=0.5)),
+        ("problem.lipschitz", lambda: ProblemSpec(lipschitz="1")),
+        ("problem.x0", lambda: ProblemSpec(x0=np.ones((1, 1)))),
+        ("problem.layer_widths",
+         lambda: ProblemSpec(kind="mlp", layer_widths=3)),
+        # no rule reads a quadratic's widths, but the parser takes ints
+        ("problem.layer_widths",
+         lambda: ProblemSpec(layer_widths=(2, 8.5, 1))),
+        ("run.seeds", lambda: RunSpec(seeds=3)),
+    ], ids=["flag-str", "float-bool", "float-str", "float-huge-int",
+            "float-none", "flag-int", "vector-float", "vector-str",
+            "vector-2d", "widths-int", "widths-quadratic", "seeds-int"])
+    def test_values_of_the_wrong_kind_name_their_key(self, key, make):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             make()
 
     def test_numpy_counts_and_seeds_run_as_python_ints(self):
