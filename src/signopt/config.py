@@ -1,6 +1,12 @@
 """Flat `section.key = value` experiment configuration, validated in one
 place: every section raises `ConfigError` when it is built.
 
+Each field states its own rule beside its declaration: an interval for a
+number (checked on every entry of a vector), or the tuple of names a name
+may take. One pass per section checks each field's kind and then its rule.
+The rules that span fields are written out in each section's
+`__post_init__`, and those that span sections in `ExperimentConfig`'s.
+
 The format is deliberately line-oriented: every value serializes to one
 line, floats with 17 significant digits, so parse(serialize(cfg)) == cfg
 bit-exactly and configs diff cleanly.
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import MAX_VECTOR, is_count, is_seed
+from .core import MAX_VECTOR, SEED_LIMIT
 from .problems import (NOISE_FAMILIES, NoiseSpec, Problem, make_logistic,
                        make_mlp, make_quadratic, mlp_n_params)
 
@@ -55,42 +61,63 @@ def _as_kind(value, default, key: str):
                       f"got {value!r}")
 
 
-def _store_kinds(spec, section: str) -> None:
-    """Check each field of `spec` for its default's kind, before any rule
-    reads it, and store it as `parse_config` would give it. So a section
-    built in code serializes to text that parses back to it, and its run
-    is the parsed config's run."""
+class _Interval:
+    """An interval written as README writes it, such as "(0, 1)", "[0, inf]"
+    or "[0, 2^64)"; `value in interval` is false for NaN."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.low, self.high = (SEED_LIMIT if bound == "2^64" else float(bound)
+                               for bound in text[1:-1].split(", "))
+
+    def __contains__(self, value) -> bool:
+        return ((self.low < value if self.text[0] == "(" else self.low <= value)
+                and (value < self.high if self.text[-1] == ")"
+                     else value <= self.high))
+
+
+def _ranged(default, rule):
+    """A field whose value, or each entry of a vector, obeys `rule`: an
+    interval's text, or the tuple of names the field may take."""
+    return field(default=default, metadata={
+        "rule": _Interval(rule) if isinstance(rule, str) else rule})
+
+
+def _check_fields(spec, section: str) -> None:
+    """Check each field of `spec` for its default's kind, store it as
+    `parse_config` would give it, then check it against the field's own
+    rule. So a section built in code serializes to text that parses back
+    to it, and its run is the parsed config's run."""
     for f in fields(spec):
-        object.__setattr__(spec, f.name, _as_kind(
-            getattr(spec, f.name), f.default, f"{section}.{f.name}"))
+        key = f"{section}.{f.name}"
+        value = _as_kind(getattr(spec, f.name), f.default, key)
+        object.__setattr__(spec, f.name, value)
+        rule = f.metadata.get("rule")
+        if isinstance(rule, tuple) and value not in rule:
+            raise ConfigError(f"unknown {key} {value!r}")
+        if isinstance(rule, _Interval):
+            for entry in value if isinstance(value, tuple) else (value,):
+                if entry not in rule:
+                    raise ConfigError(f"{key} must be in {rule.text}, "
+                                      f"got {entry!r}")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    kind: str = "quadratic"
-    dim: int = 10
-    lipschitz: tuple = (1.0,)     # broadcast to n_params if a single value
-    x_opt: tuple = (0.0,)
-    x0: tuple = (1.0,)
-    noise_family: str = "gaussian"
-    sigma: tuple = (1.0,)
-    dataset_seed: int = 0
-    n_points: int = 100           # logistic/mlp dataset size
-    layer_widths: tuple = (2, 8, 1)
+    kind: str = _ranged("quadratic", PROBLEM_KINDS)
+    dim: int = _ranged(10, "[1, inf)")
+    # broadcast to n_params if a single value
+    lipschitz: tuple = _ranged((1.0,), "[0, inf)")
+    x_opt: tuple = _ranged((0.0,), "(-inf, inf)")
+    x0: tuple = _ranged((1.0,), "(-inf, inf)")
+    noise_family: str = _ranged("gaussian", NOISE_FAMILIES)
+    sigma: tuple = _ranged((1.0,), "[0, inf)")
+    dataset_seed: int = _ranged(0, "[0, 2^64)")
+    n_points: int = _ranged(100, "[1, inf)")  # logistic/mlp dataset size
+    layer_widths: tuple = (2, 8, 1)  # problems.mlp_n_params states its rule
 
     def __post_init__(self):
-        _store_kinds(self, "problem")
-        if self.kind not in PROBLEM_KINDS:
-            raise ConfigError(f"unknown problem.kind {self.kind!r}")
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ConfigError(
-                f"unknown problem.noise_family {self.noise_family!r}")
-        if not (is_count(self.dim) and is_count(self.n_points)):
-            raise ConfigError("problem.dim and problem.n_points must be "
-                              "integers >= 1")
-        if not is_seed(self.dataset_seed):
-            raise ConfigError("problem.dataset_seed must be an integer in "
-                              "[0, 2^64)")
+        _check_fields(self, "problem")
         try:
             n = self.n_params
         except ValueError as exc:  # the MLP's width and depth rule
@@ -112,10 +139,6 @@ class ProblemSpec:
             if len(vec) not in (1, n):
                 raise ConfigError(f"problem.{name} needs 1 or {n} entries, "
                                   f"got {len(vec)}")
-            if not all(math.isfinite(v) for v in vec):
-                raise ConfigError(f"problem.{name} must be finite")
-            if name in ("lipschitz", "sigma") and not all(v >= 0 for v in vec):
-                raise ConfigError(f"problem.{name} must be >= 0")
 
     @property
     def n_params(self) -> int:
@@ -146,46 +169,29 @@ DITHER_MODES = ("none", "pre", "post")
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """The `optimizer.*` section. Every float must be finite except
-    `t_switch`, where inf means never switch."""
+    """The `optimizer.*` section. Each field's own rule is the interval or
+    the names beside its declaration; only `t_switch` takes inf, which
+    means never switch. `__post_init__` states the two rules that span
+    fields."""
 
-    algorithm: str = "signsgdm"
-    delta: float = 0.01          # sign-phase learning rate
-    beta: float = 0.9            # momentum decay
-    alpha: float = 0.0           # dither scale (0 disables dithering)
-    gamma: float = 0.55          # dither annealing exponent
-    eta: float = 0.99            # EMA decay for the calibrated stepsize
-    epsilon: float = 1e-12       # projection stabilizer
-    t_switch: float = math.inf   # step index at which the hybrid switches
-    dither_mode: str = "none"
+    algorithm: str = _ranged("signsgdm", tuple(PRESETS))
+    delta: float = _ranged(0.01, "(0, inf)")    # sign-phase learning rate
+    beta: float = _ranged(0.9, "(0, 1)")        # momentum decay
+    # dither scale (0 disables dithering)
+    alpha: float = _ranged(0.0, "[0, inf)")
+    gamma: float = _ranged(0.55, "(0, inf)")    # dither annealing exponent
+    # EMA decay for the calibrated stepsize
+    eta: float = _ranged(0.99, "(0, 1)")
+    epsilon: float = _ranged(1e-12, "(0, inf)")  # projection stabilizer
+    # step index at which the hybrid switches
+    t_switch: float = _ranged(math.inf, "[0, inf]")
+    dither_mode: str = _ranged("none", DITHER_MODES)
     lambda_bias_correction: bool = False  # divide the frozen EMA by 1-eta^k
-    lr: float = 0.01              # plain-SGD learning rate
-    lambda_init: float = 0.0      # pre-seeded EMA value
+    lr: float = _ranged(0.01, "[0, inf)")        # plain-SGD learning rate
+    lambda_init: float = _ranged(0.0, "[0, inf)")  # pre-seeded EMA value
 
     def __post_init__(self):
-        _store_kinds(self, "optimizer")
-        if self.algorithm not in PRESETS:
-            raise ConfigError(f"unknown optimizer.algorithm {self.algorithm!r}")
-        if not 0 < self.delta < math.inf:
-            raise ConfigError("optimizer.delta must be finite and > 0")
-        if not 0 <= self.lr < math.inf:
-            raise ConfigError("optimizer.lr must be finite and >= 0")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError("optimizer.beta must be in (0, 1)")
-        if not 0 <= self.alpha < math.inf:
-            raise ConfigError("optimizer.alpha must be finite and >= 0")
-        if not 0 < self.gamma < math.inf:
-            raise ConfigError("optimizer.gamma must be finite and > 0")
-        if not 0.0 < self.eta < 1.0:
-            raise ConfigError("optimizer.eta must be in (0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError("optimizer.epsilon must be finite and > 0")
-        if not self.t_switch >= 0:  # inf: never switch
-            raise ConfigError("optimizer.t_switch must be >= 0")
-        if not 0 <= self.lambda_init < math.inf:
-            raise ConfigError("optimizer.lambda_init must be finite and >= 0")
-        if self.dither_mode not in DITHER_MODES:
-            raise ConfigError(f"unknown optimizer.dither_mode {self.dither_mode!r}")
+        _check_fields(self, "optimizer")
         if self.algorithm == "dithered" and self.dither_mode == "none":
             raise ConfigError("optimizer.algorithm 'dithered' needs "
                               "optimizer.dither_mode 'pre' or 'post'")
@@ -197,31 +203,21 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    steps: int = 1000
-    batch_size: int = 1
-    seeds: tuple = (0,)
-    record_stride: int = 0        # 0 = automatic (1 up to 1e4 steps)
+    # at most the largest float
+    steps: int = _ranged(1000, "[1, 1.7976931348623157e308]")
+    batch_size: int = _ranged(1, "[1, inf)")
+    seeds: tuple = _ranged((0,), "[0, 2^64)")
+    # 0 = automatic (1 up to 1e4 steps)
+    record_stride: int = _ranged(0, "[0, inf)")
     theorem_mode: bool = False    # force delta = 1/sqrt(L1 * K)
-    decay_every: int = 0          # optional step-decay schedule, 0 = off
-    decay_factor: float = 1.0
+    # optional step-decay schedule, 0 = off
+    decay_every: int = _ranged(0, "[0, inf)")
+    decay_factor: float = _ranged(1.0, "(0, inf)")
 
     def __post_init__(self):
-        _store_kinds(self, "run")
-        if not (is_count(self.steps) and is_count(self.batch_size)):
-            raise ConfigError("run.steps and run.batch_size must be "
-                              "integers >= 1")
-        if self.steps > sys.float_info.max:
-            raise ConfigError(f"run.steps must be <= "
-                              f"{sys.float_info.max:.4g}, the largest float")
-        if not (len(self.seeds) and all(map(is_seed, self.seeds))):
-            raise ConfigError("run.seeds needs at least one seed, "
-                              "each an integer in [0, 2^64)")
-        if not (is_count(self.record_stride, 0)
-                and is_count(self.decay_every, 0)):
-            raise ConfigError("run.record_stride and run.decay_every "
-                              "must be integers >= 0")
-        if not 0 < self.decay_factor < math.inf:
-            raise ConfigError("run.decay_factor must be finite and > 0")
+        _check_fields(self, "run")
+        if not self.seeds:
+            raise ConfigError("run.seeds needs at least one seed")
 
 
 @dataclass(frozen=True)
@@ -231,6 +227,11 @@ class ExperimentConfig:
     run: RunSpec = field(default_factory=RunSpec)
 
     def __post_init__(self):
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if not isinstance(section, f.default_factory):
+                raise ConfigError(f"{f.name}: expected a {f.type}, got "
+                                  f"{section!r}")
         opt, run = self.optimizer, self.run
         # A step draws batch_size noise vectors in one array.
         if run.batch_size * self.problem.n_params > MAX_VECTOR:

@@ -1000,9 +1000,14 @@ class TestConfigParsing:
         ("problem.layer_widths",
          lambda: ProblemSpec(layer_widths=(2, 8.5, 1))),
         ("run.seeds", lambda: RunSpec(seeds=3)),
+        # a section of ExperimentConfig is its section's class
+        ("problem", lambda: ExperimentConfig(problem=None)),
+        ("problem", lambda: ExperimentConfig(problem={"dim": 3})),
+        ("run", lambda: ExperimentConfig(run=OptimizerSpec())),
     ], ids=["flag-str", "float-bool", "float-str", "float-huge-int",
             "float-none", "flag-int", "vector-float", "vector-str",
-            "vector-2d", "widths-int", "widths-quadratic", "seeds-int"])
+            "vector-2d", "widths-int", "widths-quadratic", "seeds-int",
+            "section-none", "section-dict", "section-class"])
     def test_values_of_the_wrong_kind_name_their_key(self, key, make):
         with pytest.raises(ConfigError, match=re.escape(key)):
             make()
