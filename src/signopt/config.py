@@ -288,7 +288,7 @@ def _parse_value(text: str, template, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_SECTIONS = {"problem": ProblemSpec, "optimizer": OptimizerSpec, "run": RunSpec}
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 # each section's keys with their default values, which fix the value types
 _TEMPLATES = {name: {f.name: f.default for f in fields(cls)}
               for name, cls in _SECTIONS.items()}
@@ -296,7 +296,7 @@ _TEMPLATES = {name: {f.name: f.default for f in fields(cls)}
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     lines = []
-    for section in ("problem", "optimizer", "run"):
+    for section in _SECTIONS:
         spec = getattr(cfg, section)
         for f in fields(spec):
             lines.append(f"{section}.{f.name} = {_fmt(getattr(spec, f.name))}")

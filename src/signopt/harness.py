@@ -11,10 +11,12 @@ gradient waits in a buffer, and a flush measures the whole block with one
 `l1_norm` and one `phi_measure` call, each a last-axis sum per row as on
 a single step. The running sums take the block's values in step order
 through `np.add.accumulate`, never `np.add.reduce`, which sums a
-contiguous block pairwise and so differs in the last bits. A row whose f
-overflows flushes the block before it leaves the batch, so its sums stop
-at its last finite step. The flush also builds the rows recorded in the
-block, each once, with its measured l1 and phi.
+contiguous block pairwise and so differs in the last bits. One `finish`
+in `run_seeds` closes records, both at a divergence and at the end of the
+run: it flushes the block, then closes each given row's record from the
+sums. So a row whose f overflows has sums that stop at its last finite
+step. The flush also builds the rows recorded in the block, each once,
+with its measured l1 and phi.
 
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
@@ -95,7 +97,8 @@ class RunRecord:
 
 def theorem_delta(problem: Problem, steps: int) -> float:
     """Constant stepsize 1/sqrt(L1 * K) prescribed by the rate theorem."""
-    l1_k = float(np.sum(problem.lipschitz)) * steps
+    with run_errstate():  # a sum of finite constants may overflow
+        l1_k = float(np.sum(problem.lipschitz)) * steps
     if not 0 < l1_k < math.inf:
         raise ConfigError(f"theorem mode needs 0 < L1 * K < inf, got {l1_k}")
     return 1.0 / math.sqrt(l1_k)
@@ -234,7 +237,9 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     A row whose f overflows stops at that step and leaves the batch: the
     step rule, the diagnostics and the seed streams each cut their rows
     with one `keep`, and the rule's `order` maps each row left to its
-    record. Each record's `wall_time` is the elapsed time of the whole
+    record. One `finish` closes records, both the dead rows' at a
+    divergence and the live rows' at the end of the run, each after one
+    flush. Each record's `wall_time` is the elapsed time of the whole
     batch. A recorded row's lambda and phase, and a record's
     `lambda_at_switch`, are the step rule's (`RowStepper.recorded` and
     `switch_lambda`). An empty list of configs, or a seed that is not an
@@ -293,26 +298,27 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
                              S, d)
 
-    def finish(j, steps, f_j):
-        """Close the record of row j after `steps` steps from the loop's
-        arrays and the step rule as they are now."""
-        rec = recs[rule.order[j]]
-        rec.oracle_calls = steps
-        rec.final_f = f_j
-        rec.diverged = not math.isfinite(f_j)
-        if steps:  # else the averages keep RunRecord's NaN
-            rec.avg_phi, rec.avg_l1 = (v / steps for v in diag.sums(j))
-        rec.lambda_at_switch = rule.switch_lambda(j)
+    def finish(rows, steps, f):
+        """Flush the diagnostics, then close the record of each of `rows`
+        after `steps` steps from its f in `f` and the step rule as it is
+        now. At a divergence, the dead rows' sums end with the step before
+        the one whose f overflowed."""
+        diag.flush()
+        for j in rows:
+            rec = recs[rule.order[j]]
+            rec.oracle_calls = steps
+            rec.final_f = f_j = float(f[j])
+            rec.diverged = not math.isfinite(f_j)
+            if steps:  # else the averages keep RunRecord's NaN
+                rec.avg_phi, rec.avg_l1 = (v / steps for v in diag.sums(j))
+            rec.lambda_at_switch = rule.switch_lambda(j)
 
     with run_errstate():
         for k in range(K):
             f, g_true = problem.eval_fg(rule.x)
             finite = np.isfinite(f)
             if not finite.all():
-                # the dead rows' sums end with the step before this one
-                diag.flush()
-                for j in np.flatnonzero(~finite):
-                    finish(j, k, float(f[j]))
+                finish(np.flatnonzero(~finite), k, f)
                 for part in (rule, diag, noise, dither):
                     if part is not None:
                         part.keep(finite)
@@ -342,10 +348,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                     recs[i].iterates.append(x.copy())
 
         if rule.order.size:
-            diag.flush()
-            f = problem.eval_f(rule.x)
-            for j in range(rule.order.size):
-                finish(j, K, float(f[j]))
+            finish(range(rule.order.size), K, problem.eval_f(rule.x))
     wall_time = time.perf_counter() - t0
     for rec in recs:
         rec.wall_time = wall_time
@@ -364,14 +367,14 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     seeds = _nonempty("seeds", seeds)
     k_grid, n_grid = _nonempty("k_grid", k_grid), _nonempty("n_grid", n_grid)
     problem = build_problem(cfg_base)
-    with run_errstate():  # a sum of finite sigmas may overflow
+    with run_errstate():  # a sum of finite constants may overflow
         f0 = problem.eval_f(initial_point(cfg_base, problem))
         l1_sigma = float(np.sum(problem.noise.sigma))
+        l1_L = float(np.sum(problem.lipschitz))
     for what, v in (("f(x0)", f0), ("sum of sigma", l1_sigma)):
         if not math.isfinite(v):
             raise ConfigError(f"the theorem suite needs a finite {what}, "
                               f"got {v}")
-    l1_L = float(np.sum(problem.lipschitz))
 
     cells = []
     for K in k_grid:

@@ -415,7 +415,8 @@ def test_integer_flag_edges(capsys, flags, value, accepted):
 # vector gives 0, 1, 2 or 3, and none raises or prints a traceback. Runs are
 # kept short (run.steps <= 50, tiny grids and trial counts); `selftest` takes
 # no config and is left out for its run time.
-FLOATS = ["0", "0.5", "2", "1e-3", "1e300", "-1", "nan", "inf", "-inf"]
+FLOATS = ["0", "0.5", "2", "1e-3", "1e300", "1e308", "-1", "nan", "inf",
+          "-inf"]
 SIZES = ["-1", "0", "1", "2", "3", "10", "50"]
 SEEDS = SIZES + [str(2**64 - 1), str(2**64)]
 WORDS = ["quadratic", "logistic", "mlp", "gaussian", "laplace",
@@ -490,6 +491,11 @@ INFINITE_F0 = QUAD3 + "problem.x0 = 1e300\nproblem.lipschitz = 1e10\n"
 SGD_DIVERGES = QUAD3 + ("problem.x0 = 1e150\nproblem.lipschitz = 3\n"
                         "problem.sigma = 0\noptimizer.algorithm = sgd\n"
                         "optimizer.lr = 1\n")
+# L1 * K overflows in the sum of the Lipschitz constants, which theorem mode
+# takes under the run's float policy; the small x0 keeps f(x0) finite
+LIPSCHITZ_SUM_OVERFLOWS = QUAD3 + ("problem.lipschitz = 1e308\n"
+                                   "run.theorem_mode = true\nrun.steps = 3\n")
+THEOREM_NEEDS = "config error: theorem mode needs 0 < L1 * K < inf, got inf\n"
 
 
 @settings(max_examples=150, deadline=None)
@@ -541,7 +547,14 @@ def test_theorem_suite_says_a_run_diverged(tmp_path, capsys):
      "config error: the theorem suite needs a finite f(x0), got inf\n"),
     (SGD_DIVERGES, ["theorem-suite", "--seeds", "2", "--k-grid", "50",
                     "--n-grid", "1"], 1, ""),
-], ids=["phi", "sign-step", "sgd-step", "infinite-f0", "suite-diverged"])
+    (LIPSCHITZ_SUM_OVERFLOWS, ["run"], 2, THEOREM_NEEDS),
+    (LIPSCHITZ_SUM_OVERFLOWS, ["switch-suite", "--seeds", "2", "--t-grid",
+                               "5"], 2, THEOREM_NEEDS),
+    (LIPSCHITZ_SUM_OVERFLOWS + "problem.x0 = 1e-160\n",
+     ["theorem-suite", "--seeds", "2", "--k-grid", "5", "--n-grid", "1"], 2,
+     THEOREM_NEEDS),
+], ids=["phi", "sign-step", "sgd-step", "infinite-f0", "suite-diverged",
+        "theorem-run", "theorem-switch-suite", "theorem-suite"])
 def test_handled_overflow_gives_its_exit_code_alone(tmp_path, capsys, text,
                                                     argv, code, err):
     config = tmp_path / "exp.cfg"
