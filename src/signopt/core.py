@@ -1,12 +1,30 @@
-"""Vector kernels and seeded random streams used by every other module.
+"""Vector kernels, seeded random streams and a small thread pool used by
+every other module.
 
 Parameter vectors are plain 1-D float64 numpy arrays. The reductions also
 take an (S, d) array of S vectors and return one value per row, each
 bitwise the value of its row alone. All kernels are pure functions;
 RngStream instances are single-owner.
+
+`parallel_map` spreads independent calls over up to `WORKERS` threads, in
+contiguous chunks, and returns their results in order. It pays off where
+the calls spend their time in numpy code that releases the GIL, such as
+filling large Philox draws: the run engine hands it the per-seed stream
+refills of `harness._RowStreams` once a refill is large enough to repay
+the hand-off. Each item is handled by exactly one worker, so a
+single-owner RngStream passed as an item still draws its values in
+order, and the bits do not depend on the thread count. numpy 2's
+errstate is a context variable that a new thread does not inherit, so
+every chunk enters `run_errstate()` itself. The pool is created on first
+use, sized only from the CPUs this process may run on, and never from an
+input; the threads are Python threads, so a BLAS thread limit set by the
+caller (as the benchmark's one-thread pin) is left as it is.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -38,6 +56,61 @@ def run_errstate():
     because an overflow is the divergence signal and reaches f by the next
     step, which cuts the row; `divide` and `under` keep numpy's default."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on: its affinity, where the OS
+    reports one (Linux), else the machine's CPU count, and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
+
+
+# the most threads `parallel_map` runs at once; a refill's draws gain
+# little past a few threads, and each busy thread holds one stream's draws
+WORKERS = min(4, cpu_count())
+
+_pool = None                    # created on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool, whose threads a forked child does not have."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunk(fn, items) -> list:
+    with run_errstate():  # a worker thread starts from numpy's default
+        return [fn(item) for item in items]
+
+
+def parallel_map(fn, items) -> list:
+    """`[fn(item) for item in items]`, in order, with the items split into
+    up to `WORKERS` contiguous chunks that run on the pool's threads.
+    Every call runs under `run_errstate()`, and an exception in any call
+    reaches the caller. One chunk runs inline on the calling thread. `fn`
+    must not call `parallel_map`: a pool thread would wait on its own
+    pool."""
+    global _pool
+    items = list(items)
+    chunks = min(WORKERS, len(items))
+    if chunks <= 1:
+        return _run_chunk(fn, items)
+    with _pool_lock:
+        if _pool is None:
+            # imported here: an eager import costs every run's set-up
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(WORKERS, "signopt")
+    ends = [len(items) * c // chunks for c in range(chunks + 1)]
+    parts = _pool.map(_run_chunk, [fn] * chunks,
+                      [items[a:b] for a, b in zip(ends, ends[1:])])
+    return [result for part in parts for result in part]
 
 
 def _mix64(a: int, b: int) -> int:

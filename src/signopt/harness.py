@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import (RngStream, STREAM_DITHER, STREAM_GRAD, is_seed, l1_norm,
-                   run_errstate)
+                   parallel_map, run_errstate)
 from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
 # lambda_project and the five *_step presets are not called here;
@@ -60,6 +60,14 @@ AUTO_STRIDE_LIMIT = 10_000
 # The true gradients awaiting their diagnostics (S * d a step) hold at
 # most an eighth of it, so the temporaries of their flush stay small.
 BLOCK_BYTES = 1 << 18
+
+# A refill of the seed streams of at least this many draws (block steps x
+# streams x draws a row takes a step) fills the streams on
+# `core.parallel_map`'s threads. Below it, handing the streams to the pool
+# costs about what a second core saves. On 2 vCPUs, threaded refills read
+# 0.9-1.3x serial at 2^15 draws (the switch sweep's refill), 0.9-1.5x at
+# 2^16 and 1.4-1.9x at 2^19 (the n = 16 theorem cell's).
+PARALLEL_DRAWS = 1 << 16
 
 
 @dataclass
@@ -123,12 +131,22 @@ class _RowStreams:
     """One random stream per row of a batched state, read one (S, d) draw
     per call and drawn up to `block` calls ahead in one call per stream.
     Each stream yields exactly the values it yields when drawn one step at
-    a time, so a row's results do not depend on the batch it is in."""
+    a time, so a row's results do not depend on the batch it is in.
 
-    def __init__(self, streams: list, draw, block: int, limit: int):
+    A refill of at least `PARALLEL_DRAWS` draws makes its per-stream
+    `draw` calls through `core.parallel_map`: each stream is drawn by
+    exactly one thread, in one call, so the bits are those of the serial
+    refill, and the threads run under the run's errstate. A smaller
+    refill draws the streams one after another on the calling thread.
+    Either way the buffer holds one block of draws; while it fills, each
+    busy thread also holds one stream's draw temporaries."""
+
+    def __init__(self, streams: list, draw, block: int, limit: int,
+                 width: int):
         self.streams = streams
         self.draw = draw        # (stream, count) -> (count, d) array
         self.block = block
+        self.width = width      # the draws a row takes a step
         self.left = limit       # the most draws still to be read
         self.buf = np.empty((0,))
         self.pos = 0
@@ -140,8 +158,12 @@ class _RowStreams:
         for the rows in the sign phase; every stream advances."""
         if self.pos == len(self.buf):
             count = min(self.block, self.left)
-            self.buf = np.stack([self.draw(r, count) for r in self.streams],
-                                axis=1)
+            if count * len(self.streams) * self.width >= PARALLEL_DRAWS:
+                draws = parallel_map(lambda r: self.draw(r, count),
+                                     self.streams)
+            else:
+                draws = [self.draw(r, count) for r in self.streams]
+            self.buf = np.stack(draws, axis=1)
             self.pos = 0
         self.pos += 1
         self.left -= 1
@@ -290,11 +312,11 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     if np.any(problem.noise.sigma > 0):
         noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in row_seeds],
                             lambda r, c: batch_noise(problem.noise, n, c, r),
-                            block, K)
+                            block, K, n * d)
     dithered = [opt.dither_mode != "none" for opt in opts]
     if any(dithered):  # read only by the rows that dither
         dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
-                             lambda r, c: r.normal((c, d)), block, K)
+                             lambda r, c: r.normal((c, d)), block, K, d)
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
                              S, d)
 

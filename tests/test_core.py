@@ -1,10 +1,14 @@
 import math
+import os
+import signal
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signopt import core
 from signopt.core import (RngStream, inner, l1_norm, l2_norm_sq,
                           sample_gaussian, sign_vec)
 
@@ -167,3 +171,78 @@ def test_sample_gaussian_moments():
     # variance estimator SE for normal data: sigma^2 * sqrt(2/(n-1))
     se = 4.0 * math.sqrt(2.0 / (n - 1))
     assert abs(var - 4.0) <= 3.0 * se
+
+
+def test_cpu_count_falls_back_where_there_is_no_affinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert core.is_count(core.cpu_count())
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert core.cpu_count() == 1
+
+
+def test_workers_sized_from_the_cpus():
+    assert 1 <= core.WORKERS == min(4, core.cpu_count())
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 7, 20])
+def test_parallel_map_keeps_order(monkeypatch, workers, count):
+    monkeypatch.setattr(core, "WORKERS", workers)
+    assert core.parallel_map(lambda i: i * i, range(count)) == [
+        i * i for i in range(count)]
+
+
+def test_parallel_map_spreads_chunks_over_threads(monkeypatch):
+    monkeypatch.setattr(core, "WORKERS", 2)
+    barrier = threading.Barrier(2, timeout=10)
+    # each of the two chunks waits for the other: they run at once
+    idents = core.parallel_map(
+        lambda i: (barrier.wait(), threading.get_ident())[1], range(2))
+    assert len(set(idents)) == 2
+    assert threading.get_ident() not in idents
+
+
+@pytest.mark.parametrize("workers, count", [(4, 1), (1, 7)])
+def test_parallel_map_runs_one_chunk_inline(monkeypatch, workers, count):
+    monkeypatch.setattr(core, "WORKERS", workers)
+    idents = core.parallel_map(lambda i: threading.get_ident(), range(count))
+    assert idents == [threading.get_ident()] * count
+
+
+def test_parallel_map_raises_a_worker_exception(monkeypatch):
+    monkeypatch.setattr(core, "WORKERS", 2)
+
+    def fail_on_last(i):
+        if i == 4:
+            raise KeyError(i)
+        return i
+
+    with pytest.raises(KeyError):
+        core.parallel_map(fail_on_last, range(5))
+
+
+def test_parallel_map_calls_run_under_the_run_errstate(monkeypatch):
+    monkeypatch.setattr(core, "WORKERS", 2)
+    big = np.full(3, 1e308)
+    # an overflow passes silently in every chunk; a divide keeps numpy's
+    # default, which pyproject.toml turns into an error
+    assert core.parallel_map(lambda i: np.isinf(big * 10.0).all(),
+                             range(4)) == [True] * 4
+    with pytest.raises(RuntimeWarning):
+        core.parallel_map(lambda i: big / 0.0, range(4))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_parallel_map_works_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(core, "WORKERS", 2)
+    barrier = threading.Barrier(2, timeout=10)
+    # the parent's pool has two idle threads, which the child lacks
+    core.parallel_map(lambda i: barrier.wait(), range(2))
+    pid = os.fork()
+    if pid == 0:  # the child: a hang ends in SIGALRM
+        signal.alarm(20)
+        ok = core.parallel_map(abs, range(-2, 2)) == [2, 1, 0, 1]
+        os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

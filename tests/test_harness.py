@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signopt import harness, optimizers
+from signopt import core, harness, optimizers
 from signopt.checks import _theorem_base_config
 from signopt.core import STREAM_GRAD, RngStream, inner
 from signopt.config import (ConfigError, ExperimentConfig, OptimizerSpec,
@@ -26,6 +26,7 @@ from signopt.harness import (CSV_HEADER, emit_csv, emit_json, load_csv,
                              theorem_delta)
 from signopt.optimizers import dither_sigma_sq
 from signopt.problems import stochastic_grad
+from signopt.problems import NOISE_FAMILIES, NoiseSpec, batch_noise
 from signopt.theory import SnrProfile, phi_measure
 
 
@@ -417,6 +418,89 @@ class TestSeedBatching:
         short, long = peak(2000), peak(8000)
         assert long <= 1.1 * short
         assert max(short, long) < 2 * 2**20
+
+
+def stream_reads(kind, n, S, d, block, steps, cut, mask):
+    """Every (S, d) draw of a `_RowStreams` over seeds 0..S-1, read one a
+    step for `steps` steps and cut to `mask` before step `cut`: batch-n
+    noise of a family on d coordinates, or the d-wide dither draws."""
+    if kind == "dither":
+        draw, width = (lambda r, c: r.normal((c, d))), d
+    else:
+        spec = NoiseSpec(kind, np.linspace(0.5, 2.0, d))
+        draw, width = (lambda r, c: batch_noise(spec, n, c, r)), n * d
+    streams = harness._RowStreams([RngStream(s, STREAM_GRAD)
+                                   for s in range(S)], draw, block, steps,
+                                  width)
+    reads = []
+    for k in range(steps):
+        if k == cut:
+            streams.keep(np.array(mask))
+        a = streams.normal()
+        reads.append((a.shape, a.tobytes()))
+    return reads
+
+
+def theorem_cell(steps, **problem):
+    """The rate check's config at batch size 16 over `steps` steps."""
+    base = _theorem_base_config(1.0)
+    return replace(base, problem=replace(base.problem, **problem),
+                   run=replace(base.run, steps=steps, batch_size=16))
+
+
+class TestThreadedRefill:
+    """A refill of at least `PARALLEL_DRAWS` draws fills its streams on
+    `core.parallel_map`'s threads, bitwise as the serial refill does. Four
+    workers are asked for, so the threads run on any host."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(NOISE_FAMILIES + ("dither",)),
+           n=st.integers(1, 16), S=st.integers(1, 24), d=st.integers(1, 6),
+           block=st.integers(1, 40), steps=st.integers(1, 60),
+           data=st.data())
+    def test_threaded_refills_are_the_serial_ones(self, kind, n, S, d, block,
+                                                  steps, data):
+        cut = data.draw(st.integers(0, steps))
+        mask = data.draw(st.lists(st.booleans(), min_size=S,
+                                  max_size=S).filter(any))
+        args = kind, n, S, d, block, steps, cut, mask
+        with mock.patch.object(core, "WORKERS", 4):
+            with mock.patch.object(harness, "PARALLEL_DRAWS", 2**62):
+                serial = stream_reads(*args)
+            with mock.patch.object(harness, "PARALLEL_DRAWS", 0):
+                threaded = stream_reads(*args)
+        assert threaded == serial
+
+    def test_theorem_cell_seeds_match_their_runs_alone(self, monkeypatch):
+        # 20 seeds at n = 16 refill 163 steps of 521,600 draws at a time;
+        # one seed alone refills 204 steps of 32,640, serially
+        monkeypatch.setattr(core, "WORKERS", 2)
+        calls = []
+
+        def counting(fn, items):
+            calls.append(len(items))
+            return core.parallel_map(fn, items)
+
+        monkeypatch.setattr(harness, "parallel_map", counting)
+        cfg = theorem_cell(300)
+        recs = run_seeds(cfg, range(20), collect_iterates=True)
+        assert calls == [20, 20]
+        for rec in recs:
+            rec_alone = run_single(cfg, rec.seed, collect_iterates=True)
+            assert record_key(rec) == record_key(rec_alone)
+
+    def test_worker_overflow_does_not_warn(self, monkeypatch):
+        # the noise overflows in the workers' scale-and-sum; under
+        # pyproject.toml's error::RuntimeWarning a worker without the
+        # run's errstate would raise
+        monkeypatch.setattr(core, "WORKERS", 2)
+        cfg = theorem_cell(300, sigma=(1e308,))
+        cfg = replace(cfg, run=replace(cfg.run, theorem_mode=False))
+        recs = run_seeds(cfg, range(20), collect_iterates=True)
+        assert len(recs) == 20 and all(r.diverged for r in recs)
+        for rec in recs:
+            rec_alone = run_single(cfg, rec.seed, collect_iterates=True)
+            assert record_key(rec) == record_key(rec_alone)
 
 
 def count_rows(fn, counts, name):

@@ -1,4 +1,5 @@
 import importlib.util
+import threading
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -80,3 +81,21 @@ def test_traffic_lists_the_statements_no_run_reached(tmp_path):
     # runs of adjacent statements: a reached one ends a run
     assert traffic.unreached(tmp_path, hits) == {
         "mod.py": (10, [[6, 7, 8, 9], [15]])}
+
+
+def test_traffic_follows_threads_the_run_starts(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(TRAFFIC_MODULE)
+    module = load(path, "traffic_threaded")
+
+    def run():
+        worker = threading.Thread(target=module.g, args=(1,))
+        worker.start()
+        worker.join(timeout=20)
+        return worker.is_alive()
+
+    alive, hits = traffic.collect(tmp_path, run)
+    assert not alive
+    # g(1) ran on the thread alone: every statement of g is reached
+    assert traffic.unreached(tmp_path, hits) == {
+        "mod.py": (10, [[3, 4, 5, 6, 7, 8, 9]])}

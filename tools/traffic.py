@@ -6,7 +6,8 @@ the `selftest` battery runs.
 runs every operation of each workload in `perfbench/workloads.py` once at
 its `tiny` size, set-up and result check included, then one in-process
 `signopt selftest`, under a `sys.settrace` line tracer that follows only
-frames of `src/signopt`. It prints, per module, the statements inside
+frames of `src/signopt`, on the calling thread and on the threads started
+during the run (the seed-stream refills' pool). It prints, per module, the statements inside
 functions that no run reached, as spans of adjacent statements
 (`first-last` lines), and exits 1 if a workload check or the battery
 failed. A module's and a class's own statements run at import, so they
@@ -22,6 +23,7 @@ import itertools
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -45,9 +47,9 @@ def statements(source: str) -> list:
 
 
 def collect(root: Path, run) -> dict:
-    """Call `run()` under a line tracer confined to the files under `root`;
-    return its result and the lines reached in each file, by resolved
-    path."""
+    """Call `run()` under a line tracer confined to the files under `root`,
+    also on the threads that `run()` starts; return its result and the
+    lines reached in each file, by resolved path."""
     root = Path(root).resolve()
     hits, tracers = {}, {}
 
@@ -71,9 +73,11 @@ def collect(root: Path, run) -> dict:
         return tracers[filename]
 
     sys.settrace(trace_calls)
+    threading.settrace(trace_calls)
     try:
         result = run()
     finally:
+        threading.settrace(None)
         sys.settrace(None)
     return result, hits
 
