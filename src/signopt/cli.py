@@ -101,6 +101,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _diverged_note(diverged: int) -> str:
+    """What a suite line adds when `diverged` of its runs diverged."""
+    return "  (a run diverged)" if diverged else ""
+
+
 def cmd_theorem_suite(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args.out) if args.out else None
@@ -108,10 +113,10 @@ def cmd_theorem_suite(args) -> int:
     report = harness.run_theorem_suite(cfg, seeds, args.k_grid, args.n_grid)
     for cell in report["cells"]:
         mark = "PASS" if cell["passed"] else "FAIL"
-        reason = "  (a run diverged)" if cell["diverged"] else ""
         print(f"[{mark}] K={cell['K']:<6} n={cell['n']:<3} "
               f"avg_phi={cell['avg_phi']:.4g} <= {cell['rhs_phi']:.4g}  "
-              f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}{reason}")
+              f"avg_l1={cell['avg_l1']:.4g} <= {cell['rhs_l1']:.4g}"
+              f"{_diverged_note(cell['diverged'])}")
     if out is not None:
         _write(emit_json, report, out / "theorem_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
@@ -125,9 +130,12 @@ def cmd_switch_suite(args) -> int:
     for e in report["entries"]:
         print(f"T_switch={e['t_switch']:<6} median final f "
               f"{e['median_final_f']:.6g}  median lambda-at-switch "
-              f"{e['median_lambda_at_switch']:.6g}")
-    print(f"pure signsgdm median final f {report['signsgdm_median_final_f']:.6g}")
-    print(f"pure sgd      median final f {report['sgd_median_final_f']:.6g}")
+              f"{e['median_lambda_at_switch']:.6g}"
+              f"{_diverged_note(e['diverged'])}")
+    print(f"pure signsgdm median final f {report['signsgdm_median_final_f']:.6g}"
+          f"{_diverged_note(report['signsgdm_diverged'])}")
+    print(f"pure sgd      median final f {report['sgd_median_final_f']:.6g}"
+          f"{_diverged_note(report['sgd_diverged'])}")
     if out is not None:
         _write(emit_json, report, out / "switch_suite.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

@@ -15,8 +15,16 @@ contiguous block pairwise and so differs in the last bits. One `finish`
 in `run_seeds` closes records, both at a divergence and at the end of the
 run: it flushes the block, then closes each given row's record from the
 sums. So a row whose f overflows has sums that stop at its last finite
-step. The flush also builds the rows recorded in the block, each once,
-with its measured l1 and phi.
+step.
+
+A record keeps its recorded steps as columns, one array per `Row` field
+(`RunRecord.columns`). A recorded step's f, lambda and EMA wait in the
+diagnostics block beside its gradient, and the flush moves the block's
+recorded steps, with their l1 and phi, into the run's columns with one
+write a column, from batch rows to records. At the end of the run each
+record takes its slice of the columns, and the dither variance column is
+filled once per recorded step. No `Row` is built in the run: `rows` and
+`emit_csv` read the columns, and `rows` builds its list on first read.
 
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
@@ -42,9 +50,9 @@ from .config import (ConfigError, ExperimentConfig, build_problem,
                      initial_point, serialize_config)
 # lambda_project and the five *_step presets are not called here;
 # perfbench/tracing.py wraps them under this module's name
-from .optimizers import (PHASE_SGD, PHASE_SIGN, RowStepper, dither_sigma_sq,
-                         dithered_step, hybrid_step, lambda_project, preset,
-                         sgd_step, signsgd_step, signsgdm_step, stack_params)
+from .optimizers import (PHASES, RowStepper, dither_sigma_sq, dithered_step,
+                         hybrid_step, lambda_project, preset, sgd_step,
+                         signsgd_step, signsgdm_step, stack_params)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import (SnrProfile, TheoremInputs, phi_measure, theorem_rhs_l1,
@@ -58,7 +66,8 @@ AUTO_STRIDE_LIMIT = 10_000
 # most this many bytes of one seed's noise draws (n * d a step) and of the
 # draws of all S seeds (S * d a step), so memory does not grow with steps.
 # The true gradients awaiting their diagnostics (S * d a step) hold at
-# most an eighth of it, so the temporaries of their flush stay small.
+# most an eighth of it, so the temporaries of their flush stay small; the
+# recorded steps' f, l1, phi, lambda and EMA (5 * S a step) wait beside them.
 BLOCK_BYTES = 1 << 18
 
 # A refill of the seed streams of at least this many draws (block steps x
@@ -82,9 +91,56 @@ class Row:
     phase: str
 
 
+ROW_FIELDS = tuple(f.name for f in fields(Row))
+
+
+def _column_lists(columns: dict, part=slice(None)) -> list:
+    """The `part` of the columns as lists of Python values in `Row` field
+    order, the phase as its name."""
+    if not columns:
+        return [[] for _ in ROW_FIELDS]
+    lists = [columns[name][part].tolist() for name in ROW_FIELDS]
+    lists[-1] = [PHASES[c] for c in lists[-1]]
+    return lists
+
+
+def _columns_of(rows: list) -> dict:
+    """The columns of a list of `Row`s, each phase as its code."""
+    columns = {name: np.array([getattr(r, name) for r in rows])
+               for name in ROW_FIELDS[:-1]}
+    columns["phase"] = np.array([PHASES.index(r.phase) for r in rows],
+                                dtype=np.int8)
+    return columns
+
+
+class _DerivedRows:
+    """`RunRecord.rows`: the list of `Row`s of the record's columns, built
+    on first read and then kept; a change to that list does not reach the
+    columns. A list given to the constructor, or assigned, is kept as it
+    is and becomes the record's columns."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return None  # the field's default: no list given
+        if rec._rows is None:
+            rec._rows = list(map(Row, *_column_lists(rec.columns)))
+        return rec._rows
+
+    def __set__(self, rec, rows):
+        rec._rows = rows
+        if rows is not None:
+            rec.columns = _columns_of(rows)
+
+
 @dataclass
 class RunRecord:
-    rows: list = field(default_factory=list)
+    # the recorded steps, one array per Row field, the phase as an index
+    # into PHASES; empty when none was recorded. Declared before `rows`,
+    # whose list given to the constructor replaces this default, and
+    # keyword-only, so `rows` stays the first positional field.
+    columns: dict = field(default_factory=dict, repr=False, compare=False,
+                          kw_only=True)
+    rows: list = _DerivedRows()
     iterates: list = field(default_factory=list)  # filled on request only
     seed: int = 0
     steps: int = 0
@@ -98,9 +154,9 @@ class RunRecord:
     wall_time: float = 0.0
 
     def summary(self) -> dict:
-        """Every field but the per-step lists, in declaration order."""
+        """Every field but the per-step ones, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("rows", "iterates")}
+                if f.name not in ("columns", "rows", "iterates")}
 
 
 def theorem_delta(problem: Problem, steps: int) -> float:
@@ -178,24 +234,44 @@ class _RowStreams:
 
 class _BlockDiagnostics:
     """The l1 norm and phi of each step's true gradient and their running
-    sums, measured a block of `size` steps at a time.
+    sums, measured a block of `size` steps at a time, and the run's
+    recorded steps as columns.
 
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
-    flushing it first when it is full. A flush measures the buffered
-    steps with one `l1_norm` and one `phi_measure` call, adds them to the
-    sums in step order and appends the rows recorded in the block to their
-    records. The buffer's rows are the batch's, which is cut only right
-    after a flush, so each record takes its rows in step order."""
+    flushing it first when it is full, and `record` marks the step last
+    added as recorded: its f and the step rule's lambda and EMA wait in a
+    (5, size, S) buffer, with its k and the rule's sign-row count p. A
+    flush measures the buffered steps with one `l1_norm` and one
+    `phi_measure` call, adds them to the sums in step order, and moves the
+    block's recorded steps, with their l1 and phi, into columns by record,
+    one write a column through the rule's `order`. The buffers' rows are
+    the batch's, which is cut only right after a flush, so `order` holds
+    for the whole block and each record takes its steps in step order."""
 
-    def __init__(self, snr: SnrProfile, size: int, rows: int, dim: int):
-        self.snr = snr
+    def __init__(self, snr: SnrProfile, size: int, rule: RowStepper):
+        rows, dim = rule.x.shape
+        self.snr, self.rule, self.records = snr, rule, rows
         self.grads = np.empty((size, rows, dim))
         # phi and l1: the sums so far, then a value per buffered step.
         # Accumulating along axis 1 adds step after step; np.add.reduce
         # would sum one seed's contiguous column pairwise.
         self.acc = np.zeros((2, size + 1, rows))
         self.used = 0
-        self.pending = []   # per recorded step, what `record` took
+        # per recorded step of the block, by batch row: f, l1, phi, lambda
+        # and EMA, the float fields of a Row in order (l1 and phi are
+        # written by the flush)
+        self._marks(np.empty((5, size, rows)))
+        self.steps = []     # per recorded step: its position, k and p
+        self.count = 0      # the recorded steps moved so far
+        # the moved steps, a block at a time: k, the float columns (5,
+        # records, steps) and the phase codes (records, steps); the first
+        # block is empty, so a run that records no step has columns too
+        self.moved = [(np.empty(0, np.int64), np.empty((5, rows, 0)),
+                       np.empty((rows, 0), np.int8))]
+
+    def _marks(self, marks: np.ndarray) -> None:
+        self.marks = marks
+        self.f, _, _, self.lam, self.ema = marks  # views, one row a step
 
     def add(self, g: np.ndarray) -> None:
         if self.used == len(self.grads):
@@ -203,11 +279,13 @@ class _BlockDiagnostics:
         self.grads[self.used] = g
         self.used += 1
 
-    def record(self, k: int, recs: list, *fields: list) -> None:
-        """Queue step k, the last added, for the flush to build its rows:
-        `recs` are their records and `fields` their f, lambda, EMA, dither
-        variance and phase, each a list in batch-row order."""
-        self.pending.append((self.used - 1, k, recs, *fields))
+    def record(self, k: int, f: np.ndarray) -> None:
+        """Mark step k, the last added, as recorded; `f` is each row's f
+        there."""
+        r = len(self.steps)
+        self.f[r] = f
+        self.ema[r] = self.rule.ema
+        self.steps.append((self.used - 1, k, self.rule.recorded(self.lam[r])))
 
     def flush(self) -> None:
         used = self.used
@@ -222,14 +300,19 @@ class _BlockDiagnostics:
         np.add.accumulate(acc, axis=1, out=acc)
         acc[:, 0] = acc[:, used]
         self.used = 0
-        if not self.pending:
+        if not self.steps:
             return
-        l1s, phis = l1.tolist(), phi.tolist()
-        for pos, k, recs, fs, lams, emas, sig2s, phases in self.pending:
-            for rec, f, l1_i, phi_i, lam, ema, s2, phase in zip(
-                    recs, fs, l1s[pos], phis[pos], lams, emas, sig2s, phases):
-                rec.rows.append(Row(k, f, l1_i, phi_i, lam, ema, s2, phase))
-        self.pending = []
+        pos, ks, ps = map(list, zip(*self.steps))
+        marks = self.marks[:, :len(pos)]
+        marks[1], marks[2] = l1[pos], phi[pos]
+        order = self.rule.order
+        floats = np.empty((5, self.records, len(pos)))
+        floats[:, order] = marks.transpose(0, 2, 1)
+        codes = np.empty((self.records, len(pos)), np.int8)
+        codes[order] = RowStepper.phase_codes(ps, len(order)).T
+        self.moved.append((np.array(ks, np.int64), floats, codes))
+        self.count += len(pos)
+        self.steps = []
 
     def sums(self, j: int) -> tuple:
         """Row j's phi and l1 sums over the flushed steps."""
@@ -239,6 +322,7 @@ class _BlockDiagnostics:
         """Cut the batch to `rows`; call it right after a flush."""
         self.acc = self.acc[:, :, rows]
         self.grads = self.grads[:, rows]
+        self._marks(self.marks[:, :, rows])
 
 
 def run_seeds(cfg, seeds=None, problem: Problem | None = None,
@@ -262,9 +346,10 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     record. One `finish` closes records, both the dead rows' at a
     divergence and the live rows' at the end of the run, each after one
     flush. Each record's `wall_time` is the elapsed time of the whole
-    batch. A recorded row's lambda and phase, and a record's
-    `lambda_at_switch`, are the step rule's (`RowStepper.recorded` and
-    `switch_lambda`). An empty list of configs, or a seed that is not an
+    batch. A recorded step's lambda and phase, and a record's
+    `lambda_at_switch`, are the step rule's (`RowStepper.recorded`,
+    `phase_codes` and `switch_lambda`); the record keeps its recorded
+    steps as `RunRecord.columns`. An empty list of configs, or a seed that is not an
     integer in [0, 2^64), raises `ValueError`; no seeds give no records.
     """
     t0 = time.perf_counter()
@@ -318,15 +403,17 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
                              lambda r, c: r.normal((c, d)), block, K, d)
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
-                             S, d)
+                             rule)
+    recorded = [0] * S  # each record's recorded steps
 
     def finish(rows, steps, f):
         """Flush the diagnostics, then close the record of each of `rows`
         after `steps` steps from its f in `f` and the step rule as it is
-        now. At a divergence, the dead rows' sums end with the step before
-        the one whose f overflowed."""
+        now. At a divergence, the dead rows' sums and recorded steps end
+        with the step before the one whose f overflowed."""
         diag.flush()
         for j in rows:
+            recorded[rule.order[j]] = diag.count
             rec = recs[rule.order[j]]
             rec.oracle_calls = steps
             rec.final_f = f_j = float(f[j])
@@ -356,21 +443,27 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
             rule.step(g, k, dither)
 
             if k % stride == 0 or k == K - 1:
-                # the schedule is recorded whenever the config names a
-                # dither mode, also on steps that apply none
-                sig2 = [dither_sigma_sq(k, opt) if on else 0.0
-                        for opt, on in zip(opts, dithered)]
-                lams, phases = rule.recorded()
-                order = rule.order.tolist()
-                diag.record(k, [recs[i] for i in order], f.tolist(), lams,
-                            rule.ema.tolist(),
-                            [sig2[i // n_seeds] for i in order], phases)
+                diag.record(k, f)
             if collect_iterates:
                 for i, x in zip(rule.order, rule.x):
                     recs[i].iterates.append(x.copy())
 
         if rule.order.size:
             finish(range(rule.order.size), K, problem.eval_f(rule.x))
+    # the run's recorded steps: k (R,), the float columns (5, S, R) and the
+    # phase codes (S, R); a record that left the batch has garbage past
+    # its last step
+    ks, floats, codes = (np.concatenate(part, axis=-1)
+                         for part in zip(*diag.moved))
+    for c, (opt, on) in enumerate(zip(opts, dithered)):
+        # the schedule is recorded whenever the config names a dither
+        # mode, also on steps that apply none: Python's pow once a step
+        sig2 = (np.array([dither_sigma_sq(k, opt) for k in ks.tolist()])
+                if on else np.zeros(len(ks)))
+        for i in range(c * n_seeds, (c + 1) * n_seeds):
+            n = recorded[i]
+            recs[i].columns = dict(zip(ROW_FIELDS, (
+                ks[:n], *floats[:, i, :n], sig2[:n], codes[i, :n])))
     wall_time = time.perf_counter() - t0
     for rec in recs:
         rec.wall_time = wall_time
@@ -423,7 +516,8 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
 def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     """Hybrid runs across switch points against pure SignSGD-M and pure SGD
     baselines with matched step budgets, all in one `run_seeds` batch.
-    The grid and the seeds must be nonempty."""
+    Each entry and each baseline records `diverged`, the number of its
+    runs that diverged. The grid and the seeds must be nonempty."""
     # a numpy scalar as its Python number, so the report serializes as JSON
     t_switch_grid = [t.item() if isinstance(t, np.generic) else t
                      for t in _nonempty("t_switch_grid", t_switch_grid)]
@@ -441,6 +535,9 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     def median_final(run):
         return statistics.median(r.final_f for r in run)
 
+    def diverged(run):
+        return sum(r.diverged for r in run)
+
     entries = []
     for t, run in zip(t_switch_grid, runs):
         # NaN when no run reached the switch (t_switch >= steps, or every
@@ -449,11 +546,15 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
                       if math.isfinite(r.lambda_at_switch)]
         lam_switch = statistics.median(lam_finite) if lam_finite else math.nan
         entries.append({"t_switch": t, "median_final_f": median_final(run),
-                        "median_lambda_at_switch": lam_switch})
-    med_sign, med_sgd = (median_final(run) for run in runs[-2:])
+                        "median_lambda_at_switch": lam_switch,
+                        "diverged": diverged(run)})
+    sign_run, sgd_run = runs[-2:]
+    med_sign = median_final(sign_run)
     best = min(entries, key=lambda e: e["median_final_f"])
     return {"entries": entries, "signsgdm_median_final_f": med_sign,
-            "sgd_median_final_f": med_sgd, "best": best,
+            "signsgdm_diverged": diverged(sign_run),
+            "sgd_median_final_f": median_final(sgd_run),
+            "sgd_diverged": diverged(sgd_run), "best": best,
             "passed": best["median_final_f"] < med_sign}
 
 
@@ -461,12 +562,17 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
 # Serialization
 
 def emit_csv(record: RunRecord, path) -> None:
+    """Write the record's columns, a line per recorded step. The lines
+    are built a thousand at a time, so the Python values of a whole long
+    record are never held at once."""
+    columns = record.columns
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in record.rows:
-            fh.write(f"{r.k},{r.f:.17g},{r.l1_grad:.17g},{r.phi:.17g},"
-                     f"{r.lam:.17g},{r.lambda_ema:.17g},"
-                     f"{r.sigma_dither_sq:.17g},{r.phase}\n")
+        for start in range(0, len(columns.get("k", ())), 1000):
+            part = _column_lists(columns, slice(start, start + 1000))
+            for k, f, l1, phi, lam, ema, s2, phase in zip(*part):
+                fh.write(f"{k},{f:.17g},{l1:.17g},{phi:.17g},{lam:.17g},"
+                         f"{ema:.17g},{s2:.17g},{phase}\n")
 
 
 def load_csv(path) -> list:
@@ -482,7 +588,7 @@ def load_csv(path) -> list:
                 if len(parts) != n_fields:
                     raise ValueError(f"expected {n_fields} CSV fields, got "
                                      f"{len(parts)}")
-                if parts[7] not in (PHASE_SIGN, PHASE_SGD):
+                if parts[7] not in PHASES:
                     raise ValueError(f"unknown phase {parts[7]!r}")
                 # the CSV columns are the Row fields in order
                 rows.append(Row(int(parts[0]), *map(float, parts[1:7]),

@@ -36,6 +36,7 @@ from .core import (RngStream, inner, is_count, l2_norm_sq, run_errstate,
 
 PHASE_SIGN = "sign"
 PHASE_SGD = "sgd"
+PHASES = (PHASE_SIGN, PHASE_SGD)  # a recorded phase code indexes this
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,11 @@ class RowStepper:
     takes on a row alone, so every row is bitwise its row alone.
 
     It also states once what a row records: `recorded` gives each row's
-    lambda and phase from the last step, and `switch_lambda` the frozen
-    EMA of a row that tracks it and has switched. Its callers (`step`,
-    `harness.run_seeds`) read both and build neither from p, and
-    `run_seeds` keeps no row order of its own: it reads `order`.
+    lambda from the last step and p, from which `phase_codes` gives each
+    row's phase, and `switch_lambda` the frozen EMA of a row that tracks
+    it and has switched. Its callers (`step`, `harness.run_seeds`) read
+    these and build none of them themselves, and `run_seeds` keeps no row
+    order of its own: it reads `order`.
     """
 
     def __init__(self, x, m, ema, params: StepParams):
@@ -189,13 +191,23 @@ class RowStepper:
             np.multiply(g[p:], self._rate, out=self._sgd_buf)
             np.subtract(self._sgd_x, self._sgd_buf, out=self._sgd_x)
 
-    def recorded(self) -> tuple:
-        """Each row's lambda and phase from the last step, as two lists in
-        row order. A sign row records its lambda, 0 without momentum; a row
+    def recorded(self, lam: np.ndarray) -> int:
+        """Write each row's lambda from the last step into the (S,) array
+        `lam`, in row order, and return p, the number of rows that took a
+        sign step. A sign row records its lambda, 0 without momentum; a row
         past them took an SGD step and records lambda 0."""
-        p, rest = self.p, len(self._t) - self.p
-        lams = [0.0] * p if self._lam is None else self._lam.tolist()
-        return lams + [0.0] * rest, [PHASE_SIGN] * p + [PHASE_SGD] * rest
+        p = self.p
+        lam[:p] = 0.0 if self._lam is None else self._lam
+        lam[p:] = 0.0
+        return p
+
+    @staticmethod
+    def phase_codes(p, rows: int) -> np.ndarray:
+        """The phase codes, indices into `PHASES`, of `rows` rows after a
+        step whose `recorded` returned p: the first p rows are in the sign
+        phase, the rest in the SGD phase. An int p gives (rows,) codes, and
+        a sequence of them (len(p), rows)."""
+        return (np.arange(rows) >= np.asarray(p)[..., None]).astype(np.int8)
 
     def switch_lambda(self, j: int) -> float:
         """Row j's switch lambda, NaN if it has none. A row that tracks the
@@ -278,7 +290,8 @@ def step(state: OptimizerState, g: np.ndarray, params: StepParams,
 
     One `RowStepper` step on a copy of the state's rows, returned in the
     state's row order: one vector gives floats, rows give (S,) arrays,
-    and the phase is one value when every row shares it."""
+    and the phase is one value when every row shares it. The step runs
+    under `core.run_errstate`, as in a run."""
     x = np.atleast_2d(state.x)
     rows = len(x)
     stepper = RowStepper(x, np.atleast_2d(state.m),
@@ -286,17 +299,20 @@ def step(state: OptimizerState, g: np.ndarray, params: StepParams,
     order = stepper.order
     if dither is not None:
         dither = _Reordered(dither, order)
-    stepper.step(np.atleast_2d(g)[order], state.k, dither)
-    lams, phases = stepper.recorded()
+    with run_errstate():
+        stepper.step(np.atleast_2d(g)[order], state.k, dither)
+    lam = np.empty(rows)
     back = np.argsort(order)
-    phase = phases[0] if len(set(phases)) == 1 else np.array(phases)[back]
+    codes = RowStepper.phase_codes(stepper.recorded(lam), rows)[back]
+    phase = (PHASES[codes[0]] if codes.min() == codes.max()
+             else np.array(PHASES)[codes])
     if state.x.ndim == 1:
         return OptimizerState(x=stepper.x[0], m=stepper.m[0], k=state.k + 1,
                               lambda_ema=float(stepper.ema[0]), phase=phase,
-                              last_lambda=lams[0])
+                              last_lambda=float(lam[0]))
     return OptimizerState(x=stepper.x[back], m=stepper.m[back],
                           k=state.k + 1, lambda_ema=stepper.ema[back],
-                          phase=phase, last_lambda=np.array(lams)[back])
+                          phase=phase, last_lambda=lam[back])
 
 
 class _Reordered:
@@ -376,7 +392,7 @@ def _calibration(sign_m: np.ndarray, grad: np.ndarray, delta, epsilon):
     denom = l2_norm_sq(grad) + epsilon
     proj = abs(inner(sign_m, grad))
     lam = delta * proj / denom
-    if np.isinf(np.fmax(denom, lam)).any():
+    if _may_be_infinite(denom, lam):
         # ||g||^2 overflowed where denom is inf (lam is then 0 or NaN),
         # delta * proj where lam is inf; the ratio may not have
         big = np.isinf(lam)
@@ -384,6 +400,16 @@ def _calibration(sign_m: np.ndarray, grad: np.ndarray, delta, epsilon):
         big = np.isinf(denom)
         lam[big] = _rescaled_lambda(sign_m[big], grad[big], _rows(delta, big))
     return lam
+
+
+def _may_be_infinite(denom: np.ndarray, lam: np.ndarray) -> bool:
+    """True whenever a row of `denom` or `lam` is infinite, for entries
+    that are each >= 0 or NaN, as the calibration's are: their inner
+    product is then inf or NaN (an inf denom meets a lam of 0 or NaN,
+    which gives NaN). It may also be true for a NaN row or a sum that
+    overflows; the fix-up then changes no row. One numpy call, under the
+    caller's silenced `over` and `invalid`."""
+    return not np.vecdot(denom, lam) < math.inf
 
 
 def _rows(v, rows):

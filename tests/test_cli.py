@@ -297,7 +297,8 @@ SUITE_RUNNERS = {
     "theorem-suite": ("run_theorem_suite", {"cells": [], "passed": True}),
     "switch-suite": ("run_switch_suite", {
         "entries": [], "signsgdm_median_final_f": 1.0,
-        "sgd_median_final_f": 1.0, "passed": True}),
+        "signsgdm_diverged": 0, "sgd_median_final_f": 1.0,
+        "sgd_diverged": 0, "passed": True}),
 }
 
 
@@ -536,6 +537,19 @@ def test_theorem_suite_says_a_run_diverged(tmp_path, capsys):
     assert held.startswith("[PASS] K=10 ") and "diverged" not in held
     assert diverged.startswith("[FAIL] K=50 ")
     assert diverged.endswith("  (a run diverged)")
+
+
+def test_switch_suite_says_a_run_diverged(tmp_path, capsys):
+    # SGD at lr 1 on curvature 3 doubles x every step; the sign steps of
+    # the hybrids and SignSGD-M do not diverge
+    config = tmp_path / "exp.cfg"
+    config.write_text(SGD_DIVERGES + "run.steps = 50\n")
+    assert main(["switch-suite", "--seeds", "2", "--t-grid", "0,1000",
+                 "--config", str(config)]) == 1
+    *held, sgd = capsys.readouterr().out.splitlines()
+    assert len(held) == 3 and all("diverged" not in line for line in held)
+    assert sgd.startswith("pure sgd ")
+    assert sgd.endswith("  (a run diverged)")
 
 
 @pytest.mark.parametrize("text, argv, code, err", [

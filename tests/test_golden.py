@@ -595,12 +595,12 @@ MULTI_SEED_GOLDEN = {
 }
 
 SUITE_GOLDEN = {
-    'switch-suite': '8a97b7fa35bac799aaefb7dc2892b5fc40a9fbd8a039f3a0826bcc3a96b473ff',
-    'switch-suite-decay': 'ae8223aed384684cc44769bebd5b6fb1692e55898fb061519ff2537eea022e01',
-    'switch-suite-diverging': '519066bdac0d868d08e60b6ba33b6d92a2c1c11767bb81d41a966757aa4c447d',
-    'switch-suite-grid-edges': 'b3c59a9d7ff89620a5ee91cf7650350eb887c44bb86fb4ec5b5e977bb4259ad0',
-    'switch-suite-logistic': '5b7adfbc7d96b8f178608ef1e920726fb032628d4af423570ef8dfbe01e0e197',
-    'switch-suite-pre-bias-corrected': '1c23b8404abf2630a455dd278062a769cbe6e3894309ded6c40771c4929b0cc1',
+    'switch-suite': 'f9f1f02fc6b33dcf454c1026368d515a69ea85cb75a63a472f51529c87170104',
+    'switch-suite-decay': 'dd206abfc158225e9d55bd8d4123c078fa66c612a78d6487fc6dc3a88347b2d1',
+    'switch-suite-diverging': 'c42928be3920b1f613ad57cbf3a33450502af9077c6c78b2a70b2416afc9c592',
+    'switch-suite-grid-edges': '3fcbdcc71f803df73cdc4cf6b0a51b4c9b72baf5099db40e022f4d209726120f',
+    'switch-suite-logistic': '1ddafca814764be6c7b08c345122cbe717f196bd449a047893b7a0781cb3e249',
+    'switch-suite-pre-bias-corrected': '60ea9d1910705620cc0d32818cfa70782b677457eb45432c51647d3a221274bc',
     'theorem-suite': '387a3e06a8ce810849f65f4ad47e004ca9d02d951f620ae58064fb7533f2978e',
 }
 

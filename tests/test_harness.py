@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_reference as reference
 from signopt import core, harness, optimizers
 from signopt.checks import _theorem_base_config
 from signopt.core import STREAM_GRAD, RngStream, inner
@@ -650,6 +651,90 @@ class TestBlockDiagnostics:
         assert 0 < calls["l1_norm"] <= flushes
 
 
+class TestColumnarRecord:
+    """A record keeps its recorded steps as columns; its `rows` are the
+    rows the one-step-at-a-time reference records, and its CSV survives a
+    round trip through `load_csv` and a record built from rows."""
+
+    @staticmethod
+    def assert_columns_match_reference(tmp_path, cfgs, seeds, block=None):
+        # `block` steps of diagnostics at a time, for the whole batch
+        S, d = len(cfgs) * len(seeds), build_problem(cfgs[0]).dim
+        block_bytes = 8 * 8 * S * d * block if block else harness.BLOCK_BYTES
+        with mock.patch.object(harness, "BLOCK_BYTES", block_bytes):
+            recs = run_seeds(cfgs, seeds)
+        for j, rec in enumerate(recs):
+            cfg, seed = cfgs[j // len(seeds)], seeds[j % len(seeds)]
+            assert {len(c) for c in rec.columns.values()} == {len(rec.rows)}
+            assert repr(rec.rows) == reference.reference_run(cfg, seed)[0]
+            path, copy = tmp_path / f"{j}.csv", tmp_path / f"{j}.copy.csv"
+            emit_csv(rec, path)
+            assert load_csv(path) == rec.rows
+            emit_csv(harness.RunRecord(rows=load_csv(path)), copy)
+            assert copy.read_bytes() == path.read_bytes()
+        return recs
+
+    def test_stride_one(self, tmp_path):
+        # 2100 steps cross the CSV writer's thousand-line parts, and
+        # 7-step blocks cross many flushes
+        cfg = reference.with_optimizer(
+            reference.quadratic(steps=2100), algorithm="hybrid",
+            t_switch=1000.0, alpha=0.2, dither_mode="pre", eta=0.9)
+        for block in (None, 7):
+            rec, = self.assert_columns_match_reference(tmp_path, [cfg], (3,),
+                                                       block)
+            assert rec.columns["k"].tolist() == list(range(2100))
+            assert {r.phase for r in rec.rows} == {"sign", "sgd"}
+
+    def test_stride_above_one_keeps_the_last_step(self, tmp_path):
+        cfg = reference.with_optimizer(
+            reference.quadratic(steps=61, record_stride=7), algorithm="hybrid",
+            t_switch=30.0, alpha=0.2, dither_mode="post")
+        recs = self.assert_columns_match_reference(tmp_path, [cfg], (0, 5), 4)
+        for rec in recs:
+            assert rec.columns["k"].tolist() == [*range(0, 61, 7), 60]
+
+    def test_a_row_that_diverges_mid_block(self, tmp_path):
+        # seed 0 diverges at step 14 and seed 7 at 24, inside 5-step
+        # blocks; their columns stop at the step before
+        cfg = reference.with_optimizer(
+            reference.EDGE, algorithm="hybrid", t_switch=30.0, eta=0.9,
+            alpha=0.1, dither_mode="pre", delta=0.01 * reference.X0_EDGE)
+        recs = self.assert_columns_match_reference(tmp_path, [cfg],
+                                                   (0, 1, 7), 5)
+        assert [r.oracle_calls for r in recs] == [14, 60, 24]
+        for rec in recs:
+            assert rec.columns["k"].tolist() == list(range(rec.oracle_calls))
+
+    def test_switch_suite_configs_through_a_cut(self, tmp_path):
+        # the switch suite's batch, hybrids over a t-grid then SignSGD-M
+        # and SGD, runs in switch order; sign steps diverge for seeds 0
+        # and 7, which cuts rows out of the middle of that order
+        grid = (13.0, 45.0, 30.0)
+        opts = [dict(algorithm="hybrid", t_switch=t, eta=0.9, lr=1e-3,
+                     delta=0.01 * reference.X0_EDGE) for t in grid]
+        opts += [dict(algorithm="signsgdm", delta=0.01 * reference.X0_EDGE),
+                 dict(algorithm="sgd", lr=1e-3)]
+        cfgs = [reference.with_optimizer(reference.EDGE, **o) for o in opts]
+        recs = self.assert_columns_match_reference(tmp_path, cfgs,
+                                                   (0, 1, 7), 6)
+        assert 0 < sum(r.diverged for r in recs) < len(recs)
+
+    def test_a_record_built_from_rows_keeps_them(self, tmp_path):
+        rec = run_single(quad_cfg(run={"steps": 5}), 0)
+        rows = list(rec.rows)
+        again = harness.RunRecord(rows=rows)
+        assert again.rows is rows
+        # rows is still the first positional field
+        assert harness.RunRecord(rows, seed=4).rows is rows
+        assert "columns" not in again.summary()
+        assert "columns" not in rec.summary()
+        empty = tmp_path / "empty.csv"
+        emit_csv(harness.RunRecord(), empty)
+        assert empty.read_text() == CSV_HEADER + "\n"
+        assert harness.RunRecord().rows == []
+
+
 class TestLambdaAtSwitch:
     """A hybrid record's `lambda_at_switch` is read off its recorded rows:
     NaN exactly when no row took an SGD step, else the EMA on the first
@@ -749,6 +834,27 @@ class TestSuites:
             assert repr(entry) == repr(alone["entries"][0])
             for key in ("signsgdm_median_final_f", "sgd_median_final_f"):
                 assert repr(report[key]) == repr(alone[key])
+
+    def test_switch_suite_counts_diverged_runs(self):
+        # SGD at lr 1 on curvature 3 doubles x every step and overflows f;
+        # the sign steps of the hybrids and SignSGD-M stay finite
+        cfg = quad_cfg(sigma=(0.0,), optimizer={"algorithm": "sgd",
+                                                "lr": 1.0},
+                       run={"steps": 50})
+        cfg = replace(cfg, problem=replace(cfg.problem, x0=(1e150,),
+                                           lipschitz=(3.0,)))
+        seeds = (0, 1, 2)
+        report = run_switch_suite(cfg, (0, 1000), seeds)
+        assert [e["diverged"] for e in report["entries"]] == [0, 0]
+        assert report["signsgdm_diverged"] == 0
+        assert report["sgd_diverged"] == len(seeds)
+        assert report["best"]["diverged"] == 0
+        # a run that diverges at step 0 counts too
+        at_zero = replace(cfg, problem=replace(cfg.problem, x0=(1e308,)))
+        report = run_switch_suite(at_zero, (2,), seeds)
+        assert [e["diverged"] for e in report["entries"]] == [3]
+        assert report["signsgdm_diverged"] == report["sgd_diverged"] == 3
+        json.dumps(report)
 
     def test_switch_suite_reports_nan_when_no_run_switches(self):
         # every hybrid run diverges before its switch

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from signopt import optimizers
 from signopt.config import OptimizerSpec as OptimizerConfig
-from signopt.core import RngStream, sign_vec
+from signopt.core import RngStream, run_errstate, sign_vec
 from signopt.dither import normal_cdf
 from signopt.optimizers import (PRESETS, OptimizerState, RowStepper,
                                 column_of, dither_sigma_sq, dithered_step,
@@ -251,6 +252,30 @@ class TestLambdaProject:
         for i in range(3):
             assert rows[i] == lambda_project(m[i], g[i], float(delta[i]),
                                              float(eps[i]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 25])
+    def test_overflow_probe_fires_on_every_infinite_row(self, rows):
+        # every row of denom and lam from 0, finite, inf and NaN, at each
+        # position among plain rows; the probe runs under the run's policy,
+        # and pyproject.toml turns any warning it gives into a failure
+        values = (0.0, 1.5, math.inf, math.nan)
+        pairs = [(a, b) for a in values for b in values]
+        for (d0, l0), (d1, l1) in [(p, q) for p in pairs for q in pairs]:
+            for at in range(rows):
+                denom, lam = np.full(rows, 2.0), np.full(rows, 0.25)
+                denom[at], lam[at] = d0, l0
+                denom[(at + 1) % rows], lam[(at + 1) % rows] = d1, l1
+                infinite = np.isinf(np.fmax(denom, lam)).any()
+                with run_errstate():
+                    fired = optimizers._may_be_infinite(denom, lam)
+                assert fired or not infinite, (denom, lam)
+        # max() propagates the NaN row and misses the inf one
+        denom, lam = np.array([math.nan, math.inf]), np.array([math.nan, 1.0])
+        with run_errstate():
+            assert optimizers._may_be_infinite(denom, lam)
+        # plain rows leave the probe quiet
+        assert not optimizers._may_be_infinite(np.full(rows, 2.0),
+                                               np.full(rows, 0.25))
 
 
 class TestHybridStep:
