@@ -18,13 +18,15 @@ sums. So a row whose f overflows has sums that stop at its last finite
 step.
 
 A record keeps its recorded steps as columns, one array per `Row` field
-(`RunRecord.columns`). A recorded step's f, lambda and EMA wait in the
-diagnostics block beside its gradient, and the flush moves the block's
-recorded steps, with their l1 and phi, into the run's columns with one
-write a column, from batch rows to records. At the end of the run each
-record takes its slice of the columns, and the dither variance column is
-filled once per recorded step. No `Row` is built in the run: `rows` and
-`emit_csv` read the columns, and `rows` builds its list on first read.
+(`RunRecord.columns`); a record with no recorded step has every column,
+empty. A recorded step's f, lambda and EMA wait in the diagnostics block
+beside its gradient, and the flush moves the block's recorded steps, with
+their l1 and phi, into the run's columns. At the end of the run each
+record takes the run's recorded steps below its `oracle_calls`, since a
+row is closed before the step it dies at is recorded, and the dither
+variance column is filled once per recorded step. No `Row` is built in
+the run: `rows` and `emit_csv` read the columns, and `rows` builds its
+list on first read.
 
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
@@ -97,8 +99,6 @@ ROW_FIELDS = tuple(f.name for f in fields(Row))
 def _column_lists(columns: dict, part=slice(None)) -> list:
     """The `part` of the columns as lists of Python values in `Row` field
     order, the phase as its name."""
-    if not columns:
-        return [[] for _ in ROW_FIELDS]
     lists = [columns[name][part].tolist() for name in ROW_FIELDS]
     lists[-1] = [PHASES[c] for c in lists[-1]]
     return lists
@@ -135,11 +135,11 @@ class _DerivedRows:
 @dataclass
 class RunRecord:
     # the recorded steps, one array per Row field, the phase as an index
-    # into PHASES; empty when none was recorded. Declared before `rows`,
-    # whose list given to the constructor replaces this default, and
-    # keyword-only, so `rows` stays the first positional field.
-    columns: dict = field(default_factory=dict, repr=False, compare=False,
-                          kw_only=True)
+    # into PHASES; every column is empty when none was recorded. Declared
+    # before `rows`, whose list given to the constructor replaces this
+    # default, and keyword-only, so `rows` stays the first positional field.
+    columns: dict = field(default_factory=lambda: _columns_of([]),
+                          repr=False, compare=False, kw_only=True)
     rows: list = _DerivedRows()
     iterates: list = field(default_factory=list)  # filled on request only
     seed: int = 0
@@ -235,18 +235,18 @@ class _RowStreams:
 class _BlockDiagnostics:
     """The l1 norm and phi of each step's true gradient and their running
     sums, measured a block of `size` steps at a time, and the run's
-    recorded steps as columns.
+    recorded steps as columns, `moved`.
 
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
     flushing it first when it is full, and `record` marks the step last
     added as recorded: its f and the step rule's lambda and EMA wait in a
     (5, size, S) buffer, with its k and the rule's sign-row count p. A
     flush measures the buffered steps with one `l1_norm` and one
-    `phi_measure` call, adds them to the sums in step order, and moves the
-    block's recorded steps, with their l1 and phi, into columns by record,
-    one write a column through the rule's `order`. The buffers' rows are
-    the batch's, which is cut only right after a flush, so `order` holds
-    for the whole block and each record takes its steps in step order."""
+    `phi_measure` call, adds them to the sums in step order, and appends
+    the block's recorded steps to `moved`, one write a column from batch
+    rows to records through the rule's `order`. The batch is cut only
+    right after a flush, so `order` holds for the whole block; a record
+    that left the batch has garbage in the blocks after it left."""
 
     def __init__(self, snr: SnrProfile, size: int, rule: RowStepper):
         rows, dim = rule.x.shape
@@ -262,7 +262,6 @@ class _BlockDiagnostics:
         # written by the flush)
         self._marks(np.empty((5, size, rows)))
         self.steps = []     # per recorded step: its position, k and p
-        self.count = 0      # the recorded steps moved so far
         # the moved steps, a block at a time: k, the float columns (5,
         # records, steps) and the phase codes (records, steps); the first
         # block is empty, so a run that records no step has columns too
@@ -311,7 +310,6 @@ class _BlockDiagnostics:
         codes = np.empty((self.records, len(pos)), np.int8)
         codes[order] = RowStepper.phase_codes(ps, len(order)).T
         self.moved.append((np.array(ks, np.int64), floats, codes))
-        self.count += len(pos)
         self.steps = []
 
     def sums(self, j: int) -> tuple:
@@ -342,15 +340,13 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     gives alone under its config.
     A row whose f overflows stops at that step and leaves the batch: the
     step rule, the diagnostics and the seed streams each cut their rows
-    with one `keep`, and the rule's `order` maps each row left to its
-    record. One `finish` closes records, both the dead rows' at a
-    divergence and the live rows' at the end of the run, each after one
-    flush. Each record's `wall_time` is the elapsed time of the whole
-    batch. A recorded step's lambda and phase, and a record's
-    `lambda_at_switch`, are the step rule's (`RowStepper.recorded`,
-    `phase_codes` and `switch_lambda`); the record keeps its recorded
-    steps as `RunRecord.columns`. An empty list of configs, or a seed that is not an
-    integer in [0, 2^64), raises `ValueError`; no seeds give no records.
+    with one `keep`. One `finish` closes records, both the dead rows' at
+    a divergence and the live rows' at the end of the run, each after one
+    flush. A record's recorded steps, `RunRecord.columns`, are the run's
+    recorded ks below its `oracle_calls`. Each record's `wall_time` is
+    the elapsed time of the whole batch. An empty list of configs, or a
+    seed that is not an integer in [0, 2^64), raises `ValueError`; no
+    seeds give no records.
     """
     t0 = time.perf_counter()
     cfgs = ((cfg,) if isinstance(cfg, ExperimentConfig)
@@ -404,7 +400,6 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
                              lambda r, c: r.normal((c, d)), block, K, d)
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
                              rule)
-    recorded = [0] * S  # each record's recorded steps
 
     def finish(rows, steps, f):
         """Flush the diagnostics, then close the record of each of `rows`
@@ -413,7 +408,6 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         with the step before the one whose f overflowed."""
         diag.flush()
         for j in rows:
-            recorded[rule.order[j]] = diag.count
             rec = recs[rule.order[j]]
             rec.oracle_calls = steps
             rec.final_f = f_j = float(f[j])
@@ -451,8 +445,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         if rule.order.size:
             finish(range(rule.order.size), K, problem.eval_f(rule.x))
     # the run's recorded steps: k (R,), the float columns (5, S, R) and the
-    # phase codes (S, R); a record that left the batch has garbage past
-    # its last step
+    # phase codes (S, R); a record takes those below its oracle_calls
     ks, floats, codes = (np.concatenate(part, axis=-1)
                          for part in zip(*diag.moved))
     for c, (opt, on) in enumerate(zip(opts, dithered)):
@@ -461,7 +454,7 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
         sig2 = (np.array([dither_sigma_sq(k, opt) for k in ks.tolist()])
                 if on else np.zeros(len(ks)))
         for i in range(c * n_seeds, (c + 1) * n_seeds):
-            n = recorded[i]
+            n = np.count_nonzero(ks < recs[i].oracle_calls)
             recs[i].columns = dict(zip(ROW_FIELDS, (
                 ks[:n], *floats[:, i, :n], sig2[:n], codes[i, :n])))
     wall_time = time.perf_counter() - t0
@@ -568,7 +561,7 @@ def emit_csv(record: RunRecord, path) -> None:
     columns = record.columns
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(columns.get("k", ())), 1000):
+        for start in range(0, len(columns["k"]), 1000):
             part = _column_lists(columns, slice(start, start + 1000))
             for k, f, l1, phi, lam, ema, s2, phase in zip(*part):
                 fh.write(f"{k},{f:.17g},{l1:.17g},{phi:.17g},{lam:.17g},"

@@ -34,9 +34,7 @@ from .config import PRESETS, OptimizerSpec
 from .core import (RngStream, inner, is_count, l2_norm_sq, run_errstate,
                    sample_gaussian, sign_vec)
 
-PHASE_SIGN = "sign"
-PHASE_SGD = "sgd"
-PHASES = (PHASE_SIGN, PHASE_SGD)  # a recorded phase code indexes this
+PHASES = ("sign", "sgd")  # a recorded phase code indexes this
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class OptimizerState:
     m: np.ndarray
     k: int = 0
     lambda_ema: float = 0.0   # a float, or one value per row
-    phase: str = PHASE_SIGN   # a phase, or one per row when the rows differ
+    phase: str = "sign"       # a phase, or one per row when the rows differ
     last_lambda: float = 0.0  # this step's calibration scalar, or one per
                               # row; 0 where none is computed
 

@@ -720,6 +720,41 @@ class TestColumnarRecord:
                                                    (0, 1, 7), 6)
         assert 0 < sum(r.diverged for r in recs) < len(recs)
 
+    def test_length_is_the_recorded_steps_below_oracle_calls(self, tmp_path):
+        # at stride 4 over 60 steps in 5-step blocks: SignSGD's first step
+        # overflows (f is inf from step 1), the hybrid's seeds 0 and 7
+        # diverge at 14 and at 24, itself a recorded k, and SGD runs on
+        edge = replace(reference.EDGE,
+                       run=replace(reference.EDGE.run, record_stride=4))
+        opts = [dict(algorithm="sgd", lr=1e-3),
+                dict(algorithm="signsgd", delta=1e308),
+                dict(algorithm="hybrid", t_switch=30.0, eta=0.9, alpha=0.1,
+                     dither_mode="pre", delta=0.01 * reference.X0_EDGE)]
+        cfgs = [reference.with_optimizer(edge, **o) for o in opts]
+        recs = self.assert_columns_match_reference(tmp_path, cfgs,
+                                                   (0, 1, 7), 5)
+        assert [r.oracle_calls for r in recs] == [60] * 3 + [1] * 3 + [
+            14, 60, 24]
+        ks = [*range(0, 60, 4), 59]
+        for rec in recs:
+            below = [k for k in ks if k < rec.oracle_calls]
+            assert rec.columns["k"].tolist() == below
+            assert [len(c) for c in rec.columns.values()] == (
+                [len(below)] * len(harness.ROW_FIELDS))
+
+    def test_an_empty_record_has_every_column(self):
+        # f(x0) overflows, so every row dies at step 0 and records nothing
+        cfg = reference.with_optimizer(
+            replace(reference.EDGE, problem=replace(
+                reference.EDGE.problem, x0=(1e300,))), algorithm="signsgdm")
+        recs = run_seeds([cfg, cfg], (0, 1))
+        assert [r.oracle_calls for r in recs] == [0] * 4
+        for rec in [harness.RunRecord(), harness.RunRecord(rows=[]), *recs]:
+            assert list(rec.columns) == list(harness.ROW_FIELDS)
+            assert [len(c) for c in rec.columns.values()] == (
+                [0] * len(harness.ROW_FIELDS))
+            assert rec.rows == []
+
     def test_a_record_built_from_rows_keeps_them(self, tmp_path):
         rec = run_single(quad_cfg(run={"steps": 5}), 0)
         rows = list(rec.rows)

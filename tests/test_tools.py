@@ -1,6 +1,11 @@
 import importlib.util
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
+
+import numpy as np
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -14,6 +19,7 @@ def load(path, name):
 
 code_lines = load(TOOLS / "code_lines.py", "code_lines")
 traffic = load(TOOLS / "traffic.py", "traffic")
+profiles = load(TOOLS / "profiles.py", "profiles")
 
 # 7 code lines: the docstrings, comments and blank lines do not count,
 # a bracketed continuation and a string that is not a docstring do
@@ -99,3 +105,52 @@ def test_traffic_follows_threads_the_run_starts(tmp_path):
     # g(1) ran on the thread alone: every statement of g is reached
     assert traffic.unreached(tmp_path, hits) == {
         "mod.py": (10, [[3, 4, 5, 6, 7, 8, 9]])}
+
+
+def test_profile_reads_numpy_and_its_simd_features():
+    profile = profiles.running_profile()
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    assert profile == {"numpy": np.__version__,
+                       "openblas": profiles.openblas_core(),
+                       "simd_baseline": list(simd["baseline"]),
+                       "simd_found": list(simd["found"])}
+    assert profile["openblas"] and " " not in profile["openblas"]
+    assert profiles.profile_line() == (
+        f"profile: numpy {np.__version__} | openblas {profile['openblas']} | "
+        f"simd baseline {' '.join(simd['baseline'])} | "
+        f"simd found {' '.join(simd['found'])}")
+
+
+def test_openblas_core_is_unknown_without_its_query(monkeypatch):
+    # a library without the query, then no library at all
+    monkeypatch.setattr(profiles.ctypes, "CDLL", lambda path: object())
+    assert profiles.openblas_core() == "unknown"
+
+    def missing(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(profiles.ctypes, "CDLL", missing)
+    assert profiles.openblas_core() == "unknown"
+
+
+def test_profiles_prints_one_line(capsys):
+    assert profiles.main() == 0
+    assert capsys.readouterr().out == profiles.profile_line() + "\n"
+
+
+def test_a_child_under_a_forced_core_reads_it():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    out = subprocess.run([sys.executable, str(TOOLS / "profiles.py")],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    line, = out.stdout.splitlines()
+    assert line.split(" | ")[1] == "openblas Haswell"
+
+
+def test_quiet_pytest_names_the_profile_first():
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--collect-only", "tests/test_tools.py"],
+        cwd=TOOLS.parent, capture_output=True, text=True, check=True,
+        timeout=120)
+    assert out.stdout.splitlines()[0] == profiles.profile_line()
