@@ -19,14 +19,16 @@ step.
 
 A record keeps its recorded steps as columns, one array per `Row` field
 (`RunRecord.columns`); a record with no recorded step has every column,
-empty. A recorded step's f, lambda and EMA wait in the diagnostics block
-beside its gradient, and the flush moves the block's recorded steps, with
-their l1 and phi, into the run's columns. At the end of the run each
-record takes the run's recorded steps below its `oracle_calls`, since a
-row is closed before the step it dies at is recorded, and the dither
-variance column is filled once per recorded step. No `Row` is built in
-the run: `rows` and `emit_csv` read the columns, and `rows` builds its
-list on first read.
+empty. A recorded step's f and the step rule's lambda and EMA, which the
+rule holds as state, wait in the diagnostics block beside its gradient,
+and the flush moves the block's recorded steps, with their l1 and phi,
+into the run's columns. At the end of the run each record takes the
+run's recorded steps below its `oracle_calls`, since a row is closed
+before the step it dies at is recorded. The dither variance and phase
+columns follow from k and the config, and are filled once per config:
+a row is in the sign phase while k < t_switch (`phase_codes`). No `Row`
+is built in the run: `rows` and `emit_csv` read the columns, and `rows`
+builds its list on first read.
 
 The rows of a batch run in switch order, by t_switch, descending and
 stable: the rows in the sign phase at any step are a leading slice, so
@@ -53,8 +55,8 @@ from .config import (ConfigError, ExperimentConfig, build_problem,
 # lambda_project and the five *_step presets are not called here;
 # perfbench/tracing.py wraps them under this module's name
 from .optimizers import (PHASES, RowStepper, dither_sigma_sq, dithered_step,
-                         hybrid_step, lambda_project, preset, sgd_step,
-                         signsgd_step, signsgdm_step, stack_params)
+                         hybrid_step, lambda_project, phase_codes, preset,
+                         sgd_step, signsgd_step, signsgdm_step, stack_params)
 # stochastic_grad is not called here either; perfbench/tracing.py wraps it
 from .problems import Problem, batch_noise, stochastic_grad
 from .theory import (SnrProfile, TheoremInputs, phi_measure, theorem_rhs_l1,
@@ -239,12 +241,12 @@ class _BlockDiagnostics:
 
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
     flushing it first when it is full, and `record` marks the step last
-    added as recorded: its f and the step rule's lambda and EMA wait in a
-    (5, size, S) buffer, with its k and the rule's sign-row count p. A
-    flush measures the buffered steps with one `l1_norm` and one
-    `phi_measure` call, adds them to the sums in step order, and appends
-    the block's recorded steps to `moved`, one write a column from batch
-    rows to records through the rule's `order`. The batch is cut only
+    added as recorded: its f and the step rule's `lam` and `ema` are
+    copied by slice into a (5, size, S) buffer, beside its k. A flush
+    measures the buffered steps with one `l1_norm` and one `phi_measure`
+    call, adds them to the sums in step order, and appends the block's
+    recorded steps to `moved`, one write from batch rows to records
+    through the rule's `order`. The batch is cut only
     right after a flush, so `order` holds for the whole block; a record
     that left the batch has garbage in the blocks after it left."""
 
@@ -261,12 +263,11 @@ class _BlockDiagnostics:
         # and EMA, the float fields of a Row in order (l1 and phi are
         # written by the flush)
         self._marks(np.empty((5, size, rows)))
-        self.steps = []     # per recorded step: its position, k and p
-        # the moved steps, a block at a time: k, the float columns (5,
-        # records, steps) and the phase codes (records, steps); the first
-        # block is empty, so a run that records no step has columns too
-        self.moved = [(np.empty(0, np.int64), np.empty((5, rows, 0)),
-                       np.empty((rows, 0), np.int8))]
+        self.steps = []     # per recorded step: its position and k
+        # the moved steps, a block at a time: k and the float columns (5,
+        # records, steps); the first block is empty, so a run that records
+        # no step has columns too
+        self.moved = [(np.empty(0, np.int64), np.empty((5, rows, 0)))]
 
     def _marks(self, marks: np.ndarray) -> None:
         self.marks = marks
@@ -282,9 +283,8 @@ class _BlockDiagnostics:
         """Mark step k, the last added, as recorded; `f` is each row's f
         there."""
         r = len(self.steps)
-        self.f[r] = f
-        self.ema[r] = self.rule.ema
-        self.steps.append((self.used - 1, k, self.rule.recorded(self.lam[r])))
+        self.f[r], self.lam[r], self.ema[r] = f, self.rule.lam, self.rule.ema
+        self.steps.append((self.used - 1, k))
 
     def flush(self) -> None:
         used = self.used
@@ -301,15 +301,12 @@ class _BlockDiagnostics:
         self.used = 0
         if not self.steps:
             return
-        pos, ks, ps = map(list, zip(*self.steps))
+        pos, ks = map(list, zip(*self.steps))
         marks = self.marks[:, :len(pos)]
         marks[1], marks[2] = l1[pos], phi[pos]
-        order = self.rule.order
         floats = np.empty((5, self.records, len(pos)))
-        floats[:, order] = marks.transpose(0, 2, 1)
-        codes = np.empty((self.records, len(pos)), np.int8)
-        codes[order] = RowStepper.phase_codes(ps, len(order)).T
-        self.moved.append((np.array(ks, np.int64), floats, codes))
+        floats[:, self.rule.order] = marks.transpose(0, 2, 1)
+        self.moved.append((np.array(ks, np.int64), floats))
         self.steps = []
 
     def sums(self, j: int) -> tuple:
@@ -380,10 +377,11 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     recs = [RunRecord(seed=s, steps=K, delta_used=opt.delta)
             for opt in opts for s in seeds]
     x0 = initial_point(base, problem)
+    params = [preset(opt) for opt in opts]
     # the rows in switch order: each step's sign rows are a leading slice
     rule = RowStepper(np.tile(x0, (S, 1)), np.zeros((S, d)),
                       np.repeat([opt.lambda_init for opt in opts], n_seeds),
-                      stack_params([preset(opt) for opt in opts], n_seeds))
+                      stack_params(params, n_seeds))
     if collect_iterates:
         for rec in recs:
             rec.iterates.append(x0.copy())
@@ -444,19 +442,19 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
 
         if rule.order.size:
             finish(range(rule.order.size), K, problem.eval_f(rule.x))
-    # the run's recorded steps: k (R,), the float columns (5, S, R) and the
-    # phase codes (S, R); a record takes those below its oracle_calls
-    ks, floats, codes = (np.concatenate(part, axis=-1)
-                         for part in zip(*diag.moved))
+    # the run's recorded steps: k (R,) and the float columns (5, S, R); a
+    # record takes those below its oracle_calls
+    ks, floats = (np.concatenate(part, axis=-1) for part in zip(*diag.moved))
     for c, (opt, on) in enumerate(zip(opts, dithered)):
         # the schedule is recorded whenever the config names a dither
         # mode, also on steps that apply none: Python's pow once a step
         sig2 = (np.array([dither_sigma_sq(k, opt) for k in ks.tolist()])
                 if on else np.zeros(len(ks)))
+        codes = phase_codes(ks, params[c].t_switch)
         for i in range(c * n_seeds, (c + 1) * n_seeds):
             n = np.count_nonzero(ks < recs[i].oracle_calls)
             recs[i].columns = dict(zip(ROW_FIELDS, (
-                ks[:n], *floats[:, i, :n], sig2[:n], codes[i, :n])))
+                ks[:n], *floats[:, i, :n], sig2[:n], codes[:n])))
     wall_time = time.perf_counter() - t0
     for rec in recs:
         rec.wall_time = wall_time

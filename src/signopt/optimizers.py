@@ -10,17 +10,19 @@ The rule works row by row, and each row is bitwise the trajectory of that
 row alone. Each parameter is one value for every row or one per row
 (`stack_params`), so rows of different configs run together, each in its
 own phase; the step counter is shared by the rows. The rule's one body is
-`RowStepper`, which holds the rows' x, m and EMA in mutable arrays and
-advances them in place. It keeps the rows in switch order (by t_switch,
-descending and stable), so the rows in the sign phase are always a
-leading slice [:p]: each step runs the sign step on [:p] and the SGD step
-on [p:], and p never grows. `step` is the same rule as a pure state
-transition on an `OptimizerState`: it reorders a copy of the rows, runs
-one `RowStepper` step and returns the rows in their own order. A dither
-stream is anything with RngStream's `normal(shape)`; for rows it returns
-one draw per row, each from that row's own stream. A step's dither has
-the annealed variance `dither_sigma_sq`, alpha * (1+k)^(-gamma), which
-`_direction` reads on every dithered step.
+`RowStepper`, which holds the rows' x, m, EMA and lambda in mutable
+arrays and advances them in place. It keeps the rows in switch order (by
+t_switch, descending and stable), so the rows in the sign phase are
+always a leading slice [:p]: each step runs the sign step on [:p] and the
+SGD step on [p:], and p never grows; a row's phase at step k follows
+from k and its t_switch (`phase_codes`). `step` is the same rule as a
+pure state transition on an `OptimizerState`: it reorders a copy of the
+rows, runs one `RowStepper` step and returns the rows in their own
+order. A dither stream is anything with RngStream's `normal(shape)`; for
+rows it returns one draw per row, each from that row's own stream. A
+step's dither has the annealed variance `dither_sigma_sq`,
+alpha * (1+k)^(-gamma), which `_direction` reads on every dithered
+step.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ from .core import (RngStream, inner, is_count, l2_norm_sq, run_errstate,
                    sample_gaussian, sign_vec)
 
 PHASES = ("sign", "sgd")  # a recorded phase code indexes this
+
+
+def phase_codes(k, t_switch) -> np.ndarray:
+    """The phase code at step k, an index into `PHASES`, of a row with
+    this t_switch: sign while k < t_switch, SGD after. Either may be an
+    array; the codes broadcast."""
+    return (np.asarray(k) >= t_switch).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ def _take_rows(params: StepParams, rows) -> StepParams:
 
 class RowStepper:
     """The step rule on S rows held in mutable arrays and advanced in
-    place: x and m are (S, d), the EMA is (S,).
+    place: x and m are (S, d), the EMA and lambda are (S,).
 
     The rows are kept in switch order, by t_switch, descending and stable;
     `order[j]` is the input row of row j, and `keep` cuts it with the
@@ -151,12 +160,13 @@ class RowStepper:
     that the SGD phase holds frozen. Each operation is the one the rule
     takes on a row alone, so every row is bitwise its row alone.
 
-    It also states once what a row records: `recorded` gives each row's
-    lambda from the last step and p, from which `phase_codes` gives each
-    row's phase, and `switch_lambda` the frozen EMA of a row that tracks
-    it and has switched. Its callers (`step`, `harness.run_seeds`) read
-    these and build none of them themselves, and `run_seeds` keeps no row
-    order of its own: it reads `order`.
+    `lam` is state beside the EMA: each row's lambda from the last step,
+    0 for a row without momentum and for a row that took an SGD step,
+    since neither computes one. `switch_lambda` gives the frozen EMA of a
+    row that tracks it and has switched. A row's phase needs no state: it
+    follows from k and its t_switch (`phase_codes`). The callers (`step`,
+    `harness.run_seeds`) read `lam` and `ema`, and `run_seeds` keeps no
+    row order of its own: it reads `order`.
     """
 
     def __init__(self, x, m, ema, params: StepParams):
@@ -166,11 +176,11 @@ class RowStepper:
         self.x = np.asarray(x, dtype=np.float64)[self.order]
         self.m = np.asarray(m, dtype=np.float64)[self.order]
         self.ema = np.asarray(ema, dtype=np.float64)[self.order]
+        self.lam = np.zeros(len(x))
         self.params = _take_rows(params, self.order)
         self._t = t_switch[self.order].tolist()
         self._buf = np.empty_like(self.x)
         self.p = len(x)  # before the first step every row is in the sign phase
-        self._lam = None
         self._resolve()
 
     def step(self, g: np.ndarray, k: int, dither=None) -> None:
@@ -183,29 +193,11 @@ class RowStepper:
         if p != self.p:
             self.p = p
             self._resolve()
-        # the lambda of the sign rows [:p], None where none computes one
-        self._lam = self._sign_step(g[:p], k, dither) if p else None
+        if p:
+            self._sign_step(g[:p], k, dither)
         if p < len(t):
             np.multiply(g[p:], self._rate, out=self._sgd_buf)
             np.subtract(self._sgd_x, self._sgd_buf, out=self._sgd_x)
-
-    def recorded(self, lam: np.ndarray) -> int:
-        """Write each row's lambda from the last step into the (S,) array
-        `lam`, in row order, and return p, the number of rows that took a
-        sign step. A sign row records its lambda, 0 without momentum; a row
-        past them took an SGD step and records lambda 0."""
-        p = self.p
-        lam[:p] = 0.0 if self._lam is None else self._lam
-        lam[p:] = 0.0
-        return p
-
-    @staticmethod
-    def phase_codes(p, rows: int) -> np.ndarray:
-        """The phase codes, indices into `PHASES`, of `rows` rows after a
-        step whose `recorded` returned p: the first p rows are in the sign
-        phase, the rest in the SGD phase. An int p gives (rows,) codes, and
-        a sequence of them (len(p), rows)."""
-        return (np.arange(rows) >= np.asarray(p)[..., None]).astype(np.int8)
 
     def switch_lambda(self, j: int) -> float:
         """Row j's switch lambda, NaN if it has none. A row that tracks the
@@ -225,6 +217,7 @@ class RowStepper:
         self.p = int(np.count_nonzero(rows[:self.p]))
         self.order = self.order[rows]
         self.x, self.m, self.ema = self.x[rows], self.m[rows], self.ema[rows]
+        self.lam = self.lam[rows]
         self.params = _take_rows(self.params, rows)
         self._t = [t for t, kept in zip(self._t, rows.tolist()) if kept]
         self._buf = self._buf[rows]
@@ -239,6 +232,8 @@ class RowStepper:
         self._delta = _column(sp.delta)
         self._sign_x, self._sign_m = self.x[:p], self.m[:p]
         self._sign_ema, self._sign_buf = self.ema[:p], self._buf[:p]
+        self._sign_lam = self.lam[:p]
+        self.lam[p:] = 0.0  # an SGD step computes no lambda
         self._sgd_x, self._sgd_buf = self.x[p:], self._buf[p:]
         rest = _take_rows(self.params, slice(p, None))
         # lr, or the EMA that the SGD phase holds frozen, bias-corrected (a
@@ -248,9 +243,9 @@ class RowStepper:
 
     def _sign_step(self, g: np.ndarray, k: int, dither):
         """The sign step of rows [:p]: momentum, one sign of the momentum
-        shared by lambda and the direction, lambda, the EMA where tracked,
-        then x -= delta * direction. Without momentum a row steps on the
-        sign of g and its lambda is 0."""
+        shared by lambda and the direction, lambda into `lam[:p]`, the EMA
+        where tracked, then x -= delta * direction. Without momentum a row
+        steps on the sign of g and its lambda stays 0."""
         sp, x, m, ema = self._sign, self._sign_x, self._sign_m, self._sign_ema
         if sp.momentum is True:
             np.multiply(m, self._beta, out=m)
@@ -264,11 +259,10 @@ class RowStepper:
             src = np.where(col, new, g)
             np.copyto(m, new, where=col)
         sign = sign_vec(src)
-        lam = None
         if sp.momentum is not False:
             # lambda is computed from the un-dithered momentum; only rows
             # that track the EMA fold it in
-            lam = _calibration(sign, g, sp.delta, sp.epsilon)
+            lam = _calibration(sign, g, sp.delta, sp.epsilon, self._sign_lam)
             if sp.track_ema is not False:
                 tracked = sp.eta * ema + self._eta_rest * lam
                 np.copyto(ema, tracked, where=sp.track_ema)
@@ -277,7 +271,6 @@ class RowStepper:
         move = _direction(src, sign, k, sp, dither)
         np.multiply(move, self._delta, out=move)
         np.subtract(x, move, out=x)
-        return lam
 
 
 def step(state: OptimizerState, g: np.ndarray, params: StepParams,
@@ -299,18 +292,17 @@ def step(state: OptimizerState, g: np.ndarray, params: StepParams,
         dither = _Reordered(dither, order)
     with run_errstate():
         stepper.step(np.atleast_2d(g)[order], state.k, dither)
-    lam = np.empty(rows)
-    back = np.argsort(order)
-    codes = RowStepper.phase_codes(stepper.recorded(lam), rows)[back]
-    phase = (PHASES[codes[0]] if codes.min() == codes.max()
+    codes = phase_codes(state.k, params.t_switch)
+    phase = (PHASES[codes.max()] if codes.min() == codes.max()
              else np.array(PHASES)[codes])
     if state.x.ndim == 1:
         return OptimizerState(x=stepper.x[0], m=stepper.m[0], k=state.k + 1,
                               lambda_ema=float(stepper.ema[0]), phase=phase,
-                              last_lambda=float(lam[0]))
+                              last_lambda=float(stepper.lam[0]))
+    back = np.argsort(order)
     return OptimizerState(x=stepper.x[back], m=stepper.m[back],
                           k=state.k + 1, lambda_ema=stepper.ema[back],
-                          phase=phase, last_lambda=lam[back])
+                          phase=phase, last_lambda=stepper.lam[back])
 
 
 class _Reordered:
@@ -384,12 +376,14 @@ def lambda_project(m_next: np.ndarray, grad: np.ndarray, delta, epsilon):
         return _calibration(sign_vec(m_next), grad, delta, epsilon)
 
 
-def _calibration(sign_m: np.ndarray, grad: np.ndarray, delta, epsilon):
-    """lambda_project's ratio on rows, from sign(m). It overflows where
-    its terms do, and the caller silences `over` and `invalid`."""
+def _calibration(sign_m: np.ndarray, grad: np.ndarray, delta, epsilon,
+                 out=None):
+    """lambda_project's ratio on rows, from sign(m), written into `out`
+    where given. It overflows where its terms do, and the caller silences
+    `over` and `invalid`."""
     denom = l2_norm_sq(grad) + epsilon
     proj = abs(inner(sign_m, grad))
-    lam = delta * proj / denom
+    lam = np.divide(delta * proj, denom, out=out)
     if _may_be_infinite(denom, lam):
         # ||g||^2 overflowed where denom is inf (lam is then 0 or NaN),
         # delta * proj where lam is inf; the ratio may not have

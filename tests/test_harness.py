@@ -720,7 +720,8 @@ class TestColumnarRecord:
                                                    (0, 1, 7), 6)
         assert 0 < sum(r.diverged for r in recs) < len(recs)
 
-    def test_length_is_the_recorded_steps_below_oracle_calls(self, tmp_path):
+    @staticmethod
+    def stride_four_batch(*extra):
         # at stride 4 over 60 steps in 5-step blocks: SignSGD's first step
         # overflows (f is inf from step 1), the hybrid's seeds 0 and 7
         # diverge at 14 and at 24, itself a recorded k, and SGD runs on
@@ -729,8 +730,12 @@ class TestColumnarRecord:
         opts = [dict(algorithm="sgd", lr=1e-3),
                 dict(algorithm="signsgd", delta=1e308),
                 dict(algorithm="hybrid", t_switch=30.0, eta=0.9, alpha=0.1,
-                     dither_mode="pre", delta=0.01 * reference.X0_EDGE)]
-        cfgs = [reference.with_optimizer(edge, **o) for o in opts]
+                     dither_mode="pre", delta=0.01 * reference.X0_EDGE),
+                *extra]
+        return [reference.with_optimizer(edge, **o) for o in opts]
+
+    def test_length_is_the_recorded_steps_below_oracle_calls(self, tmp_path):
+        cfgs = self.stride_four_batch()
         recs = self.assert_columns_match_reference(tmp_path, cfgs,
                                                    (0, 1, 7), 5)
         assert [r.oracle_calls for r in recs] == [60] * 3 + [1] * 3 + [
@@ -741,6 +746,27 @@ class TestColumnarRecord:
             assert rec.columns["k"].tolist() == below
             assert [len(c) for c in rec.columns.values()] == (
                 [len(below)] * len(harness.ROW_FIELDS))
+
+    def test_phase_and_lambda_follow_from_k_and_the_config(self, tmp_path):
+        # the stride-4 batch and a bias-corrected hybrid that switches at
+        # 2.5, between its recorded steps 0 and 4
+        cfgs = self.stride_four_batch(dict(
+            algorithm="hybrid", t_switch=2.5, eta=0.9,
+            lambda_bias_correction=True, delta=0.01 * reference.X0_EDGE))
+        recs = self.assert_columns_match_reference(tmp_path, cfgs,
+                                                   (0, 1, 7), 5)
+        for j, rec in enumerate(recs):
+            params = optimizers.preset(cfgs[j // 3].optimizer)
+            cols = rec.columns
+            codes = optimizers.phase_codes(cols["k"], params.t_switch)
+            assert cols["phase"].dtype == codes.dtype
+            assert cols["phase"].tolist() == codes.tolist()
+            silent = (cols["phase"] == 1) | (not params.momentum)
+            assert not cols["lam"][silent].any()
+        # the new hybrid's sign step 0 records its lambda, its SGD steps 0
+        assert all(r.columns["lam"][0] > 0 for r in recs[-3:])
+        assert all(r.columns["phase"].tolist() == [0] + [1] * 15
+                   for r in recs[-3:])
 
     def test_an_empty_record_has_every_column(self):
         # f(x0) overflows, so every row dies at step 0 and records nothing

@@ -9,11 +9,11 @@ from signopt import optimizers
 from signopt.config import OptimizerSpec as OptimizerConfig
 from signopt.core import RngStream, run_errstate, sign_vec
 from signopt.dither import normal_cdf
-from signopt.optimizers import (PRESETS, OptimizerState, RowStepper,
+from signopt.optimizers import (PHASES, PRESETS, OptimizerState, RowStepper,
                                 column_of, dither_sigma_sq, dithered_step,
                                 hybrid_step, init_state, lambda_project,
-                                preset, sgd_step, signsgd_step, signsgdm_step,
-                                stack_params, step)
+                                phase_codes, preset, sgd_step, signsgd_step,
+                                signsgdm_step, stack_params, step)
 
 
 def gs(values):
@@ -252,6 +252,37 @@ class TestLambdaProject:
         for i in range(3):
             assert rows[i] == lambda_project(m[i], g[i], float(delta[i]),
                                              float(eps[i]))
+
+    @pytest.mark.parametrize("grads, delta", [
+        # ||g||^2 overflows on the first and last rows
+        ([[1e156] * 3 + [-2e156] + [1e156] * 6, list(range(1, 11)),
+          [-3e156] * 3 + [6e156] + [-3e156] * 6], 0.1),
+        # delta * |<sign(m), g>| overflows, ||g||^2 does not, on rows 0 and
+        # 3; both overflow on row 2
+        ([[1e153] * 3 + [-2e153] + [1e153] * 6, list(range(1, 11)),
+          [1e156] * 3 + [-2e156] + [1e156] * 6,
+          [3e153] * 3 + [-6e153] + [3e153] * 6], 4e156),
+        # plain rows, with a per-row delta
+        ([[1.0, -2.0] * 5, [0.5] * 10], np.array([0.1, 0.3])),
+    ])
+    def test_calibration_into_a_view_is_lambda_project(self, grads, delta):
+        # the step rule writes each step's lambda into a slice of its state
+        # through `out`; the bits are lambda_project's, which still returns
+        # a fresh array
+        g = np.array(grads, dtype=np.float64)
+        m = np.ones_like(g)
+        want = lambda_project(m, g, delta, 1e-12)
+        buf = np.full(len(g) + 2, -1.0)
+        view = buf[1:-1]
+        with run_errstate():
+            got = optimizers._calibration(sign_vec(m), g, delta, 1e-12,
+                                          out=view)
+        assert got is view
+        assert view.tobytes() == want.tobytes()
+        assert buf[0] == buf[-1] == -1.0
+        again = lambda_project(m, g, delta, 1e-12)
+        assert again.tobytes() == want.tobytes()
+        assert not np.shares_memory(again, want)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 25])
     def test_overflow_probe_fires_on_every_infinite_row(self, rows):
@@ -510,6 +541,80 @@ class TestMixedRows:
             assert np.array_equal(rule.ema, ema[rule.order])
             t = params.t_switch[rule.order]
             assert np.array_equal(t, np.sort(t)[::-1])
+
+    @staticmethod
+    def assert_lam_is_each_rows_own(rule, g, k):
+        # row j took step k on g[j]: its lambda is the calibration of its
+        # new momentum where it took a sign step with momentum, else 0
+        S, p = len(rule.x), rule.params
+        t, momentum, delta, eps = (np.broadcast_to(v, (S,)) for v in (
+            p.t_switch, p.momentum, p.delta, p.epsilon))
+        for j in range(S):
+            want = (lambda_project(rule.m[j], g[j], float(delta[j]),
+                                   float(eps[j]))
+                    if k < t[j] and momentum[j] else 0.0)
+            assert rule.lam[j].tobytes() == np.float64(want).tobytes(), j
+        return rule.lam.copy()
+
+    def test_lam_is_each_rows_lambda_alone(self):
+        n = len(self.CONFIGS)
+        rule = RowStepper(np.ones((n, 3)), np.zeros((n, 3)),
+                          [c.lambda_init for c in self.CONFIGS],
+                          stack_params([preset(c) for c in self.CONFIGS], 1))
+        assert not rule.lam.any()
+        dither, grads = batch_dither(range(n)), RngStream(15, 0)
+        for k in range(6):
+            g = grads.normal((n, 3))
+            rule.step(g, k, optimizers._Reordered(dither, rule.order))
+            lam = self.assert_lam_is_each_rows_own(rule, g, k)
+        # rows without momentum and rows past their switch record 0, the
+        # others their own lambda
+        momentum = np.broadcast_to(rule.params.momentum, (n,))
+        live = momentum & (5 < rule.params.t_switch)
+        assert (lam[live] > 0).all() and not lam[~live].any()
+
+    def test_lam_across_the_switch_a_decay_and_a_cut(self):
+        # the bias-corrected hybrid at 2.5 takes sign steps 0-2 and an SGD
+        # step at 3; beside it SGD, SignSGD and SignSGD-M rows
+        cfgs = [self.CONFIGS[5], self.CONFIGS[0], self.CONFIGS[1],
+                OptimizerConfig(algorithm="signsgdm", beta=0.8),
+                OptimizerConfig(algorithm="hybrid", t_switch=2.5, eta=0.7)]
+        n = len(cfgs)
+        rule = RowStepper(np.ones((n, 3)), np.zeros((n, 3)), np.zeros(n),
+                          stack_params([preset(c) for c in cfgs], 1))
+        dither, grads = batch_dither(range(n)), RngStream(16, 0)
+        hybrids = [j for j, i in enumerate(rule.order.tolist())
+                   if i in (0, 4)]
+        for k in range(5):
+            g = grads.normal((len(rule.x), 3))
+            rule.step(g, k, optimizers._Reordered(dither, rule.order))
+            lam = self.assert_lam_is_each_rows_own(rule, g, k)
+            if k == 2:
+                assert (lam[hybrids] > 0).all()
+                rule.decay(0.5)
+                assert rule.lam.tobytes() == lam.tobytes()
+            if k == 3:
+                assert not lam[hybrids].any()
+                # cut the SignSGD-M row, in the sign phase
+                kept = rule.order != 3
+                rule.keep(kept)
+                assert rule.lam.tobytes() == lam[kept].tobytes()
+                assert 3 not in rule.order.tolist()
+
+    @pytest.mark.parametrize("t, codes", [
+        (2.5, [0, 0, 0, 1, 1]), (math.inf, [0] * 5), (0.0, [1] * 5)])
+    def test_phase_codes_follow_from_k_and_t_switch(self, t, codes):
+        ks = np.arange(5)
+        assert phase_codes(ks, t).dtype == np.int8
+        assert phase_codes(ks, t).tolist() == codes
+        assert [phase_codes(k, t).item() for k in range(5)] == codes
+        assert [PHASES[c] for c in codes] == [
+            "sign" if k < t else "sgd" for k in range(5)]
+        # one t_switch per row
+        per_row = np.array([2.5, math.inf, 0.0])
+        assert phase_codes(3, per_row).tolist() == [1, 0, 1]
+        assert phase_codes(ks[:, None], per_row)[:, [0]].ravel().tolist() == (
+            phase_codes(ks, 2.5).tolist())
 
     def test_gamma_per_row_matches_each_row(self):
         p = stack_params([preset(c) for c in self.CONFIGS], 2)
