@@ -94,9 +94,10 @@ def parallel_map(fn, items) -> list:
     """`[fn(item) for item in items]`, in order, with the items split into
     up to `WORKERS` contiguous chunks that run on the pool's threads.
     Every call runs under `run_errstate()`, and an exception in any call
-    reaches the caller. One chunk runs inline on the calling thread. `fn`
-    must not call `parallel_map`: a pool thread would wait on its own
-    pool."""
+    reaches the caller. Two or more chunks all run on the pool while the
+    calling thread only waits; a lone chunk (one item, or `WORKERS` = 1)
+    runs inline on the calling thread. `fn` must not call `parallel_map`:
+    a pool thread would wait on its own pool."""
     global _pool
     items = list(items)
     chunks = min(WORKERS, len(items))

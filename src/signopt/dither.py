@@ -46,14 +46,28 @@ def expected_dithered_sign(m: float, sigma: float) -> float:
 
 
 def mc_dithered_sign(m: float, sigma: float, trials: int, rng: RngStream):
-    """Monte Carlo estimate (mean, std_err) of E[sign(m + xi)]."""
+    """Monte Carlo estimate (mean, std_err) of E[sign(m + xi)].
+
+    The cell holds one buffer of `trials` float64 draws and does all its
+    work in it: it scales, shifts and signs the normal draw in place, then
+    takes numpy's own steps for `std(ddof=1)` there (the mean as the sum
+    over n, subtract it, square, the pairwise sum over n - 1, sqrt). So
+    both values are bitwise `s.mean()` and `s.std(ddof=1) / sqrt(n)` of
+    `s = np.sign(m + sigma * z)`, without a second buffer."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if not is_count(trials):
         raise ValueError("trials must be an integer >= 1")
     if sigma == 0.0:
         return float(np.sign(m)), 0.0
-    s = np.sign(m + sigma * rng.normal(trials))
-    mean = float(s.mean())
-    std_err = float(s.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, std_err
+    s = rng.normal(trials)
+    s *= sigma
+    s += m
+    np.sign(s, out=s)
+    mean = np.add.reduce(s) / trials
+    if trials == 1:
+        return float(mean), 0.0
+    s -= mean
+    np.square(s, out=s)
+    std = math.sqrt(np.add.reduce(s) / (trials - 1))
+    return float(mean), float(std / math.sqrt(trials))

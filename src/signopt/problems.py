@@ -72,7 +72,10 @@ class GradSample:
 
 
 def sample_unit_noise(family: str, size, rng: RngStream) -> np.ndarray:
-    """Zero-mean, unit-variance draws from the named family."""
+    """Zero-mean, unit-variance draws from the named family, returned in
+    the float64 buffer the generator fills: the asymmetric-bimodal draw
+    overwrites its uniform draw with its two values, through a
+    one-byte-per-draw mask."""
     if family == "gaussian":
         return rng.normal(size)
     if family == "uniform":
@@ -84,7 +87,10 @@ def sample_unit_noise(family: str, size, rng: RngStream) -> np.ndarray:
         a = math.sqrt((1.0 - q) / q)
         b = math.sqrt(q / (1.0 - q))
         u = rng.uniform(0.0, 1.0, size)
-        return np.where(u < q, a, -b)
+        low = u < q
+        u.fill(-b)
+        u[low] = a
+        return u
     raise ValueError(f"unknown noise family: {family!r}")
 
 

@@ -116,10 +116,16 @@ def mc_sign_failure(family: str, S: float, trials: int, rng: RngStream):
 
     A zero noisy gradient counts as a failure, so p_hat is upper-biased and
     bound-validity checks against it remain sound.
+
+    The cell holds its `trials` draws (8 bytes each) and one `trials`-byte
+    mask, and never forms the noisy gradient: the sum of two finite doubles
+    rounds to <= 0 exactly when `noise <= -S`, and a count over `trials`
+    is the bits of the mean of that mask, so p_hat is bitwise
+    `np.mean(S + noise <= 0)`.
     """
     if not (S >= 0 and is_count(trials)):
         raise ValueError("need S >= 0 and an integer trials >= 1")
-    noisy = S + sample_unit_noise(family, trials, rng)
-    p_hat = float(np.mean(noisy <= 0))
+    noise = sample_unit_noise(family, trials, rng)
+    p_hat = float(np.count_nonzero(noise <= -S) / trials)
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, std_err

@@ -196,14 +196,16 @@ def test_parallel_map_keeps_order(monkeypatch, workers, count):
 def test_parallel_map_spreads_chunks_over_threads(monkeypatch):
     monkeypatch.setattr(core, "WORKERS", 2)
     barrier = threading.Barrier(2, timeout=10)
-    # each of the two chunks waits for the other: they run at once
-    idents = core.parallel_map(
-        lambda i: (barrier.wait(), threading.get_ident())[1], range(2))
-    assert len(set(idents)) == 2
-    assert threading.get_ident() not in idents
+    # each of the two chunks waits for the other: they run at once, both
+    # on the pool's threads while the caller waits
+    threads = core.parallel_map(
+        lambda i: (barrier.wait(), threading.current_thread())[1], range(2))
+    assert len(set(threads)) == 2
+    assert threading.current_thread() not in threads
+    assert all(t.name.startswith("signopt_") for t in threads)
 
 
-@pytest.mark.parametrize("workers, count", [(4, 1), (1, 7)])
+@pytest.mark.parametrize("workers, count", [(2, 1), (4, 1), (1, 7)])
 def test_parallel_map_runs_one_chunk_inline(monkeypatch, workers, count):
     monkeypatch.setattr(core, "WORKERS", workers)
     idents = core.parallel_map(lambda i: threading.get_ident(), range(count))
