@@ -265,13 +265,12 @@ def check_scale_invariance() -> CheckResult:
     rec_a, = run_seeds(base, collect_iterates=True)
     rec_b, = run_seeds(scaled, collect_iterates=True)
     ok = np.array_equal(rec_a.iterates, rec_b.iterates)
-    worst = 0.0
-    for ra, rb in zip(rec_a.rows, rec_b.rows):
-        err = abs(c * rb.lam - ra.lam)
-        tol = 4.0 * np.spacing(ra.lam)
-        worst = max(worst, err / np.spacing(ra.lam) if ra.lam else 0.0)
-        if err > tol:
-            ok = False
+    lam_a, lam_b = rec_a.columns["lam"], rec_b.columns["lam"]
+    err, ulp = np.abs(c * lam_b - lam_a), np.spacing(lam_a)
+    ok = ok and not np.any(err > 4.0 * ulp)
+    # in ulps of lambda, 0 where lambda is 0; max skips a NaN ratio
+    ratio = np.divide(err, ulp, out=np.zeros_like(err), where=lam_a != 0)
+    worst = max([0.0, *ratio.tolist()])
     return CheckResult("scale-invariance", ok,
                        f"lambda worst error {worst:.2f} ulps (limit 4)")
 
@@ -309,7 +308,7 @@ def check_sign_limit_cycle() -> CheckResult:
         run=RunSpec(steps=2000, batch_size=1, seeds=(0,), record_stride=1),
     )
     rec, = run_seeds(cfg, collect_iterates=True)
-    tail_f = [r.f for r in rec.rows[-2:]]
+    tail_f = rec.columns["f"][-2:].tolist()
     lower = max(L) * delta * delta / 8.0
     upper = 0.5 * sum(L) * delta * delta
     in_band = np.all(np.abs(rec.iterates[-1]) <= delta)
@@ -340,8 +339,8 @@ def check_asymmetric_failure() -> CheckResult:
                       optimizer=OptimizerSpec(algorithm="sgd", lr=3e-4))
     f0 = 0.5  # f(x0) for L=1, x0 - x* = 1
     sign_rec, sgd_rec = run_seeds([sign_cfg, sgd_cfg])
-    sign_min = min(r.f for r in sign_rec.rows)
-    sgd_min = min(r.f for r in sgd_rec.rows)
+    sign_min, sgd_min = (min(r.columns["f"].tolist())
+                         for r in (sign_rec, sgd_rec))
     sign_stalls = sign_min >= 0.5 * f0
     sgd_converges = sgd_min < 0.01 * f0
     ok = violated and sign_stalls and sgd_converges

@@ -146,8 +146,11 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, tag: int) -> "RngStream":
-        """A fresh independent stream determined by (seed, stream_id, tag)."""
-        return RngStream(self.seed, _mix64(self.stream_id, tag))
+        """A fresh independent stream determined by (seed, stream_id, tag).
+        The tag is a seed: an integer in [0, 2^64), never a bool."""
+        if not is_seed(tag):
+            raise ValueError("tag must be a 64-bit unsigned int")
+        return RngStream(self.seed, _mix64(self.stream_id, int(tag)))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -107,12 +107,12 @@ def _column_lists(columns: dict, part=slice(None)) -> list:
 
 
 def _columns_of(rows: list) -> dict:
-    """The columns of a list of `Row`s, each phase as its code."""
-    columns = {name: np.array([getattr(r, name) for r in rows])
-               for name in ROW_FIELDS[:-1]}
-    columns["phase"] = np.array([PHASES.index(r.phase) for r in rows],
-                                dtype=np.int8)
-    return columns
+    """The columns of a list of `Row`s in the engine's dtypes: k int64,
+    the six float fields float64 and the phase its int8 code."""
+    lists = [[getattr(r, name) for r in rows] for name in ROW_FIELDS]
+    lists[-1] = [PHASES.index(p) for p in lists[-1]]
+    return {name: np.array(v, dtype) for name, v, dtype in zip(
+        ROW_FIELDS, lists, (np.int64,) + (np.float64,) * 6 + (np.int8,))}
 
 
 class _DerivedRows:
@@ -242,7 +242,8 @@ class _BlockDiagnostics:
     `add` copies a step's (S, d) gradient into a (size, S, d) buffer,
     flushing it first when it is full, and `record` marks the step last
     added as recorded: its f and the step rule's `lam` and `ema` are
-    copied by slice into a (5, size, S) buffer, beside its k. A flush
+    written into rows 0, 3 and 4 of a (5, size, S) buffer, `marks`,
+    beside its k; a cut cuts `marks` itself. A flush
     measures the buffered steps with one `l1_norm` and one `phi_measure`
     call, adds them to the sums in step order, and appends the block's
     recorded steps to `moved`, one write from batch rows to records
@@ -262,16 +263,12 @@ class _BlockDiagnostics:
         # per recorded step of the block, by batch row: f, l1, phi, lambda
         # and EMA, the float fields of a Row in order (l1 and phi are
         # written by the flush)
-        self._marks(np.empty((5, size, rows)))
+        self.marks = np.empty((5, size, rows))
         self.steps = []     # per recorded step: its position and k
         # the moved steps, a block at a time: k and the float columns (5,
         # records, steps); the first block is empty, so a run that records
         # no step has columns too
         self.moved = [(np.empty(0, np.int64), np.empty((5, rows, 0)))]
-
-    def _marks(self, marks: np.ndarray) -> None:
-        self.marks = marks
-        self.f, _, _, self.lam, self.ema = marks  # views, one row a step
 
     def add(self, g: np.ndarray) -> None:
         if self.used == len(self.grads):
@@ -282,8 +279,8 @@ class _BlockDiagnostics:
     def record(self, k: int, f: np.ndarray) -> None:
         """Mark step k, the last added, as recorded; `f` is each row's f
         there."""
-        r = len(self.steps)
-        self.f[r], self.lam[r], self.ema[r] = f, self.rule.lam, self.rule.ema
+        m, r = self.marks, len(self.steps)
+        m[0, r], m[3, r], m[4, r] = f, self.rule.lam, self.rule.ema
         self.steps.append((self.used - 1, k))
 
     def flush(self) -> None:
@@ -317,7 +314,7 @@ class _BlockDiagnostics:
         """Cut the batch to `rows`; call it right after a flush."""
         self.acc = self.acc[:, :, rows]
         self.grads = self.grads[:, rows]
-        self._marks(self.marks[:, :, rows])
+        self.marks = self.marks[:, :, rows]
 
 
 def run_seeds(cfg, seeds=None, problem: Problem | None = None,

@@ -86,7 +86,8 @@ def sample_unit_noise(family: str, size, rng: RngStream) -> np.ndarray:
         q = BIMODAL_Q
         a = math.sqrt((1.0 - q) / q)
         b = math.sqrt(q / (1.0 - q))
-        u = rng.uniform(0.0, 1.0, size)
+        # a size of None draws a float; as a 0-d array it takes the fill
+        u = np.asarray(rng.uniform(0.0, 1.0, size))
         low = u < q
         u.fill(-b)
         u[low] = a

@@ -155,10 +155,54 @@ def test_scale_invariance_catches_a_lambda_off_by_more_than_4_ulps(
         calls.append(1)
         recs = run_seeds(*args, **kwargs)
         if len(calls) == 2:  # the scaled problem's run
-            recs[0].rows[-1].lam *= 1.0 + 1e-14  # about 45 ulps
+            recs[0].columns["lam"][-1] *= 1.0 + 1e-14  # about 45 ulps
         return recs
 
     monkeypatch.setattr(checks, "run_seeds", shifted)
     result = checks.check_scale_invariance()
     assert not result.passed
     assert len(calls) == 2
+
+
+def test_scale_invariance_reads_lambda_as_the_row_loop_does(monkeypatch):
+    # a zero lambda in both runs counts 0 ulps, and a NaN lambda in the
+    # scaled run neither fails the check nor sets the worst error
+    run_seeds = checks.run_seeds
+    recs = []
+
+    def edited(*args, **kwargs):
+        rec, = run_seeds(*args, **kwargs)
+        rec.columns["lam"][3] = 0.0
+        if recs:
+            rec.columns["lam"][7] = np.nan
+        recs.append(rec)
+        return [rec]
+
+    monkeypatch.setattr(checks, "run_seeds", edited)
+    result = checks.check_scale_invariance()
+    rec_a, rec_b = recs
+    ok, worst = True, 0.0
+    for ra, rb in zip(rec_a.columns["lam"].tolist(),
+                      rec_b.columns["lam"].tolist()):
+        err = abs(10.0 * rb - ra)
+        worst = max(worst, err / np.spacing(ra) if ra else 0.0)
+        ok = ok and not err > 4.0 * np.spacing(ra)
+    assert result.passed == ok
+    assert result.detail == f"lambda worst error {worst:.2f} ulps (limit 4)"
+
+
+@pytest.mark.parametrize("check", ["check_scale_invariance",
+                                   "check_sign_limit_cycle",
+                                   "check_asymmetric_failure"])
+def test_record_checks_build_no_row(monkeypatch, check):
+    # they read the records' columns; a record's rows would be built here
+    built = []
+    row = harness.Row
+
+    def counted(*args):
+        built.append(1)
+        return row(*args)
+
+    monkeypatch.setattr(harness, "Row", counted)
+    assert getattr(checks, check)().passed
+    assert not built

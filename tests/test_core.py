@@ -151,6 +151,18 @@ def test_rng_derive_independent_and_deterministic():
     assert d1.stream_id == d2.stream_id
     assert np.array_equal(d1.normal(10), d2.normal(10))
     assert d1.stream_id != s.derive(6).stream_id
+    # the largest tag
+    top = s.derive(2**64 - 1)
+    assert top.stream_id != s.derive(0).stream_id
+    assert np.array_equal(top.normal(3),
+                          RngStream(99, 1).derive(2**64 - 1).normal(3))
+
+
+@pytest.mark.parametrize("tag", [2**64, -1, True, 2.5])
+def test_rng_derive_takes_a_seed_as_its_tag(tag):
+    # 2^64 would alias 0, -1 alias 2^64 - 1 and True alias 1
+    with pytest.raises(ValueError, match="tag"):
+        RngStream(99, 1).derive(tag)
 
 
 def test_sample_gaussian_degenerate_and_errors():

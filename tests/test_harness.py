@@ -796,6 +796,25 @@ class TestColumnarRecord:
                 [0] * len(harness.ROW_FIELDS))
             assert rec.rows == []
 
+    def test_every_record_has_the_engines_dtypes(self, tmp_path):
+        want = [("k", np.int64), *((name, np.float64) for name in
+                                   harness.ROW_FIELDS[1:-1]),
+                ("phase", np.int8)]
+        live = run_single(quad_cfg(run={"steps": 1}), 0)
+        path = tmp_path / "one.csv"
+        emit_csv(live, path)
+        # f(x0) overflows, so the run records nothing
+        dead = run_single(reference.with_optimizer(
+            replace(reference.EDGE, problem=replace(
+                reference.EDGE.problem, x0=(1e300,))), algorithm="sgd"), 0)
+        ints = harness.Row(0, 1, 2, 3, 4, 5, 6, "sgd")
+        assert len(load_csv(path)) == 1 and dead.oracle_calls == 0
+        for rec in (harness.RunRecord(), harness.RunRecord(rows=[]),
+                    harness.RunRecord(rows=load_csv(path)),
+                    harness.RunRecord(rows=[ints]), live, dead):
+            assert [(name, c.dtype) for name, c in rec.columns.items()] == (
+                want)
+
     def test_a_record_built_from_rows_keeps_them(self, tmp_path):
         rec = run_single(quad_cfg(run={"steps": 5}), 0)
         rows = list(rec.rows)

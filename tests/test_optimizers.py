@@ -118,12 +118,15 @@ class TestDitheredStep:
                               dither_mode="pre")
         rng = RngStream(6, 0)
         m_target = math.sqrt(alpha)
-        hits = 0
         trials = 20000
-        for _ in range(trials):
-            state = OptimizerState(x=np.zeros(1), m=np.array([m_target]))
-            new = dithered_step(state, gs([m_target]), cfg, rng)
-            hits += new.x[0] == -1.0  # step took the correct (negative) sign
+        # each trial a row of one step: the rows draw the stream's first
+        # `trials` values in order, as one step per trial does
+        state = OptimizerState(x=np.zeros((trials, 1)),
+                               m=np.full((trials, 1), m_target))
+        new = dithered_step(state, gs(np.full((trials, 1), m_target)), cfg,
+                            rng)
+        # the steps that took the correct (negative) sign
+        hits = int(np.count_nonzero(new.x[:, 0] == -1.0))
         p_hat = hits / trials
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert abs(p_hat - normal_cdf(1.0)) <= 4.0 * se
@@ -133,11 +136,11 @@ class TestDitheredStep:
                               dither_mode="post")
         rng = RngStream(7, 0)
         trials = 10000
-        deltas = np.empty(trials)
-        for t in range(trials):
-            state = OptimizerState(x=np.zeros(1), m=np.array([2.0]))
-            new = dithered_step(state, gs([2.0]), cfg, rng)
-            deltas[t] = new.x[0]
+        # each trial a row of one step, drawing as one step per trial does
+        state = OptimizerState(x=np.zeros((trials, 1)),
+                               m=np.full((trials, 1), 2.0))
+        new = dithered_step(state, gs(np.full((trials, 1), 2.0)), cfg, rng)
+        deltas = new.x[:, 0]
         se = deltas.std(ddof=1) / math.sqrt(trials)
         assert abs(deltas.mean() - (-0.5)) <= 3.0 * se
 

@@ -337,6 +337,13 @@ class TestNoise:
         se = np.std(z**3) / math.sqrt(n)
         assert abs(np.mean(z**3)) > 10.0 * se
 
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_no_size_is_one_draw(self, family):
+        one = sample_unit_noise(family, None, RngStream(24, 6))
+        first = sample_unit_noise(family, 1, RngStream(24, 6))[:1]
+        assert np.shape(one) == ()
+        assert np.array([one]).tobytes() == first.tobytes()
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec("cauchy", np.ones(2))
