@@ -400,7 +400,9 @@ def _may_be_infinite(denom: np.ndarray, lam: np.ndarray) -> bool:
     product is then inf or NaN (an inf denom meets a lam of 0 or NaN,
     which gives NaN). It may also be true for a NaN row or a sum that
     overflows; the fix-up then changes no row. One numpy call, under the
-    caller's silenced `over` and `invalid`."""
+    caller's silenced `over` and `invalid`. It is the one dot in the
+    package that `core` does not take: its value is only compared with
+    inf, so its bits reach no output."""
     return not np.vecdot(denom, lam) < math.inf
 
 

@@ -175,7 +175,7 @@ def make_logistic(dataset_seed: int, dim: int, n_points: int,
         raise ValueError("dim and n_points must be integers >= 1")
     data_rng = RngStream(dataset_seed, STREAM_DATA)
     w_true = data_rng.normal(dim)
-    w_true /= np.linalg.norm(w_true)
+    w_true /= math.sqrt(l2_norm_sq(w_true))
     A = data_rng.normal((n_points, dim))
     margins = A @ w_true + 0.1 * data_rng.normal(n_points)
     y = np.where(margins >= 0, 1.0, -1.0)

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from signopt import checks, cli, harness
+from signopt import checks, cli, harness, optimizers
 from signopt.config import save_config
-from signopt.core import STREAM_MC, RngStream
+from signopt.core import STREAM_MC, RngStream, per_row
 
 
 def _fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -166,7 +166,7 @@ def test_scale_invariance_catches_a_lambda_off_by_more_than_4_ulps(
 
 def test_scale_invariance_reads_lambda_as_the_row_loop_does(monkeypatch):
     # a zero lambda in both runs counts 0 ulps, and a NaN lambda in the
-    # scaled run neither fails the check nor sets the worst error
+    # scaled run fails the check but does not set the worst error
     run_seeds = checks.run_seeds
     recs = []
 
@@ -186,9 +186,40 @@ def test_scale_invariance_reads_lambda_as_the_row_loop_does(monkeypatch):
                       rec_b.columns["lam"].tolist()):
         err = abs(10.0 * rb - ra)
         worst = max(worst, err / np.spacing(ra) if ra else 0.0)
-        ok = ok and not err > 4.0 * np.spacing(ra)
+        ok = ok and err <= 4.0 * np.spacing(ra)
     assert result.passed == ok
     assert result.detail == f"lambda worst error {worst:.2f} ulps (limit 4)"
+
+
+@pytest.mark.parametrize("run", [0, 1], ids=["base", "scaled"])
+def test_scale_invariance_fails_on_a_nan_lambda(monkeypatch, run):
+    run_seeds = checks.run_seeds
+    calls = []
+
+    def with_nan(*args, **kwargs):
+        recs = run_seeds(*args, **kwargs)
+        if len(calls) == run:
+            recs[0].columns["lam"][7] = np.nan
+        calls.append(1)
+        return recs
+
+    monkeypatch.setattr(checks, "run_seeds", with_nan)
+    assert checks.check_scale_invariance().line().startswith(
+        "[FAIL] scale-invariance: ")
+    assert len(calls) == 2
+
+
+def test_projection_check_holds_for_any_dot(monkeypatch):
+    # the check takes its dots where lambda_project does, so a dot summed
+    # in another order moves both sides alike
+    def inner(a, b):
+        return per_row(np.add.reduce(a * b, axis=-1))
+
+    for module in (optimizers, checks):
+        monkeypatch.setattr(module, "inner", inner, raising=False)
+        monkeypatch.setattr(module, "l2_norm_sq", lambda v: inner(v, v),
+                            raising=False)
+    assert checks.check_projection_calibration().passed
 
 
 @pytest.mark.parametrize("check", ["check_scale_invariance",

@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name
-it defines at module level, is used in that module."""
+it defines at module level, is used in that module; each module imports
+only the modules before it, and only core takes a dot product."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,63 @@ def test_package_imports_sees_type_checking_blocks():
                      "if TYPE_CHECKING:\n"
                      "    from .config import OptimizerSpec\n")
     assert package_imports(tree) == {"core", "harness", "config"}
+
+
+# core.inner and core.l2_norm_sq own how a dot or a 2-norm is taken, so
+# no other module calls a dot of its own. `@` and np.matvec are matrix
+# products, and the guard does not look at them.
+DOT_CALLS = {"np.dot", "np.vdot", "np.inner", "np.vecdot", "np.einsum",
+             "np.tensordot", "np.linalg.norm"}
+# the calibration's overflow probe: its value is only compared with inf,
+# so its bits reach no output
+DOT_ALLOWED = {"optimizers": {"_may_be_infinite"}}
+
+
+def dotted_name(node) -> str:
+    """`np.linalg.norm` for the expression that names it, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return base and f"{base}.{node.attr}"
+    return ""
+
+
+def dot_callers(tree: ast.Module) -> set:
+    """The module-level definitions ('' for module code) that call a dot
+    or a norm of DOT_CALLS, or any `.dot(...)` method."""
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr == "dot"
+                         or dotted_name(node.func) in DOT_CALLS)):
+                callers.add(getattr(top, "name", ""))
+    return callers
+
+
+@pytest.mark.parametrize("module", [m for m in ORDER if m != "core"])
+def test_only_core_takes_a_dot(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text("utf-8"))
+    callers = dot_callers(tree) - DOT_ALLOWED.get(module, set())
+    assert not callers, (f"{module}: {sorted(callers)} take a dot or a "
+                         f"norm that core.inner/l2_norm_sq should take")
+
+
+def test_dot_allowances_are_still_used():
+    """An allowance that outlives its call would hide a new one."""
+    for module, names in DOT_ALLOWED.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text("utf-8"))
+        assert names <= dot_callers(tree)
+
+
+def test_dot_callers_finds_each_form():
+    tree = ast.parse("x = np.linalg.norm(v)\n"
+                     "def a(v): return v.dot(v)\n"
+                     "def b(v): return np.einsum('i,i', v, v)\n"
+                     "class C:\n"
+                     "    def c(self, v): return np.vdot(v, v)\n"
+                     "def d(A, v): return A @ v + np.matvec(A, v)\n"
+                     "def e(v): return np.sum(v)\n")
+    assert dot_callers(tree) == {"", "a", "b", "C"}

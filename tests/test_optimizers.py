@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from signopt import optimizers
 from signopt.config import OptimizerSpec as OptimizerConfig
-from signopt.core import RngStream, run_errstate, sign_vec
+from signopt.core import (RngStream, inner, l2_norm_sq, run_errstate,
+                          sign_vec)
 from signopt.dither import normal_cdf
 from signopt.optimizers import (PHASES, PRESETS, OptimizerState, RowStepper,
                                 column_of, dither_sigma_sq, dithered_step,
@@ -188,8 +189,8 @@ class TestLambdaProject:
         eps = 1e-12
         lam = lambda_project(m, g, delta, eps)
         assert lam >= 0.0
-        lhs = lam * (float(g @ g) + eps)
-        rhs = delta * abs(float(sign_vec(m) @ g))
+        lhs = lam * (l2_norm_sq(g) + eps)
+        rhs = delta * abs(inner(sign_vec(m), g))
         assert abs(lhs - rhs) <= 2.0 * np.spacing(max(abs(lhs), abs(rhs), 1e-300))
 
     def test_epsilon_validation(self):
