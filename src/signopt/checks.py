@@ -37,8 +37,10 @@ THEOREM_SEEDS = tuple(range(20))
 SWITCH_T_GRID = (500, 1000, 2000)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CheckResult:
+    """One check's verdict and the detail its line prints."""
+
     name: str
     passed: bool
     detail: str = ""

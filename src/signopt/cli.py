@@ -2,11 +2,14 @@
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 divergence.
+
+argparse is imported only where the command line is parsed: with its
+gettext it costs about 2 ms, which an import of `cli` that parses nothing
+should not pay.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -58,6 +61,7 @@ def _integer(rule, bound: str):
     def integer(text: str) -> int:
         value = int(text)
         if not rule(value):
+            import argparse  # already loaded: only a parse calls this
             raise argparse.ArgumentTypeError(f"must be {bound}")
         return value
     return integer
@@ -75,6 +79,7 @@ def _grid(minimum: int):
     def integers(text: str) -> list:
         values = [integer(t) for t in text.split(",") if t.strip()]
         if not values:
+            import argparse
             raise argparse.ArgumentTypeError("expected at least one integer")
         return values
     return integers
@@ -160,7 +165,9 @@ def cmd_selftest(args) -> int:
     return _print_results(run_all())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `signopt` argument parser, with one subcommand per `cmd_*`."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="signopt",
         description="Sign-based optimizers with dithering, calibrated "

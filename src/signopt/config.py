@@ -104,6 +104,8 @@ def _check_fields(spec, section: str) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The `problem.*` section; the rule of each field is beside it."""
+
     kind: str = _ranged("quadratic", PROBLEM_KINDS)
     dim: int = _ranged(10, "[1, inf)")
     # broadcast to n_params if a single value
@@ -203,6 +205,8 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
+    """The `run.*` section; the rule of each field is beside it."""
+
     # at most the largest float
     steps: int = _ranged(1000, "[1, 1.7976931348623157e308]")
     batch_size: int = _ranged(1, "[1, inf)")
@@ -222,6 +226,8 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole config: its problem, optimizer and run sections."""
+
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     run: RunSpec = field(default_factory=RunSpec)

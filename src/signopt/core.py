@@ -73,6 +73,8 @@ WORKERS = min(4, cpu_count())
 
 _pool = None                    # created on first use
 _pool_lock = threading.Lock()
+# `pool` is set on each of the pool's threads, whose own calls run inline
+_thread = threading.local()
 
 
 def _forget_pool() -> None:
@@ -83,6 +85,10 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mark_pool_thread() -> None:
+    _thread.pool = True
 
 
 def _run_chunk(fn, items) -> list:
@@ -96,18 +102,20 @@ def parallel_map(fn, items) -> list:
     Every call runs under `run_errstate()`, and an exception in any call
     reaches the caller. Two or more chunks all run on the pool while the
     calling thread only waits; a lone chunk (one item, or `WORKERS` = 1)
-    runs inline on the calling thread. `fn` must not call `parallel_map`:
-    a pool thread would wait on its own pool."""
+    runs inline on the calling thread. So does any call made on one of the
+    pool's threads, as a call of `parallel_map` inside `fn`: a pool thread
+    that waited on its own pool could wait for ever."""
     global _pool
     items = list(items)
     chunks = min(WORKERS, len(items))
-    if chunks <= 1:
+    if chunks <= 1 or getattr(_thread, "pool", False):
         return _run_chunk(fn, items)
     with _pool_lock:
         if _pool is None:
             # imported here: an eager import costs every run's set-up
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(WORKERS, "signopt")
+            _pool = ThreadPoolExecutor(WORKERS, "signopt",
+                                       initializer=_mark_pool_thread)
     ends = [len(items) * c // chunks for c in range(chunks + 1)]
     parts = _pool.map(_run_chunk, [fn] * chunks,
                       [items[a:b] for a, b in zip(ends, ends[1:])])

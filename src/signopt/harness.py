@@ -85,6 +85,8 @@ PARALLEL_DRAWS = 1 << 16
 
 @dataclass
 class Row:
+    """One recorded step of a run."""
+
     k: int
     f: float
     l1_grad: float
@@ -134,8 +136,10 @@ class _DerivedRows:
             rec.columns = _columns_of(rows)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunRecord:
+    """One seeded run: its recorded steps and its summary values."""
+
     # the recorded steps, one array per Row field, the phase as an index
     # into PHASES; every column is empty when none was recorded. Declared
     # before `rows`, whose list given to the constructor replaces this
@@ -444,9 +448,8 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     ks, floats = (np.concatenate(part, axis=-1) for part in zip(*diag.moved))
     for c, (opt, on) in enumerate(zip(opts, dithered)):
         # the schedule is recorded whenever the config names a dither
-        # mode, also on steps that apply none: Python's pow once a step
-        sig2 = (np.array([dither_sigma_sq(k, opt) for k in ks.tolist()])
-                if on else np.zeros(len(ks)))
+        # mode, also on steps that apply none
+        sig2 = dither_sigma_sq(ks, opt) if on else np.zeros(len(ks))
         codes = phase_codes(ks, params[c].t_switch)
         for i in range(c * n_seeds, (c + 1) * n_seeds):
             n = np.count_nonzero(ks < recs[i].oracle_calls)

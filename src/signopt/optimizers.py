@@ -46,8 +46,10 @@ def phase_codes(k, t_switch) -> np.ndarray:
     return (np.asarray(k) >= t_switch).astype(np.int8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OptimizerState:
+    """The iterate, momentum and calibration state after k steps."""
+
     x: np.ndarray             # (d,) or (S, d)
     m: np.ndarray
     k: int = 0
@@ -317,10 +319,20 @@ class _Reordered:
         return self.stream.normal((len(self.order), d))[self.order][:rows]
 
 
-def dither_sigma_sq(k: int, cfg: OptimizerSpec | StepParams):
+def dither_sigma_sq(k, cfg: OptimizerSpec | StepParams):
     """Annealed dither variance alpha * (1+k)^(-gamma) at step k, with
     alpha and gamma from the (validated) optimizer config or from step
-    parameters, where either may be one value per row."""
+    parameters, where either may be one value per row. k may also be a
+    1-D int64 array of steps under one gamma, as a record's steps: then
+    one variance per step, each bitwise that of its step alone."""
+    if isinstance(k, np.ndarray):
+        if (k.dtype != np.int64 or k.ndim != 1 or (k < 0).any()
+                or isinstance(cfg.gamma, np.ndarray)):
+            raise ValueError("steps must be a 1-D int64 array of integers "
+                             ">= 0, under one gamma")
+        # Python's pow for each step, as below
+        return cfg.alpha * np.array([(1.0 + j) ** (-cfg.gamma)
+                                     for j in k.tolist()])
     if not is_count(k, 0):  # NaN and 2.5 are not steps
         raise ValueError("step must be an integer >= 0")
     if isinstance(cfg.gamma, np.ndarray):

@@ -27,8 +27,10 @@ BIMODAL_Q = 0.1
 LOGISTIC_REG = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NoiseSpec:
+    """The oracle noise: its family and per-coordinate scale."""
+
     family: str
     sigma: np.ndarray  # per-coordinate oracle std, finite and >= 0
 
@@ -40,7 +42,7 @@ class NoiseSpec:
             raise ValueError("noise scales must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Problem:
     """An objective and its oracles. `eval_fg(x)` returns `(f, grad)` from
     one forward pass, bitwise `(eval_f(x), eval_grad(x))`; the run loop
@@ -64,8 +66,10 @@ def _problem(eval_fg, **fields) -> Problem:
                    **fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GradSample:
+    """A minibatch gradient, its batch size and its per-coordinate std."""
+
     grad: np.ndarray
     batch_size: int
     coord_std: np.ndarray  # sigma_i / sqrt(n)

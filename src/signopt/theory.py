@@ -22,8 +22,10 @@ from .problems import sample_unit_noise
 GAUSS_SPLIT = math.sqrt(2.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SnrProfile:
+    """A gradient and the noise std of its batch gradient, per coordinate."""
+
     g: np.ndarray  # true gradient, or an (S, d) array of S gradients
     s: np.ndarray  # per-coordinate noise std of the batch gradient
 
@@ -36,7 +38,7 @@ class SnrProfile:
             raise ValueError("noise scales must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TheoremInputs:
     """The inputs of the rate bounds. Every value must be finite, since an
     infinite one makes a bound every average meets; each check is written

@@ -217,6 +217,30 @@ def test_parallel_map_spreads_chunks_over_threads(monkeypatch):
     assert all(t.name.startswith("signopt_") for t in threads)
 
 
+def test_parallel_map_nested_in_a_chunk_runs_inline(monkeypatch):
+    """A call from a pool thread runs on that thread: waiting on its own
+    pool, it would hang once every pool thread waits."""
+    monkeypatch.setattr(core, "WORKERS", 2)
+    results = []
+
+    def outer():
+        results.append(core.parallel_map(
+            lambda i: (threading.current_thread(), core.parallel_map(
+                lambda j: (threading.current_thread(), 10 * i + j),
+                range(3))), range(2)))
+
+    caller = threading.Thread(target=outer, daemon=True)
+    caller.start()
+    caller.join(timeout=20)
+    assert not caller.is_alive(), "a nested parallel_map hung"
+    [runs] = results
+    assert [[v for _, v in inner] for _, inner in runs] == [[0, 1, 2],
+                                                            [10, 11, 12]]
+    for thread, inner in runs:
+        assert thread.name.startswith("signopt_")
+        assert {t for t, _ in inner} == {thread}
+
+
 @pytest.mark.parametrize("workers, count", [(2, 1), (4, 1), (1, 7)])
 def test_parallel_map_runs_one_chunk_inline(monkeypatch, workers, count):
     monkeypatch.setattr(core, "WORKERS", workers)

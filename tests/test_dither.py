@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +34,28 @@ class TestSchedule:
             OptimizerConfig(alpha=0.1, gamma=0.0)
         with pytest.raises(ValueError):
             dither_sigma_sq(-1, OptimizerConfig(alpha=0.1))
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.1, 0.55), (0.5, 1.0),
+                                              (1.0, 0.3), (1e-300, 7.25),
+                                              (3.7e8, 0.999)])
+    def test_steps_array_is_bitwise_each_step(self, alpha, gamma):
+        """A record's steps in one call hold every step's own bits."""
+        cfg = OptimizerConfig(alpha=alpha, gamma=gamma)
+        ks = np.arange(10**4 + 1, dtype=np.int64)
+        want = np.array([dither_sigma_sq(k, cfg) for k in range(10**4 + 1)])
+        got = dither_sigma_sq(ks, cfg)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert dither_sigma_sq(ks[7::97], cfg).tobytes() == (
+            want[7::97].tobytes())
+        assert dither_sigma_sq(ks[:0], cfg).shape == (0,)
+
+    @pytest.mark.parametrize("ks", [np.array([0, -1]), np.array([1.0, 2.0]),
+                                    np.array([[0, 1]]),
+                                    np.array([0, 1], np.int32)])
+    def test_steps_array_validation(self, ks):
+        with pytest.raises(ValueError):
+            dither_sigma_sq(ks, OptimizerConfig(alpha=0.1))
 
 
 class TestCorrectSignProb:

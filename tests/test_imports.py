@@ -1,8 +1,15 @@
 """Every name a module of the package imports, and every private name
 it defines at module level, is used in that module; each module imports
-only the modules before it, and only core takes a dot product."""
+only the modules before it, and only core takes a dot product. The
+package's import stays at its set-up floor: no argparse until the CLI
+parses, and dataclasses that generate only the methods something reads."""
 
 import ast
+import dataclasses
+import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,3 +199,71 @@ def test_dot_callers_finds_each_form():
                      "def d(A, v): return A @ v + np.matvec(A, v)\n"
                      "def e(v): return np.sum(v)\n")
     assert dot_callers(tree) == {"", "a", "b", "C"}
+
+
+# The set-up guards. Every `signopt run` and every benchmark set-up pays
+# the package's import before its first step.
+
+def test_importing_the_cli_leaves_argparse_out():
+    """In a fresh interpreter, since pytest imports argparse itself."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, signopt.cli; "
+         "print('argparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False"]
+
+
+def is_dataclass_def(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated `@dataclass` or `@dataclass(...)`."""
+    return any(dotted_name(getattr(d, "func", d)).split(".")[-1]
+               == "dataclass" for d in node.decorator_list)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_dataclass_has_a_docstring(path):
+    """`@dataclass` calls `inspect.signature` on a class without one, to
+    write one, about 0.1 ms a class at every set-up."""
+    bare = [node.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.ClassDef) and is_dataclass_def(node)
+            and ast.get_docstring(node) is None]
+    assert not bare, f"{path.name}: dataclasses without a docstring {bare}"
+
+
+def test_is_dataclass_def_finds_each_form():
+    tree = ast.parse("@dataclass\nclass A: pass\n"
+                     "@dataclass(frozen=True)\nclass B: pass\n"
+                     "@dataclasses.dataclass(eq=False)\nclass C: pass\n"
+                     "@other\nclass D: pass\n"
+                     "class E: pass\n")
+    assert [n.name for n in tree.body if is_dataclass_def(n)] == [
+        "A", "B", "C"]
+
+
+# Each generated method is one `exec` at import, about 0.2 ms. A change
+# that needs more raises this pin and says why in CHANGES.md; one that
+# needs fewer lowers it.
+GENERATED_METHODS = 53
+
+
+def test_dataclasses_generate_the_pinned_methods():
+    import signopt.cli  # noqa: F401  (every module of the package)
+    spec = importlib.util.spec_from_file_location(
+        "setup_cost", PACKAGE.parent.parent / "tools" / "setup_cost.py")
+    setup_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_cost)
+    classes = {value for name, module in list(sys.modules.items())
+               if name.startswith("signopt.")
+               for value in vars(module).values()
+               if isinstance(value, type) and dataclasses.is_dataclass(value)
+               and value.__module__ == name}
+    assert len(classes) == sum(
+        is_dataclass_def(node) for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ClassDef))
+    total = sum(len(setup_cost.generated_methods(c.__dataclass_params__))
+                for c in classes)
+    assert total == GENERATED_METHODS, (
+        f"the package's dataclasses generate {total} methods")

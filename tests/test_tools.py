@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ def load(path, name):
 code_lines = load(TOOLS / "code_lines.py", "code_lines")
 traffic = load(TOOLS / "traffic.py", "traffic")
 profiles = load(TOOLS / "profiles.py", "profiles")
+setup_cost = load(TOOLS / "setup_cost.py", "setup_cost")
 
 # 7 code lines: the docstrings, comments and blank lines do not count,
 # a bracketed continuation and a string that is not a docstring do
@@ -154,3 +156,35 @@ def test_quiet_pytest_names_the_profile_first():
         cwd=TOOLS.parent, capture_output=True, text=True, check=True,
         timeout=120)
     assert out.stdout.splitlines()[0] == profiles.profile_line()
+
+
+def test_setup_cost_prints_compiles_methods_and_modules(capsys):
+    assert setup_cost.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("import signopt.cli after numpy: ")
+    package = TOOLS.parent / "src" / "signopt"
+    modules = sorted(p.name for p in package.glob("*.py"))
+    compiles = lines[lines.index("compile ms") + 1:][:len(modules) + 1]
+    assert [line.split()[1] for line in compiles] == modules + ["total"]
+    start = lines.index("generated dataclass methods") + 1
+    end = next(i for i in range(start, len(lines))
+               if lines[i].endswith("  total"))
+    counts = [int(line.split()[0]) for line in lines[start:end]]
+    assert all(counts) and sum(counts) == int(lines[end].split()[0])
+    assert lines[end + 1].startswith("stdlib modules imported (")
+    assert "argparse" not in lines[end + 2].split()
+
+
+def test_setup_cost_counts_each_generated_method():
+    def flags(**on):
+        return types.SimpleNamespace(**{f: on.get(f, False)
+                                        for f in setup_cost.FLAGS})
+    assert setup_cost.generated_methods(flags(init=True)) == ["__init__"]
+    assert setup_cost.generated_methods(
+        flags(init=True, repr=True, eq=True, frozen=True)) == [
+        "__init__", "__repr__", "__eq__", "__setattr__", "__delattr__",
+        "__hash__"]
+    assert setup_cost.generated_methods(flags(eq=True, order=True)) == [
+        "__eq__", "__lt__", "__le__", "__gt__", "__ge__"]
+    assert setup_cost.generated_methods(flags(unsafe_hash=True)) == [
+        "__hash__"]
