@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -63,15 +62,19 @@ from .theory import (SnrProfile, TheoremInputs, phi_measure, theorem_rhs_l1,
                      theorem_rhs_phi)
 
 CSV_HEADER = "k,f,l1_grad,phi,lambda,lambda_ema,sigma_dither_sq,phase"
+# a CSV line of a recorded step: %.17g writes every bit of a float
+CSV_LINE = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 
 AUTO_STRIDE_LIMIT = 10_000
 
 # `run_seeds` draws random numbers a block of steps ahead. A block holds at
 # most this many bytes of one seed's noise draws (n * d a step) and of the
-# draws of all S seeds (S * d a step), so memory does not grow with steps.
-# The true gradients awaiting their diagnostics (S * d a step) hold at
-# most an eighth of it, so the temporaries of their flush stay small; the
-# recorded steps' f, l1, phi, lambda and EMA (5 * S a step) wait beside them.
+# draws of all S seeds (S * d a step), so memory does not grow with steps:
+# a refill holds the block plus up to `core.WORKERS` unit draws of one
+# stream (`_RowStreams`). The true gradients awaiting their diagnostics
+# (S * d a step) hold at most an eighth of it, so the temporaries of their
+# flush stay small; the recorded steps' f, l1, phi, lambda and EMA (5 * S a
+# step) wait beside them.
 BLOCK_BYTES = 1 << 18
 
 # A refill of the seed streams of at least this many draws (block steps x
@@ -79,7 +82,9 @@ BLOCK_BYTES = 1 << 18
 # `core.parallel_map`'s threads. Below it, handing the streams to the pool
 # costs about what a second core saves. On 2 vCPUs, threaded refills read
 # 0.9-1.3x serial at 2^15 draws (the switch sweep's refill), 0.9-1.5x at
-# 2^16 and 1.4-1.9x at 2^19 (the n = 16 theorem cell's).
+# 2^16 and 1.4-1.9x at 2^19 (the n = 16 theorem cell's). Threaded or not,
+# the refill holds the block plus up to `core.WORKERS` unit draws of one
+# stream, one per busy thread.
 PARALLEL_DRAWS = 1 << 16
 
 
@@ -195,22 +200,42 @@ class _RowStreams:
     Each stream yields exactly the values it yields when drawn one step at
     a time, so a row's results do not depend on the batch it is in.
 
-    A refill of at least `PARALLEL_DRAWS` draws makes its per-stream
-    `draw` calls through `core.parallel_map`: each stream is drawn by
-    exactly one thread, in one call, so the bits are those of the serial
-    refill, and the threads run under the run's errstate. A smaller
-    refill draws the streams one after another on the calling thread.
-    Either way the buffer holds one block of draws; while it fills, each
-    busy thread also holds one stream's draw temporaries."""
+    A refill allocates one (count, S, d) block, dropping the block before
+    it, and `fill` writes each stream's next `count` draws straight into
+    its (count, d) slice. A refill of at least `PARALLEL_DRAWS` draws
+    makes these calls through `core.parallel_map`: each stream is filled
+    by exactly one thread, in one call, so the bits are those of the
+    serial refill, and the threads run under the run's errstate. A
+    smaller refill fills the streams one after another on the calling
+    thread. Either way a refill holds the block plus up to
+    `core.WORKERS` unit draws of one stream, each busy thread's (count,
+    n, d) draw before it is reduced into the block."""
 
-    def __init__(self, streams: list, draw, block: int, limit: int,
-                 width: int):
+    def __init__(self, streams: list, fill, block: int, limit: int,
+                 dim: int, width: int):
         self.streams = streams
-        self.draw = draw        # (stream, count) -> (count, d) array
+        self.fill = fill        # (stream, count, out (count, d)) -> None
         self.block = block
+        self.dim = dim
         self.width = width      # the draws a row takes a step
         self.left = limit       # the most draws still to be read
         self.buf = np.empty((0,))
+        self.pos = 0
+
+    def _refill(self) -> None:
+        count = min(self.block, self.left)
+        streams = self.streams
+        self.buf = None  # the spent block goes before the next is made
+        self.buf = buf = np.empty((count, len(streams), self.dim))
+
+        def fill(i):
+            self.fill(streams[i], count, buf[:, i])
+
+        if count * len(streams) * self.width >= PARALLEL_DRAWS:
+            parallel_map(fill, range(len(streams)))
+        else:
+            for i in range(len(streams)):
+                fill(i)
         self.pos = 0
 
     def normal(self, size=None) -> np.ndarray:
@@ -219,14 +244,7 @@ class _RowStreams:
         signature, so the step rule reads its dither stream through it,
         for the rows in the sign phase; every stream advances."""
         if self.pos == len(self.buf):
-            count = min(self.block, self.left)
-            if count * len(self.streams) * self.width >= PARALLEL_DRAWS:
-                draws = parallel_map(lambda r: self.draw(r, count),
-                                     self.streams)
-            else:
-                draws = [self.draw(r, count) for r in self.streams]
-            self.buf = np.stack(draws, axis=1)
-            self.pos = 0
+            self._refill()
         self.pos += 1
         self.left -= 1
         draw = self.buf[self.pos - 1]
@@ -390,13 +408,16 @@ def run_seeds(cfg, seeds=None, problem: Problem | None = None,
     noise = dither = None
     row_seeds = [seeds[i % n_seeds] for i in rule.order.tolist()]
     if np.any(problem.noise.sigma > 0):
-        noise = _RowStreams([RngStream(s, STREAM_GRAD) for s in row_seeds],
-                            lambda r, c: batch_noise(problem.noise, n, c, r),
-                            block, K, n * d)
+        noise = _RowStreams(
+            [RngStream(s, STREAM_GRAD) for s in row_seeds],
+            lambda r, c, out: batch_noise(problem.noise, n, c, r, out),
+            block, K, d, n * d)
     dithered = [opt.dither_mode != "none" for opt in opts]
     if any(dithered):  # read only by the rows that dither
-        dither = _RowStreams([RngStream(s, STREAM_DITHER) for s in row_seeds],
-                             lambda r, c: r.normal((c, d)), block, K, d)
+        dither = _RowStreams(
+            [RngStream(s, STREAM_DITHER) for s in row_seeds],
+            lambda r, c, out: np.copyto(out, r.normal((c, d))),
+            block, K, d, d)
     diag = _BlockDiagnostics(snr, max(1, BLOCK_BYTES // 8 // (8 * S * d)),
                              rule)
 
@@ -470,6 +491,7 @@ def run_theorem_suite(cfg_base: ExperimentConfig, seeds, k_grid, n_grid) -> dict
     `diverged`, the number of its runs that diverged, whose averages the
     bounds do not cover: a cell passes when both bounds hold and that
     number is 0. Each of the seeds and the two grids must be nonempty."""
+    import statistics  # here, not at set-up: it loads fractions and decimal
     seeds = _nonempty("seeds", seeds)
     k_grid, n_grid = _nonempty("k_grid", k_grid), _nonempty("n_grid", n_grid)
     problem = build_problem(cfg_base)
@@ -509,6 +531,7 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
     baselines with matched step budgets, all in one `run_seeds` batch.
     Each entry and each baseline records `diverged`, the number of its
     runs that diverged. The grid and the seeds must be nonempty."""
+    import statistics  # here, not at set-up: it loads fractions and decimal
     # a numpy scalar as its Python number, so the report serializes as JSON
     t_switch_grid = [t.item() if isinstance(t, np.generic) else t
                      for t in _nonempty("t_switch_grid", t_switch_grid)]
@@ -554,16 +577,14 @@ def run_switch_suite(cfg_base: ExperimentConfig, t_switch_grid, seeds) -> dict:
 
 def emit_csv(record: RunRecord, path) -> None:
     """Write the record's columns, a line per recorded step. The lines
-    are built a thousand at a time, so the Python values of a whole long
-    record are never held at once."""
+    are built and written a thousand at a time, so the Python values of a
+    whole long record are never held at once."""
     columns = record.columns
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(columns["k"]), 1000):
             part = _column_lists(columns, slice(start, start + 1000))
-            for k, f, l1, phi, lam, ema, s2, phase in zip(*part):
-                fh.write(f"{k},{f:.17g},{l1:.17g},{phi:.17g},{lam:.17g},"
-                         f"{ema:.17g},{s2:.17g},{phase}\n")
+            fh.write("".join([CSV_LINE % row for row in zip(*part)]))
 
 
 def load_csv(path) -> list:

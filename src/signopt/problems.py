@@ -99,15 +99,23 @@ def sample_unit_noise(family: str, size, rng: RngStream) -> np.ndarray:
     raise ValueError(f"unknown noise family: {family!r}")
 
 
-def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream) -> np.ndarray:
+def batch_noise(spec: NoiseSpec, n: int, steps: int, rng: RngStream,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The noise of `steps` successive batch-n gradients, shape (steps, dim),
     in one draw: row i is bitwise the noise the i-th of `steps` calls of
-    `stochastic_grad` on the same stream adds."""
+    `stochastic_grad` on the same stream adds. It is written into `out`,
+    a (steps, dim) float64 array or view, when one is given. Besides the
+    result it holds only the (steps, n, dim) unit draw, which is scaled
+    in place and summed straight into the result."""
     if not is_count(n):
         raise ValueError("batch size must be an integer >= 1")
     unit = sample_unit_noise(spec.family, (steps, n, spec.sigma.size), rng)
-    # scaled before the mean; sum / n is numpy's mean without its wrapper
-    return (unit * spec.sigma).sum(axis=1) / n
+    # scaled before the mean; sum / n is numpy's mean without its wrapper,
+    # and its reduce adds in the order the sum of a fresh array does
+    unit *= spec.sigma
+    out = np.add.reduce(unit, axis=1, out=out)
+    out /= n
+    return out
 
 
 def stochastic_grad(p: Problem, x: np.ndarray, n: int, rng: RngStream) -> GradSample:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import statistics
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -27,7 +28,8 @@ from signopt.harness import (CSV_HEADER, emit_csv, emit_json, load_csv,
                              theorem_delta)
 from signopt.optimizers import dither_sigma_sq
 from signopt.problems import stochastic_grad
-from signopt.problems import NOISE_FAMILIES, NoiseSpec, batch_noise
+from signopt.problems import (NOISE_FAMILIES, NoiseSpec, batch_noise,
+                              sample_unit_noise)
 from signopt.theory import SnrProfile, phi_measure
 
 
@@ -399,14 +401,19 @@ class TestSeedBatching:
         does not depend on its length (rows kept at 11 per seed)."""
         base = _theorem_base_config(1.0)
         problem = build_problem(base)
-        # the first run in a process pays one-time allocations
-        run_seeds(replace(base, run=replace(base.run, steps=20)),
-                  problem=problem)
+
+        def cell(steps):
+            return replace(base, run=replace(base.run, steps=steps,
+                                             batch_size=16,
+                                             record_stride=steps // 10))
+
+        # the first run in a process pays one-time allocations, the thread
+        # pool's among them: 200 steps hold a full block of 163, whose
+        # refill runs on the pool wherever there are two workers or more
+        run_seeds(cell(200), problem=problem)
 
         def peak(steps):
-            cfg = replace(base, run=replace(base.run, steps=steps,
-                                            batch_size=16,
-                                            record_stride=steps // 10))
+            cfg = cell(steps)
             tracemalloc.start()
             try:
                 recs = run_seeds(cfg, problem=problem)
@@ -430,9 +437,9 @@ def stream_reads(kind, n, S, d, block, steps, cut, mask):
     else:
         spec = NoiseSpec(kind, np.linspace(0.5, 2.0, d))
         draw, width = (lambda r, c: batch_noise(spec, n, c, r)), n * d
-    streams = harness._RowStreams([RngStream(s, STREAM_GRAD)
-                                   for s in range(S)], draw, block, steps,
-                                  width)
+    streams = harness._RowStreams(
+        [RngStream(s, STREAM_GRAD) for s in range(S)],
+        lambda r, c, out: np.copyto(out, draw(r, c)), block, steps, d, width)
     reads = []
     for k in range(steps):
         if k == cut:
@@ -447,6 +454,16 @@ def theorem_cell(steps, **problem):
     base = _theorem_base_config(1.0)
     return replace(base, problem=replace(base.problem, **problem),
                    run=replace(base.run, steps=steps, batch_size=16))
+
+
+@pytest.fixture
+def switching_often():
+    """Python's threads switch every microsecond, as finely as the
+    interpreter lets them interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 class TestThreadedRefill:
@@ -472,10 +489,17 @@ class TestThreadedRefill:
                 threaded = stream_reads(*args)
         assert threaded == serial
 
-    def test_theorem_cell_seeds_match_their_runs_alone(self, monkeypatch):
+    @pytest.mark.usefixtures("switching_often")
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("dithered", (False, True))
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_theorem_cell_seeds_match_their_runs_alone(
+            self, monkeypatch, family, dithered, workers):
         # 20 seeds at n = 16 refill 163 steps of 521,600 draws at a time;
-        # one seed alone refills 204 steps of 32,640, serially
-        monkeypatch.setattr(core, "WORKERS", 2)
+        # one seed alone refills 204 steps of 32,640, serially. A dither
+        # refill holds at most BLOCK_BYTES / 8 draws, below PARALLEL_DRAWS,
+        # and fills serially
+        monkeypatch.setattr(core, "WORKERS", workers)
         calls = []
 
         def counting(fn, items):
@@ -483,7 +507,10 @@ class TestThreadedRefill:
             return core.parallel_map(fn, items)
 
         monkeypatch.setattr(harness, "parallel_map", counting)
-        cfg = theorem_cell(300)
+        cfg = theorem_cell(300, noise_family=family)
+        if dithered:
+            cfg = replace(cfg, optimizer=OptimizerSpec(
+                algorithm="dithered", dither_mode="pre", alpha=0.1))
         recs = run_seeds(cfg, range(20), collect_iterates=True)
         assert calls == [20, 20]
         for rec in recs:
@@ -502,6 +529,70 @@ class TestThreadedRefill:
         for rec in recs:
             rec_alone = run_single(cfg, rec.seed, collect_iterates=True)
             assert record_key(rec) == record_key(rec_alone)
+
+
+# (kind, n, d) of a seed stream: each noise family at d = 1, where numpy's
+# batch reduce sums the n draws of a coordinate pairwise, once n is 8 or
+# more, and at d = 10, where it adds them in order; and the dither draws
+REFILL_KINDS = [(family, n, d) for family in NOISE_FAMILIES
+                for n, d in ((16, 1), (129, 1), (16, 10))]
+REFILL_KINDS += [("dither", 1, 1), ("dither", 1, 10)]
+
+
+@pytest.mark.usefixtures("switching_often")
+class TestInPlaceRefill:
+    """Each refill writes every stream's draws straight into its slice of
+    one block, on one thread or several: the reads are bitwise each
+    stream's drawn alone for 1, 2 and 4 workers, however the threads are
+    scheduled."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("kind, n, d", REFILL_KINDS)
+    def test_reads_are_each_stream_drawn_alone(self, monkeypatch, kind, n,
+                                                d, workers):
+        if kind == "dither":
+            def alone(r, c):
+                return r.normal((c, d))
+
+            def fill(r, c, out):
+                np.copyto(out, r.normal((c, d)))
+        else:
+            spec = NoiseSpec(kind, np.linspace(0.5, 2.0, d))
+
+            def alone(r, c):  # the batch mean as numpy's sum of a copy
+                unit = sample_unit_noise(kind, (c, n, d), r)
+                return (unit * spec.sigma).sum(axis=1) / n
+
+            def fill(r, c, out):
+                batch_noise(spec, n, c, r, out)
+
+        monkeypatch.setattr(core, "WORKERS", workers)
+        calls = []
+
+        def counting(fn, items):
+            calls.append(len(items))
+            return core.parallel_map(fn, items)
+
+        monkeypatch.setattr(harness, "parallel_map", counting)
+        S, mask = 4, np.array([True, False, True, True])
+        # the smallest block whose refill of all four streams is threaded;
+        # the cut falls in the middle of the second block, so the third
+        # refill, of three streams and half a block, is serial
+        block = -(-harness.PARALLEL_DRAWS // (S * n * d))
+        steps, cut = block * 5 // 2, block * 3 // 2
+        streams = harness._RowStreams(
+            [RngStream(s, STREAM_GRAD) for s in range(S)], fill, block,
+            steps, d, n * d)
+        reads = []
+        for k in range(steps):
+            if k == cut:
+                streams.keep(mask)
+            reads.append(streams.normal().copy())
+        want = np.stack([alone(RngStream(s, STREAM_GRAD), steps)
+                         for s in range(S)], axis=1)
+        assert calls == [S, S]
+        assert np.stack(reads[:cut]).tobytes() == want[:cut].tobytes()
+        assert np.stack(reads[cut:]).tobytes() == want[cut:, mask].tobytes()
 
 
 def count_rows(fn, counts, name):
@@ -1055,6 +1146,22 @@ class TestSerialization:
         rows = load_csv(path)
         assert rows == rec.rows
         assert {r.phase for r in rows} == {"sign", "sgd"}
+
+    def test_csv_writes_every_float_as_its_repr_digits(self, tmp_path):
+        """The bytes of one f-string per line, `{x:.17g}` for each float,
+        over more than one block of a thousand lines."""
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300,
+                  -1e300, 0.1, 1.0 / 3.0]
+        rows = [harness.Row(k, *(values[(k + j) % len(values)]
+                                 for j in range(6)), ("sign", "sgd")[k % 2])
+                for k in range(2500)]
+        path = tmp_path / "run.csv"
+        emit_csv(harness.RunRecord(rows=rows), path)
+        want = "".join(
+            f"{r.k},{r.f:.17g},{r.l1_grad:.17g},{r.phi:.17g},{r.lam:.17g},"
+            f"{r.lambda_ema:.17g},{r.sigma_dither_sq:.17g},{r.phase}\n"
+            for r in rows)
+        assert path.read_bytes() == (CSV_HEADER + "\n" + want).encode()
 
     def test_wrong_header_is_named(self, tmp_path):
         path = tmp_path / "run.csv"

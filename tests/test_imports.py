@@ -2,7 +2,8 @@
 it defines at module level, is used in that module; each module imports
 only the modules before it, and only core takes a dot product. The
 package's import stays at its set-up floor: no argparse until the CLI
-parses, and dataclasses that generate only the methods something reads."""
+parses, no statistics until a suite runs, and dataclasses that generate
+only the methods something reads."""
 
 import ast
 import dataclasses
@@ -204,14 +205,27 @@ def test_dot_callers_finds_each_form():
 # The set-up guards. Every `signopt run` and every benchmark set-up pays
 # the package's import before its first step.
 
-def test_importing_the_cli_leaves_argparse_out():
-    """In a fresh interpreter, since pytest imports argparse itself."""
+def import_cli_and_ask(module: str):
+    """A fresh interpreter that imports signopt.cli and prints whether
+    that loaded `module`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys, signopt.cli; "
-         "print('argparse' in sys.modules)"],
+         f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    """In a fresh interpreter, since pytest imports argparse itself."""
+    out = import_cli_and_ask("argparse")
+    assert out.stdout.split() == ["False"]
+
+
+def test_importing_the_cli_leaves_statistics_out():
+    """Only the two suites read it, and it loads fractions and decimal;
+    a fresh interpreter, since pytest imports it too."""
+    out = import_cli_and_ask("statistics")
     assert out.stdout.split() == ["False"]
 
 
